@@ -9,15 +9,55 @@ Usage (``run.py`` starts it; ``PYTHONPATH`` must include the repo's ``src``)::
 The process runs at least ``1/shares`` of the workload's op floor, starting
 at op ``process * PROCESS_STRIDE`` so that processes run distinct ops.  It
 prints one JSON object as the last line of its standard output.  A timed
-process reports raw op latencies, verdicts and query totals; a traced one
-alternates untraced blocks of ops with traced blocks of as many fresh ops
-and reports per-layer metrics.
+process reports calibrated op latencies, verdicts and query totals; a traced
+one alternates untraced blocks of ops with traced blocks of as many fresh ops
+and reports per-layer metrics (raw wall times).
+
+A timed process reports op latencies, measured-phase wall time and set-up
+time in *calibrated* seconds.  A shared 2-vCPU cloud host switches between
+speed states for seconds to minutes at a time (in one the same code runs
+1.5-2x slower, with no steal time reported), and that swamps any change to
+the library.  So the process times a fixed pure-Python loop
+(:func:`calibrate`) before and after each stretch of about ``SEGMENT_S``
+seconds of ops, and scales the stretch's wall times by ``REFERENCE_S`` over
+the loop's mean time there: a calibrated second is a wall second on a machine
+where the loop takes exactly ``REFERENCE_S``.  The loop does not touch the
+library, so a faster library still reads faster.
 """
 
 from __future__ import annotations
 
 import time
 
+_CAL_TABLE = {i: (i * 7919) % 4093 for i in range(4096)}
+#: Wall time of one calibration loop that a calibrated time is scaled to:
+#: about the loop's time in the faster state of the host it was tuned on, so
+#: that calibrated and wall times read alike there.
+REFERENCE_S = 0.75e-3
+
+
+def _calibration_loop() -> int:
+    """Dict lookups, tuple building and a keyed sort: interpreter-bound work like the library's."""
+    table = _CAL_TABLE
+    total = 0
+    for i in range(5000):
+        total += table[(i * 31) & 4095]
+    pairs = [(i, table[i]) for i in range(1500)]
+    pairs.sort(key=lambda pair: pair[1])
+    return total + pairs[0][0]
+
+
+def calibrate(reps: int = 3) -> float:
+    """The median wall time of ``reps`` calibration loops, in seconds."""
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        _calibration_loop()
+        times.append(time.perf_counter() - start)
+    return sorted(times)[len(times) // 2]
+
+
+START_SPEED = calibrate()
 SETUP_START = time.perf_counter()
 
 import gc  # noqa: E402
@@ -33,20 +73,53 @@ from typing import Dict, List  # noqa: E402
 import perf_workloads  # noqa: E402
 
 
+#: Wall seconds of ops between two calibrations.
+SEGMENT_S = 0.05
+
+
+def _scale(before: float, after: float) -> float:
+    """Wall seconds to calibrated seconds, for work between two :func:`calibrate` readings."""
+    return REFERENCE_S / ((before + after) / 2)
+
+
 def _loop(workload, first_index: int, seconds: float, min_ops: int) -> Dict:
-    """Run units from ``first_index`` until ``seconds`` passed and ``min_ops`` ops completed."""
+    """Run units from ``first_index`` until ``seconds`` passed and ``min_ops`` ops completed.
+
+    Returns the op records (raw wall latencies), the same latencies
+    calibrated, and the measured phase's wall time raw and calibrated.
+    """
     records: List = []
-    wall = 0.0
+    calibrated: List[float] = []
+    wall = cal_wall = segment_wall = 0.0
+    segment_start = 0
+    speed = calibrate()
     index = first_index
-    while wall < seconds or len(records) < min_ops:
+    while True:
+        done = wall >= seconds and len(records) >= min_ops
+        if segment_wall >= SEGMENT_S or (done and segment_wall > 0):
+            after = calibrate()
+            scale = _scale(speed, after)
+            calibrated.extend(r.latency * scale for r in records[segment_start:])
+            cal_wall += segment_wall * scale
+            speed, segment_start, segment_wall = after, len(records), 0.0
+        if done:
+            break
         # Each unit starts from a collected heap, so neither its latency nor
         # the peak RSS depends on how much cyclic garbage earlier units left.
         gc.collect()
         start = time.perf_counter()
         records.extend(workload.run_unit(index))
-        wall += time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        wall += elapsed
+        segment_wall += elapsed
         index += 1
-    return {"records": records, "wall": wall, "units": index - first_index}
+    return {
+        "records": records,
+        "calibrated": calibrated,
+        "wall": wall,
+        "cal_wall": cal_wall,
+        "units": index - first_index,
+    }
 
 
 def _floor(workload, config: Dict) -> int:
@@ -55,12 +128,13 @@ def _floor(workload, config: Dict) -> int:
 
 
 def _setup(workload) -> float:
-    """Set the workload up; returns the seconds since this process started."""
+    """Set the workload up; returns the calibrated seconds since this process started."""
     workload.setup()
     # Later full collections then only walk what the measured ops allocate.
     gc.collect()
     gc.freeze()
-    return time.perf_counter() - SETUP_START
+    wall = time.perf_counter() - SETUP_START
+    return wall * _scale(START_SPEED, calibrate())
 
 
 def run_timed(workload, config: Dict) -> Dict:
@@ -70,10 +144,10 @@ def run_timed(workload, config: Dict) -> Dict:
     loop = _loop(workload, first, config["seconds"], floor)
     records = loop["records"]
     return {
-        "latencies": [r.latency for r in records],
+        "latencies": loop["calibrated"],
         "failed": sum(1 for r in records if not r.ok),
         "missed": sum(1 for r in records if r.missed),
-        "wall": loop["wall"],
+        "wall": loop["cal_wall"],
         "setup_s": setup_s,
         # Query totals over the first `floor` ops only: a fixed op set per
         # seed, however many ops the time budget allowed.

@@ -2,16 +2,19 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload cold-mix --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload cold-mix --seed 1 --seconds 20 --trace 0
 
 Each workload is a closed loop driven by one client, one verified solve at a
-time.  A timed run (``--trace 0``) starts several fresh processes one after
-another, splits ``--seconds`` between them and pools their op latencies, so
-one unlucky process cannot set the medians; it reports every end-to-end
-metric.  A traced run (``--trace 1``) starts one process that alternates
-blocks of untraced ops with blocks of ops run with every layer wrapped, and
-reports the per-layer metrics.  The last line of standard output is one JSON object.
-See ``layers.json`` for why each workload and metric exists.
+time.  A timed run (``--trace 0``) starts two fresh processes one after
+another, splits ``--seconds`` between them and pools their op latencies; it
+reports every end-to-end metric.  Its times are calibrated against a fixed
+pure-Python loop timed around every stretch of ops, so that the host's
+changing speed does not read as a change of the library (see
+``perf_child.py``).  A traced run (``--trace 1``) starts one process that
+alternates blocks of untraced ops with blocks of ops run with every layer
+wrapped, and reports the per-layer metrics.  The last line of standard
+output is one JSON object.  See ``layers.json`` for why each workload and
+metric exists.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("cold-large", "cold-mix", "warm-resolve", "queue-drain")
 #: Fresh processes per timed run; each runs its share of the workload's ops.
-CHILDREN = 4
+CHILDREN = 2
 CHILD_TIMEOUT_S = 170.0
 #: Scratch space of the benchmark processes (queue databases), inside the checkout.
 WORK_ROOT = os.path.join(ROOT, ".perfbench-work")
