@@ -14,7 +14,7 @@ README = pathlib.Path(__file__).parent / "README.md"
 
 setup(
     name="ims-hsp-repro",
-    version="0.5.0",
+    version="0.6.0",
     description=(
         "Reproduction of Ivanyos, Magniez & Santha (SPAA 2001): efficient quantum "
         "algorithms for some instances of the non-Abelian hidden subgroup problem"

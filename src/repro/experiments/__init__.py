@@ -24,14 +24,13 @@ persistent experiment layer:
 ``results``
     per-run JSON rows and aggregate statistics, persisted atomically as
     ``BENCH_<name>.json``, plus the ``BENCH_<name>.partial.jsonl``
-    checkpoint journal behind ``--resume``, multi-shard journal merging
+    checkpoint journal behind ``--resume``, the multi-shard record merge
     (dedup by ``(index, seed)``, ranked ``ok > no_convergence > error``) and the
     BENCH-vs-journal agreement check;
 ``distributed``
     the queue-backed distributed runner: ``enqueue`` materialises pending
-    runs as claimable tasks on a pluggable queue *transport* — a shared
-    ``QUEUE_<name>/`` directory (atomic-rename leases, mtime heartbeats),
-    a single-file SQLite WAL database (``BEGIN IMMEDIATE`` transactional
+    runs as claimable tasks on a pluggable queue *transport* — a
+    single-file SQLite WAL database (``BEGIN IMMEDIATE`` transactional
     claims), or a ``serve``d HTTP coordinator URL (workers need no shared
     mount) — any number of ``work`` processes claim them with
     heartbeat-based stale reclamation and corrupt-task quarantine, and
@@ -39,7 +38,7 @@ persistent experiment layer:
     to a single-process run;
 ``transports``
     the :class:`Transport` protocol (enqueue/claim/heartbeat/release/
-    reclaim/append/enumerate/status) and its directory, SQLite and HTTP
+    reclaim/append/enumerate/status) and its SQLite and HTTP
     implementations;
 ``workloads``
     the declared sweeps (including the migrated ``benchmarks/bench_*``
@@ -74,7 +73,6 @@ from repro.experiments.distributed import (
     collect_queue,
     enqueue_sweep,
     queue_db_path,
-    queue_dir,
     resolve_transport,
     work_queue,
 )
@@ -90,13 +88,11 @@ from repro.experiments.results import (
     load_bench,
     load_journal,
     load_validated_bench,
-    merge_journal_records,
     merge_record_streams,
     resolve_bench,
     write_bench,
 )
 from repro.experiments.transports import (
-    DirectoryTransport,
     HttpTransport,
     SqliteTransport,
     Transport,
@@ -122,7 +118,6 @@ __all__ = [
     "ANALYSES",
     "DEFAULT_SEED",
     "AnalysisDirective",
-    "DirectoryTransport",
     "HttpTransport",
     "LedgerDivergence",
     "QueueBusy",
@@ -158,10 +153,8 @@ __all__ = [
     "load_journal",
     "load_validated_bench",
     "locate_crossover",
-    "merge_journal_records",
     "merge_record_streams",
     "queue_db_path",
-    "queue_dir",
     "resolve_bench",
     "resolve_transport",
     "run_sweep",

@@ -1,6 +1,6 @@
 """The ``python -m repro.experiments`` command line.
 
-Twelve subcommands make sweeps reproducible (and analysable) from a shell:
+Eleven subcommands make sweeps reproducible (and analysable) from a shell:
 
 ``list``
     the declared workloads and registered instance families;
@@ -10,12 +10,10 @@ Twelve subcommands make sweeps reproducible (and analysable) from a shell:
     may error before the sweep aborts, and ``--resume`` continues an
     interrupted sweep from its ``BENCH_<name>.partial.jsonl`` journal;
 ``enqueue NAME``
-    materialise a sweep's pending runs as claimable tasks on a queue
-    transport — ``--transport dir`` (a ``QUEUE_<name>/`` directory of task
-    files, the default), ``--transport sqlite`` (a single
-    ``QUEUE_<name>.sqlite`` WAL database; ``--queue-db`` names it
-    explicitly) or ``--transport http`` (a running coordinator named by
-    ``--queue-url http://host:port``);
+    materialise a sweep's pending runs as claimable tasks on a queue — a
+    single ``QUEUE_<name>.sqlite`` WAL database under ``--out`` (the
+    default; ``--queue-db`` names it explicitly) or a running coordinator
+    named by ``--queue-url http://host:port``;
 ``serve QUEUE.sqlite``
     the HTTP queue coordinator: serve a local SQLite queue database to
     remote workers, so a ``work``/``collect``/``status`` process needs
@@ -23,10 +21,10 @@ Twelve subcommands make sweeps reproducible (and analysable) from a shell:
     authentication** — bind to localhost or a trusted network only;
 ``work QUEUE``
     claim and execute queue tasks until the queue drains — any number of
-    ``work`` processes sharing the queue (a directory, a database file, or
-    a coordinator ``http://`` URL, auto-detected) cooperate via leased
-    claims with heartbeat-based stale reclamation; corrupt tasks are
-    quarantined and reported, never crash-looped;
+    ``work`` processes sharing the queue (a database file or a coordinator
+    ``http://`` URL) cooperate via leased claims with heartbeat-based
+    stale reclamation; corrupt tasks are quarantined and reported, never
+    crash-looped;
 ``collect QUEUE``
     merge the per-worker record shards of a drained queue into a
     ``BENCH_<name>.json`` whose deterministic rows are byte-identical to a
@@ -47,11 +45,7 @@ Twelve subcommands make sweeps reproducible (and analysable) from a shell:
     (``strategy-crossover``); writes a deterministic ``ANALYSIS_<name>.json``;
 ``plot NAME-or-PATH``
     the same statistics as an ASCII chart on stdout (``--svg FILE`` writes
-    a dependency-free SVG as well);
-``cache ls|prune``
-    inspect or LRU-evict the persistent Cayley-table cache written by
-    ``CayleyBackend(cache_dir=...)`` / the ``engine_cache_dir`` solver
-    option.
+    a dependency-free SVG as well).
 
 Examples::
 
@@ -59,12 +53,10 @@ Examples::
     python -m repro.experiments run smoke --workers 2 --out .benchmarks
     python -m repro.experiments run smoke --resume --out .benchmarks
     python -m repro.experiments enqueue queue-smoke --out .benchmarks
-    python -m repro.experiments work .benchmarks/QUEUE_queue-smoke &
-    python -m repro.experiments work .benchmarks/QUEUE_queue-smoke
-    python -m repro.experiments collect .benchmarks/QUEUE_queue-smoke --out .benchmarks
-    python -m repro.experiments enqueue queue-smoke --transport sqlite --out .benchmarks
+    python -m repro.experiments work .benchmarks/QUEUE_queue-smoke.sqlite &
     python -m repro.experiments work .benchmarks/QUEUE_queue-smoke.sqlite
-    python -m repro.experiments status .benchmarks/QUEUE_queue-smoke
+    python -m repro.experiments collect .benchmarks/QUEUE_queue-smoke.sqlite --out .benchmarks
+    python -m repro.experiments status .benchmarks/QUEUE_queue-smoke.sqlite
     python -m repro.experiments serve .benchmarks/QUEUE_queue-smoke.sqlite --port 8765 &
     python -m repro.experiments enqueue queue-smoke --queue-url http://127.0.0.1:8765
     python -m repro.experiments work http://127.0.0.1:8765
@@ -74,8 +66,6 @@ Examples::
     python -m repro.experiments report smoke --out .benchmarks
     python -m repro.experiments summarise success-vs-rounds
     python -m repro.experiments plot strategy-crossover --svg crossover.svg
-    python -m repro.experiments cache ls .cayley-cache
-    python -m repro.experiments cache prune .cayley-cache --max-bytes 1000000
 """
 
 from __future__ import annotations
@@ -102,7 +92,6 @@ from repro.experiments.results import (
 )
 from repro.experiments.runner import SweepAborted, run_sweep
 from repro.experiments.workloads import WORKLOADS, get_workload
-from repro.groups.engine import cache_entries, prune_cache
 
 __all__ = ["main", "run_sweeps"]
 
@@ -167,31 +156,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enqueue_parser.add_argument("name", help="a workload name from `list`")
     enqueue_parser.add_argument(
-        "--out", default=".", help="directory the queue (QUEUE_<name> or QUEUE_<name>.sqlite) is created in"
-    )
-    enqueue_parser.add_argument(
-        "--transport",
-        choices=list(distributed.TRANSPORT_KINDS),
-        default="dir",
-        help="queue backend: a shared directory of task files (dir, the default), "
-        "a single-file SQLite WAL database (sqlite), or a running coordinator "
-        "(http; requires --queue-url)",
-    )
-    enqueue_parser.add_argument(
-        "--queue", default=None, metavar="DIR", help="explicit queue directory (overrides --out; implies --transport dir)"
+        "--out", default=".", help="directory the queue database QUEUE_<name>.sqlite is created in"
     )
     enqueue_parser.add_argument(
         "--queue-db",
         default=None,
         metavar="PATH",
-        help="explicit queue database path (overrides --out; implies --transport sqlite)",
+        help="explicit queue database path (overrides --out)",
     )
     enqueue_parser.add_argument(
         "--queue-url",
         default=None,
         metavar="URL",
-        help="a running coordinator's http://host:port (see `serve`; overrides "
-        "--out; implies --transport http)",
+        help="a running coordinator's http://host:port (see `serve`; overrides --out)",
     )
     enqueue_parser.add_argument("--seed", type=int, default=None, help="override the sweep master seed")
     enqueue_parser.add_argument(
@@ -227,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     work_parser.add_argument(
         "queue",
-        help="the shared queue: a QUEUE_<name> directory, a QUEUE_<name>.sqlite "
-        "database, or a coordinator http://host:port URL (auto-detected)",
+        help="the shared queue: a QUEUE_<name>.sqlite database or a coordinator "
+        "http://host:port URL",
     )
     work_parser.add_argument(
         "--worker-id", default=None, help="stable worker id (default: host-pid-random)"
@@ -262,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     collect_parser.add_argument(
         "queue",
-        help="the queue: a QUEUE_<name> directory, a QUEUE_<name>.sqlite database, "
-        "or a coordinator http://host:port URL",
+        help="the queue: a QUEUE_<name>.sqlite database or a coordinator "
+        "http://host:port URL",
     )
     collect_parser.add_argument("--out", default=".", help="output directory for the BENCH file")
     collect_parser.add_argument(
@@ -279,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status_parser.add_argument(
         "queue",
-        help="the queue: a QUEUE_<name> directory, a QUEUE_<name>.sqlite database, "
-        "or a coordinator http://host:port URL",
+        help="the queue: a QUEUE_<name>.sqlite database or a coordinator "
+        "http://host:port URL",
     )
     status_parser.add_argument(
         "--stale-after",
@@ -331,19 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plot_parser.add_argument("--out", default=".", help="directory searched for BENCH_<name>.json")
     plot_parser.add_argument(
         "--svg", default=None, metavar="FILE", help="also write a dependency-free SVG chart"
-    )
-
-    cache_parser = sub.add_parser("cache", help="inspect or prune the persistent Cayley-table cache")
-    cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
-    ls_parser = cache_sub.add_parser("ls", help="list cache entries, least recently used first")
-    ls_parser.add_argument("cache_dir", help="the CayleyBackend cache directory")
-    prune_parser = cache_sub.add_parser("prune", help="LRU-evict entries until the cache fits a size cap")
-    prune_parser.add_argument("cache_dir", help="the CayleyBackend cache directory")
-    prune_parser.add_argument(
-        "--max-bytes",
-        type=_non_negative_bytes,
-        required=True,
-        help="target total cache size in bytes (0 empties the cache)",
     )
     return parser
 
@@ -397,19 +361,6 @@ def _stale_after_seconds(text: str) -> float:
         distributed.validate_lease_timings(value, poll=1.0, heartbeat=None)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
-    return value
-
-
-def _non_negative_bytes(text: str) -> int:
-    """argparse type for ``--max-bytes``: rejects negatives at parse time so
-    ``prune`` can never be reached with an ambiguous cap (0 is valid and
-    means "evict everything")."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer byte count, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"--max-bytes must be non-negative, got {value}")
     return value
 
 
@@ -553,26 +504,9 @@ def _command_enqueue(args) -> int:
     except (KeyError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 1
-    if args.queue_url:
-        queue, kind = args.queue_url, "http"
-    elif args.queue_db:
-        queue, kind = args.queue_db, "sqlite"
-    elif args.queue:
-        queue, kind = args.queue, "dir"
-    elif args.transport == "http":
-        print(
-            "--transport http needs --queue-url URL (a running coordinator's "
-            "address; start one with `python -m repro.experiments serve "
-            "QUEUE_<name>.sqlite`)",
-            file=sys.stderr,
-        )
-        return 1
-    elif args.transport == "sqlite":
-        queue, kind = distributed.queue_db_path(args.out, spec.name), "sqlite"
-    else:
-        queue, kind = distributed.queue_dir(args.out, spec.name), "dir"
+    queue = args.queue_url or args.queue_db or distributed.queue_db_path(args.out, spec.name)
     try:
-        counts = distributed.enqueue_sweep(spec, queue, kind=kind)
+        counts = distributed.enqueue_sweep(spec, queue)
     except (distributed.QueueCorrupt, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 1
@@ -861,30 +795,6 @@ def _command_plot(args) -> int:
     return 0
 
 
-def _command_cache(args) -> int:
-    if args.cache_command == "ls":
-        entries = cache_entries(args.cache_dir)
-        if not entries:
-            print(f"no Cayley cache entries under {args.cache_dir!r}")
-            return 0
-        total = sum(entry["bytes"] for entry in entries)
-        print(f"{len(entries)} entries, {total} bytes (least recently used first):")
-        for entry in entries:
-            print(f"  {entry['digest']}  {entry['bytes']:>12} bytes  {len(entry['files'])} file(s)")
-        return 0
-    try:
-        evicted = prune_cache(args.cache_dir, args.max_bytes)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    remaining = cache_entries(args.cache_dir)
-    print(
-        f"evicted {len(evicted)} entries ({sum(e['bytes'] for e in evicted)} bytes); "
-        f"{len(remaining)} entries ({sum(e['bytes'] for e in remaining)} bytes) remain"
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
@@ -903,8 +813,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_trace(args)
     if args.command == "list":
         return _command_list()
-    if args.command == "cache":
-        return _command_cache(args)
     if args.command in ("summarise", "summarize"):
         return _command_summarise(args)
     if args.command == "plot":

@@ -10,15 +10,12 @@ tasks, leases and shard records are JSON round-trippable, so the lifecycle
 here is written against the eight-operation
 :class:`~repro.experiments.transports.base.Transport` protocol — enqueue,
 claim, heartbeat, release, reclaim, shard append, shard enumerate, status —
-and three backends ship:
+and two backends ship:
 
-* the **directory** transport (``QUEUE_<name>/`` of task files, atomic
-  ``os.rename`` leases, mtime heartbeats, ``.jsonl`` shards) for any shared
-  filesystem, NFS included;
 * the **sqlite** transport (``QUEUE_<name>.sqlite``, WAL mode, ``BEGIN
   IMMEDIATE`` claim transactions over a pending/running/done status table,
   heartbeats as row-timestamp updates, shards as a records table keyed by
-  worker id) for single-file queues on one host;
+  worker id), the default, for queues on one host;
 * the **http** transport (``http://coordinator:8765``), the client half of
   ``python -m repro.experiments serve QUEUE.sqlite`` — the same operations
   as JSON POSTs against a coordinator wrapping a SQLite queue, so workers
@@ -77,7 +74,6 @@ from repro.experiments.runner import execute_run_safe
 from repro.experiments.specs import RunSpec, SweepSpec
 from repro.experiments.transports import (
     QUEUE_VERSION,
-    TRANSPORT_KINDS,
     Claim,
     CorruptTask,
     HttpTransport,
@@ -87,16 +83,13 @@ from repro.experiments.transports import (
     Transport,
     make_server,
     queue_db_path,
-    queue_dir,
     resolve_transport,
-    shard_path,
 )
 from repro.experiments.transports.http import DEFAULT_PORT as DEFAULT_HTTP_PORT
 
 __all__ = [
     "DEFAULT_HTTP_PORT",
     "QUEUE_VERSION",
-    "TRANSPORT_KINDS",
     "Claim",
     "CorruptTask",
     "HttpTransport",
@@ -112,12 +105,10 @@ __all__ = [
     "load_queue_spec",
     "make_server",
     "queue_db_path",
-    "queue_dir",
     "queue_progress",
     "queue_status",
     "reclaim_stale",
     "resolve_transport",
-    "shard_path",
     "work_queue",
 ]
 
@@ -171,7 +162,7 @@ def validate_lease_timings(
 
 
 @contextmanager
-def _opened(queue: QueueLike, kind: str = "auto") -> Iterator[Transport]:
+def _opened(queue: QueueLike) -> Iterator[Transport]:
     """Resolve ``queue`` to a transport, closing it afterwards if owned.
 
     Every lifecycle helper routes through this so no path leaks backend
@@ -180,7 +171,7 @@ def _opened(queue: QueueLike, kind: str = "auto") -> Iterator[Transport]:
     A caller-supplied :class:`Transport` instance is *not* closed: its
     owner manages that lifecycle.
     """
-    transport = resolve_transport(queue, kind)
+    transport = resolve_transport(queue)
     try:
         yield transport
     finally:
@@ -212,14 +203,6 @@ def lease_report(queue: QueueLike) -> List[Dict[str, object]]:
         return transport.lease_details()
 
 
-def _shard_worker_name(shard_id: str) -> str:
-    """The worker id behind a shard id (directory shards are file paths)."""
-    base = os.path.basename(str(shard_id))
-    if base.startswith("shard-") and base.endswith(".jsonl"):
-        return base[len("shard-") : -len(".jsonl")]
-    return str(shard_id)
-
-
 def queue_progress(queue: QueueLike) -> Dict[str, object]:
     """Per-worker progress over the queue's record shards.
 
@@ -234,7 +217,7 @@ def queue_progress(queue: QueueLike) -> Dict[str, object]:
     merged = merge_record_streams(records for _, records in streams)
     workers = [
         {
-            "worker": _shard_worker_name(shard_id),
+            "worker": str(shard_id),
             "records": len(records),
             "errors": sum(1 for r in records.values() if r.status == "error"),
         }
@@ -265,15 +248,15 @@ def reclaim_stale(queue: QueueLike, stale_after: float) -> int:
 
     Staleness is judged by the lease's liveness stamp — refreshed by the
     holder's heartbeat thread while it is alive, frozen the moment it dies.
-    Contending reclaimers race on the same atomic primitive (rename or
-    ``BEGIN IMMEDIATE`` transaction), so each stale lease is reclaimed
+    Contending reclaimers race on the same ``BEGIN IMMEDIATE``
+    transaction, so each stale lease is reclaimed
     exactly once.  Returns the number reclaimed.
     """
     with _opened(queue) as transport:
         return transport.reclaim_stale(stale_after)
 
 
-def enqueue_sweep(spec: SweepSpec, queue: QueueLike, kind: str = "auto") -> Dict[str, int]:
+def enqueue_sweep(spec: SweepSpec, queue: QueueLike) -> Dict[str, int]:
     """Materialise the sweep's pending runs as claimable tasks.
 
     A fresh queue gets the full expansion.  Re-enqueueing an existing
@@ -284,7 +267,7 @@ def enqueue_sweep(spec: SweepSpec, queue: QueueLike, kind: str = "auto") -> Dict
     errors.  A queue with tasks or leases still outstanding is refused —
     two enqueues racing each other would double-issue work.
     """
-    with _opened(queue, kind) as transport:
+    with _opened(queue) as transport:
         done: Dict[Tuple[int, int], RunRecord] = {}
         if transport.exists():
             existing = transport.load_spec()

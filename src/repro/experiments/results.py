@@ -52,7 +52,6 @@ __all__ = [
     "load_journal",
     "load_journal_payload",
     "load_validated_bench",
-    "merge_journal_records",
     "merge_record_streams",
     "remove_journal",
     "resolve_bench",
@@ -470,9 +469,8 @@ def merge_record_streams(
 ) -> Dict[Tuple[int, int], RunRecord]:
     """Merge per-shard record streams into one ``(index, seed)``-keyed ledger.
 
-    A *stream* is one shard's records keyed by ``(index, seed)`` — however
-    the shard is stored (a ``.jsonl`` journal file, a database table slice);
-    the transport layer produces them already validated and deduplicated
+    A *stream* is one shard's records keyed by ``(index, seed)``; the
+    transport layer produces them already validated and deduplicated
     last-wins in append order.  Duplicate keys across shards arise
     legitimately — a stale lease reclaimed after its worker already
     journaled the record means two workers executed the same run — and are
@@ -497,18 +495,6 @@ _STATUS_RANK = {"error": 0, "no_convergence": 1, "ok": 2}
 
 def _status_rank(status: str) -> int:
     return _STATUS_RANK.get(status, 0)
-
-
-def merge_journal_records(
-    paths: Sequence[str], spec
-) -> Dict[Tuple[int, int], RunRecord]:
-    """Merge several journal shard *files* into one ``(index, seed)`` ledger.
-
-    The path-based convenience form of :func:`merge_record_streams`: every
-    shard's header must pin the same sweep ``spec`` (validated per shard by
-    :func:`load_journal`).
-    """
-    return merge_record_streams(load_journal(path, spec) for path in sorted(paths))
 
 
 class LedgerDivergence(ValueError):

@@ -56,7 +56,7 @@ from repro.experiments.results import (
     write_journal_header,
 )
 from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
-from repro.groups.engine import engine_cache, engine_disabled
+from repro.groups.engine import engine_disabled
 from repro.obs import metrics as obs_metrics
 from repro import obs
 from repro.quantum.sampling import FourierSampler
@@ -75,10 +75,9 @@ __all__ = [
 #: structural promises belong to the registry family.  Validated here so a
 #: typo fails the sweep with a clear message instead of a worker TypeError.
 #: ``confidence`` tunes the Fourier-sampling stopping rule (success
-#: probability versus rounds); ``engine_cache_dir`` persists Cayley tables;
-#: ``noise`` is a :mod:`repro.blackbox.noise` spec string installing a
-#: corruption channel on the oracle or sampler.
-SUPPORTED_SOLVER_OPTIONS = frozenset({"engine_cache_dir", "confidence", "noise"})
+#: probability versus rounds); ``noise`` is a :mod:`repro.blackbox.noise`
+#: spec string installing a corruption channel on the oracle or sampler.
+SUPPORTED_SOLVER_OPTIONS = frozenset({"confidence", "noise"})
 
 
 class SweepAborted(RuntimeError):
@@ -159,21 +158,10 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
             f"{sorted(SUPPORTED_SOLVER_OPTIONS)} (instance parameters go in the "
             "grid, promises in the registry family)"
         )
-    cache_dir = options.pop("engine_cache_dir", None)
     confidence = options.pop("confidence", None)
     noise = NoiseSpec.parse(options.pop("noise", "none"))
-    if not run.engine:
-        # The scalar baseline: no engines anywhere (a cache_dir option is
-        # meaningless without an engine and is deliberately ignored).
-        context = engine_disabled()
-    elif cache_dir is not None:
-        # Instance builders install engines implicitly while constructing
-        # coset-label oracles; the context makes those installations back
-        # their dense tables with the sweep's persistent cache.
-        context = engine_cache(str(cache_dir))
-    else:
-        context = nullcontext()
-    with context:
+    # The scalar baseline: no engines anywhere.
+    with engine_disabled() if not run.engine else nullcontext():
         instance = build_instance(run.family, run.instance_params(), rng)
         base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
         sampler = make_sampler(run.sampler, rng, pool=shard_pool)

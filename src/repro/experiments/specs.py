@@ -284,10 +284,9 @@ class SweepSpec:
     def from_json_dict(cls, data: Mapping) -> "SweepSpec":
         """Rebuild a sweep spec from :meth:`to_json_dict` output.
 
-        The distributed queue stores the spec this way in its header file,
-        and a worker on another machine reconstructs it to validate its
-        journal shard and (in ``collect``) to recompute the expected run
-        list.  Round-trips exactly: ``from_json_dict(to_json_dict(s)) == s``.
+        The distributed queue pins the spec this way, and a worker on
+        another machine reconstructs it to execute the sweep's runs and
+        (in ``collect``) to recompute the expected run list.  Round-trips exactly: ``from_json_dict(to_json_dict(s)) == s``.
         """
         return cls.from_grid(
             name=str(data["name"]),

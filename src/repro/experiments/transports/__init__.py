@@ -3,12 +3,10 @@
 The :class:`~repro.experiments.transports.base.Transport` protocol is the
 seam between the ``enqueue``/``work``/``collect`` lifecycle (which lives
 in :mod:`repro.experiments.distributed`) and the coordination backend.
-Three backends ship — the shared-directory queue, a single-file SQLite
-database, and an HTTP client speaking to a coordinator serving one —
-and :func:`resolve_transport` picks one from a queue location: an
-explicit ``kind``, an ``http://``/``https://`` URL, an existing
-directory vs an existing file with the SQLite magic header, or (for
-paths that do not exist yet) the file extension.
+Two backends ship — a single-file SQLite database, and an HTTP client
+speaking to a coordinator serving one — and :func:`resolve_transport`
+picks one from a queue location: an ``http://``/``https://`` URL is a
+coordinator, any other location a SQLite database.
 """
 
 from __future__ import annotations
@@ -25,77 +23,49 @@ from repro.experiments.transports.base import (
     QueueIncomplete,
     Transport,
 )
-from repro.experiments.transports.directory import DirectoryTransport, queue_dir, shard_path
 from repro.experiments.transports.http import (
     HTTP_PROTOCOL_VERSION,
     HttpTransport,
     make_server,
     serve,
 )
-from repro.experiments.transports.sqlite import SQLITE_MAGIC, SqliteTransport, queue_db_path
+from repro.experiments.transports.sqlite import SqliteTransport, queue_db_path
 
 __all__ = [
     "HTTP_PROTOCOL_VERSION",
     "QUEUE_VERSION",
     "Claim",
     "CorruptTask",
-    "DirectoryTransport",
     "HttpTransport",
     "QueueBusy",
     "QueueCorrupt",
     "QueueIncomplete",
     "SqliteTransport",
-    "TRANSPORT_KINDS",
     "Transport",
     "make_server",
     "queue_db_path",
-    "queue_dir",
     "resolve_transport",
     "serve",
-    "shard_path",
 ]
 
-#: The selectable backend names (the CLI ``--transport`` choices).
-TRANSPORT_KINDS = ("dir", "sqlite", "http")
 
-#: File extensions treated as SQLite queue databases when the path does
-#: not exist yet (an existing file is sniffed by its magic header instead).
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
-
-def resolve_transport(queue: Union[str, Transport], kind: str = "auto") -> Transport:
+def resolve_transport(queue: Union[str, Transport]) -> Transport:
     """Resolve a queue location (or a ready transport) to a transport.
 
-    ``kind`` may force a backend (``"dir"`` / ``"sqlite"`` / ``"http"``);
-    ``"auto"`` detects one: an ``http://``/``https://`` location is a
-    coordinator URL, an existing directory is a directory queue, an
-    existing file must carry the SQLite magic header, and a path that
-    does not exist yet is routed by its extension
-    (``.sqlite``/``.sqlite3``/``.db`` mean SQLite, anything else a
-    directory).
+    An ``http://``/``https://`` location is a coordinator URL; any other
+    location is a SQLite queue database (SQLite itself refuses a file that
+    is not one).  An existing directory is refused with
+    :class:`QueueCorrupt`: it is a queue of the retired directory
+    transport, which this build cannot read.
     """
     if isinstance(queue, Transport):
         return queue
-    if kind == "dir":
-        return DirectoryTransport(queue)
-    if kind == "sqlite":
-        return SqliteTransport(queue)
-    if kind == "http":
-        return HttpTransport(queue)
-    if kind != "auto":
-        raise ValueError(f"unknown transport kind {kind!r}; expected one of {TRANSPORT_KINDS}")
     if queue.startswith(("http://", "https://")):
         return HttpTransport(queue)
     if os.path.isdir(queue):
-        return DirectoryTransport(queue)
-    if os.path.isfile(queue):
-        with open(queue, "rb") as handle:
-            magic = handle.read(len(SQLITE_MAGIC))
-        if magic == SQLITE_MAGIC or (not magic and queue.endswith(_SQLITE_SUFFIXES)):
-            return SqliteTransport(queue)
         raise QueueCorrupt(
-            f"{queue!r} is neither a queue directory nor a SQLite queue database"
+            f"{queue!r} is a directory: a retired directory queue, which this build "
+            f"cannot read; re-enqueue the sweep into a SQLite queue "
+            f"(QUEUE_<name>.sqlite, the `enqueue` default)"
         )
-    if queue.endswith(_SQLITE_SUFFIXES):
-        return SqliteTransport(queue)
-    return DirectoryTransport(queue)
+    return SqliteTransport(queue)

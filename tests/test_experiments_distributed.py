@@ -1,8 +1,8 @@
 """The queue-backed distributed runner (PR 5) and its transports (PR 6/10).
 
-The contract under test, for ALL THREE queue transports (the
-shared-directory queue, the single-file SQLite WAL database, and the HTTP
-coordinator serving a SQLite queue to workers that have only a URL):
+The contract under test, for BOTH queue transports (the single-file SQLite
+WAL database, and the HTTP coordinator serving a SQLite queue to workers
+that have only a URL):
 
 * a ``RunSpec`` round-trips exactly through its JSON task form — the
   descriptor *is* the unit of work a remote worker executes;
@@ -52,7 +52,6 @@ from repro.experiments import (
     collect_queue,
     enqueue_sweep,
     load_bench,
-    merge_journal_records,
     run_sweep,
     work_queue,
     write_bench,
@@ -65,11 +64,9 @@ from repro.experiments.distributed import (
     lease_report,
     load_queue_spec,
     queue_db_path,
-    queue_dir,
     queue_progress,
     queue_status,
     reclaim_stale,
-    shard_path,
     validate_lease_timings,
 )
 from repro.experiments.runner import execute_run_safe
@@ -86,7 +83,6 @@ from repro.experiments.specs import RunSpec, SamplerSpec
 from repro.experiments.transports import (
     Claim,
     CorruptTask,
-    DirectoryTransport,
     HttpTransport,
     SqliteTransport,
     make_server,
@@ -100,7 +96,7 @@ from repro.experiments.transports.http import (
 SEED = 20010202
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-TRANSPORTS = ["dir", "sqlite", "http"]
+TRANSPORTS = ["sqlite", "http"]
 
 
 def tiny_spec(name="queued", **kwargs):
@@ -160,8 +156,6 @@ def backing_db(queue):
 
 def make_queue(tmp_path, kind, spec):
     """The queue location of ``spec`` for a transport kind under ``tmp_path``."""
-    if kind == "dir":
-        return queue_dir(str(tmp_path), spec.name)
     db = queue_db_path(str(tmp_path), spec.name)
     if kind == "http":
         return start_http_queue(db)
@@ -170,45 +164,31 @@ def make_queue(tmp_path, kind, spec):
 
 def cli_queue_args(tmp_path, kind, name="queue-smoke"):
     """(queue location, enqueue argv) for a CLI lifecycle test of ``kind``:
-    HTTP queues are addressed by coordinator URL (``--queue-url``), the
-    filesystem kinds by their ``QUEUE_<name>`` path under ``--out``."""
+    HTTP queues are addressed by coordinator URL (``--queue-url``), SQLite
+    queues by their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
     out = str(tmp_path)
     if kind == "http":
         url = start_http_queue(queue_db_path(out, name))
         return url, ["enqueue", name, "--queue-url", url]
-    suffix = ".sqlite" if kind == "sqlite" else ""
-    queue = os.path.join(out, f"QUEUE_{name}{suffix}")
-    return queue, ["enqueue", name, "--out", out, "--transport", kind]
+    return os.path.join(out, f"QUEUE_{name}.sqlite"), ["enqueue", name, "--out", out]
 
 
-def force_stale(queue, kind, age=900.0):
+def force_stale(queue, age=900.0):
     """Backdate every live lease's liveness stamp by ``age`` seconds — the
     holder 'died' that long ago and its heartbeat froze."""
-    if kind == "dir":
-        leases = os.path.join(queue, "leases")
-        stamp = time.time() - age
-        for name in os.listdir(leases):
-            os.utime(os.path.join(leases, name), (stamp, stamp))
-    else:
-        resolve_transport(backing_db(queue))._connect().execute(
-            "UPDATE tasks SET heartbeat_at = heartbeat_at - ? WHERE status = 'running'",
-            (age,),
-        )
+    resolve_transport(backing_db(queue))._connect().execute(
+        "UPDATE tasks SET heartbeat_at = heartbeat_at - ? WHERE status = 'running'",
+        (age,),
+    )
 
 
-def plant_corrupt_task(queue, kind):
+def plant_corrupt_task(queue):
     """Corrupt the lowest-indexed pending task's payload (torn mid-write /
     hand-edited)."""
-    if kind == "dir":
-        tasks = os.path.join(queue, "tasks")
-        task = os.path.join(tasks, sorted(os.listdir(tasks))[0])
-        with open(task, "w", encoding="utf-8") as handle:
-            handle.write('{"sweep": "queued", "ind')  # torn mid-write
-    else:
-        resolve_transport(backing_db(queue))._connect().execute(
-            "UPDATE tasks SET run_json = '{\"torn' "
-            "WHERE idx = (SELECT MIN(idx) FROM tasks WHERE status = 'pending')"
-        )
+    resolve_transport(backing_db(queue))._connect().execute(
+        "UPDATE tasks SET run_json = '{\"torn' "
+        "WHERE idx = (SELECT MIN(idx) FROM tasks WHERE status = 'pending')"
+    )
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -225,7 +205,7 @@ class TestSpecSerialization:
             repeats=3,
             seed=7,
             sampler=SamplerSpec(backend="analytic", shards=2),
-            solver_options={"engine_cache_dir": "/tmp/cache"},
+            solver_options={"confidence": 4},
             engine=False,
         )
         for run in spec.expand():
@@ -246,56 +226,48 @@ class TestSpecSerialization:
 
 
 class TestTransportResolution:
-    def test_explicit_kinds(self, tmp_path):
-        assert isinstance(resolve_transport(str(tmp_path / "q"), "dir"), DirectoryTransport)
-        assert isinstance(resolve_transport(str(tmp_path / "q.sqlite"), "sqlite"), SqliteTransport)
+    def test_urls_resolve_to_http_and_paths_to_sqlite(self, tmp_path):
+        # construction is lazy: no coordinator needs to be listening and no
+        # database needs to exist just to resolve the kind
+        assert isinstance(resolve_transport("http://127.0.0.1:1"), HttpTransport)
+        assert isinstance(resolve_transport("https://example.org/queue"), HttpTransport)
+        assert isinstance(resolve_transport(str(tmp_path / "q.sqlite")), SqliteTransport)
+        assert isinstance(resolve_transport(str(tmp_path / "QUEUE_q")), SqliteTransport)
 
-    def test_auto_detects_an_existing_directory(self, tmp_path):
+    def test_a_database_without_extension_round_trips(self, tmp_path):
         spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="dir")
-        assert isinstance(resolve_transport(queue), DirectoryTransport)
-
-    def test_auto_detects_an_existing_database_by_magic(self, tmp_path):
-        spec = tiny_spec()
-        # deliberately no .sqlite extension: detection must sniff the header
         queue = str(tmp_path / "queue-without-extension")
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         assert isinstance(resolve_transport(queue), SqliteTransport)
         assert load_queue_spec(queue) == spec
 
-    def test_auto_routes_missing_paths_by_extension(self, tmp_path):
-        assert isinstance(resolve_transport(str(tmp_path / "q.sqlite")), SqliteTransport)
-        assert isinstance(resolve_transport(str(tmp_path / "q.db")), SqliteTransport)
-        assert isinstance(resolve_transport(str(tmp_path / "QUEUE_q")), DirectoryTransport)
-
-    def test_auto_refuses_a_foreign_file(self, tmp_path):
+    def test_a_foreign_file_is_refused(self, tmp_path):
         path = tmp_path / "not-a-queue.sqlite"
         path.write_text("just some text")
-        with pytest.raises(QueueCorrupt, match="neither a queue directory nor"):
-            resolve_transport(str(path))
+        with pytest.raises(QueueCorrupt, match="unreadable"):
+            load_queue_spec(str(path))
+        with pytest.raises(QueueCorrupt):
+            enqueue_sweep(tiny_spec(), str(path))
+        assert path.read_text() == "just some text"
+
+    def test_a_directory_is_refused_as_a_retired_directory_queue(self, tmp_path):
+        with pytest.raises(QueueCorrupt, match="retired directory queue"):
+            resolve_transport(str(tmp_path))
 
     def test_transport_instances_pass_through(self, tmp_path):
-        transport = DirectoryTransport(str(tmp_path / "q"))
+        transport = SqliteTransport(str(tmp_path / "q.sqlite"))
         assert resolve_transport(transport) is transport
 
-    def test_auto_detects_a_coordinator_url(self):
-        # construction is lazy: no coordinator needs to be listening just to
-        # resolve the kind from the URL scheme
-        assert isinstance(resolve_transport("http://127.0.0.1:1"), HttpTransport)
-        assert isinstance(resolve_transport("https://example.org/queue"), HttpTransport)
-        assert isinstance(resolve_transport("http://127.0.0.1:1", "http"), HttpTransport)
-
-    def test_http_kind_rejects_a_non_url(self, tmp_path):
+    def test_http_transport_rejects_a_non_url(self, tmp_path):
         with pytest.raises(ValueError, match="http"):
-            resolve_transport(str(tmp_path / "q.sqlite"), "http")
+            HttpTransport(str(tmp_path / "q.sqlite"))
 
 
 class TestEnqueue:
     def test_enqueue_materialises_every_run_as_a_task(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        counts = enqueue_sweep(spec, queue, kind=kind)
+        counts = enqueue_sweep(spec, queue)
         assert counts == {"enqueued": 4, "already_done": 0}
         status = queue_status(queue)
         assert status == {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0}
@@ -313,21 +285,21 @@ class TestEnqueue:
     def test_enqueue_refuses_a_busy_queue(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         with pytest.raises(ValueError, match="outstanding"):
             enqueue_sweep(spec, queue)
 
     def test_enqueue_refuses_a_different_spec(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         with pytest.raises(ValueError, match="different sweep configuration"):
             enqueue_sweep(spec.with_overrides(seed=7), queue)
 
     def test_reenqueue_of_a_drained_queue_retries_errors_only(self, tmp_path, kind):
         spec = faulty_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         counts = enqueue_sweep(spec, queue)  # 2 ok rows stay done, 2 errors retry
         assert counts == {"enqueued": 2, "already_done": 2}
@@ -339,7 +311,7 @@ class TestClaimAndLease:
     def test_claim_is_exactly_once(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         seen = set()
         for worker in ("a", "b", "a", "b", "a"):
             claim = claim_next(queue, worker)
@@ -353,7 +325,7 @@ class TestClaimAndLease:
     def test_fresh_leases_are_not_reclaimed(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         claim_next(queue, "w0")
         assert reclaim_stale(queue, stale_after=60.0) == 0
         assert queue_status(queue)["leases"] == 1
@@ -361,9 +333,9 @@ class TestClaimAndLease:
     def test_stale_lease_is_reclaimed_and_reexecuted(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         claim_next(queue, "dead")
-        force_stale(queue, kind)  # the holder died; its heartbeat froze
+        force_stale(queue)  # the holder died; its heartbeat froze
         assert reclaim_stale(queue, stale_after=10.0) == 1
         status = queue_status(queue)
         assert (status["tasks"], status["leases"]) == (4, 0)
@@ -374,60 +346,6 @@ class TestClaimAndLease:
         _, baseline = run_sweep(spec, workers=1, out_dir=None)
         assert rows_bytes(payload) == rows_bytes(baseline)
 
-    def test_lease_clock_starts_at_the_claim_not_at_enqueue(self, tmp_path):
-        # os.rename preserves the task file's mtime, so without the
-        # claim-time touch a task claimed long after enqueue would be born
-        # stale and reclaimed out from under its live holder
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        stamp = time.time() - 900
-        tasks = os.path.join(queue, "tasks")
-        for name in os.listdir(tasks):
-            os.utime(os.path.join(tasks, name), (stamp, stamp))
-        claim_next(queue, "slowpoke")
-        assert reclaim_stale(queue, stale_after=60.0) == 0
-        assert queue_status(queue)["leases"] == 1
-
-    def test_restarted_worker_recovers_a_truncated_shard(self, tmp_path):
-        # a crash inside the header write leaves a zero-byte shard; a
-        # restarted worker with the same id must re-head it (not append
-        # records into a headerless file collect can never read)
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        open(shard_path(queue, "w0"), "w").close()
-        stats = work_queue(queue, worker_id="w0")
-        assert stats["executed"] == 4
-        _, payload = collect_queue(queue, str(tmp_path))
-        _, baseline = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(payload) == rows_bytes(baseline)
-
-    def test_restarted_worker_compacts_a_torn_shard_tail(self, tmp_path):
-        # a crash mid-append leaves a torn trailing fragment; restarting the
-        # worker must compact it so its own appends start on a clean line
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        work_queue(queue, worker_id="w0", max_tasks=2)
-        shard = shard_path(queue, "w0")
-        with open(shard, "a", encoding="utf-8") as handle:
-            handle.write('{"index": 2, "torn')  # no trailing newline
-        stats = work_queue(queue, worker_id="w0")
-        assert stats["executed"] == 2
-        _, payload = collect_queue(queue, str(tmp_path))
-        _, baseline = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(payload) == rows_bytes(baseline)
-
-    def test_worker_refuses_a_foreign_shard(self, tmp_path):
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        # a shard left by a *different* sweep configuration must be refused
-        write_journal_header(shard_path(queue, "w0"), spec.with_overrides(seed=7))
-        with pytest.raises(ValueError, match="different sweep configuration"):
-            work_queue(queue, worker_id="w0")
-
 
 class TestCorruptQuarantine:
     """The corrupt-task lease bugfix: quarantine instead of the old
@@ -436,8 +354,8 @@ class TestCorruptQuarantine:
     def test_corrupt_task_is_quarantined_and_queue_drains(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
-        plant_corrupt_task(queue, kind)
+        enqueue_sweep(spec, queue)
+        plant_corrupt_task(queue)
         stats = work_queue(queue, worker_id="w0")
         # the queue drained around the corrupt task instead of crashing
         assert stats["executed"] == 3
@@ -454,8 +372,8 @@ class TestCorruptQuarantine:
     def test_claim_next_surfaces_the_quarantine(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
-        plant_corrupt_task(queue, kind)
+        enqueue_sweep(spec, queue)
+        plant_corrupt_task(queue)
         claim = claim_next(queue, "w0")
         assert isinstance(claim, CorruptTask)
         # the quarantined task is out of the claimable set: no lease exists,
@@ -468,8 +386,8 @@ class TestCorruptQuarantine:
     def test_collect_refuses_a_quarantined_queue_naming_tasks(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
-        plant_corrupt_task(queue, kind)
+        enqueue_sweep(spec, queue)
+        plant_corrupt_task(queue)
         work_queue(queue, worker_id="w0")
         with pytest.raises(QueueCorrupt, match="quarantined 1 corrupt task"):
             collect_queue(queue, str(tmp_path))
@@ -477,8 +395,8 @@ class TestCorruptQuarantine:
     def test_reenqueue_reissues_quarantined_tasks(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
-        plant_corrupt_task(queue, kind)
+        enqueue_sweep(spec, queue)
+        plant_corrupt_task(queue)
         work_queue(queue, worker_id="w0")
         counts = enqueue_sweep(spec, queue)
         assert counts == {"enqueued": 1, "already_done": 3}
@@ -491,8 +409,8 @@ class TestCorruptQuarantine:
     def test_work_cli_reports_quarantine_once_and_exits_nonzero(self, tmp_path, kind, capsys):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
-        plant_corrupt_task(queue, kind)
+        enqueue_sweep(spec, queue)
+        plant_corrupt_task(queue)
         assert cli_main(["work", queue, "--worker-id", "w0"]) == 1
         captured = capsys.readouterr()
         assert "executed 3 task(s)" in captured.out
@@ -508,7 +426,7 @@ class TestCollectBusy:
     def _covered_queue_with_live_lease(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         # simulate the reclaim-after-append state: the run's record is in
         # w0's shard, but a re-issued task for it is claimed and live
@@ -540,7 +458,7 @@ class TestCollectBusy:
         # (run more workers), not busy (wait) — the actionable message wins
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         claim = claim_next(queue, "w-live")
         assert isinstance(claim, Claim)
         with pytest.raises(QueueIncomplete, match="1 outstanding lease"):
@@ -572,7 +490,7 @@ class TestLeaseTimings:
     def test_work_queue_rejects_zero_stale_after(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         with pytest.raises(ValueError, match="stale-after"):
             work_queue(queue, worker_id="w0", stale_after=0.0)
 
@@ -585,7 +503,7 @@ class TestLeaseTimings:
     def test_work_cli_rejects_heartbeat_at_or_past_stale_after(self, tmp_path, kind, capsys):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         assert cli_main(["work", queue, "--stale-after", "10", "--heartbeat", "10"]) == 1
         assert "heartbeat" in capsys.readouterr().err
 
@@ -594,7 +512,7 @@ class TestWorkAndCollect:
     def test_single_worker_queue_matches_run(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         stats = work_queue(queue, worker_id="solo")
         assert stats == {"executed": 4, "errors": 0, "reclaimed": 0, "corrupt": 0}
         path, payload = collect_queue(queue, str(tmp_path))
@@ -605,7 +523,7 @@ class TestWorkAndCollect:
     def test_two_alternating_workers_match_run(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         # interleave two workers one task at a time: four shard-wise splits
         executed = 0
         while executed < 4:
@@ -633,7 +551,7 @@ class TestWorkAndCollect:
             seed=SEED,
         )
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         executed = 0
         while executed < len(spec.expand()):
             for worker in ("w1", "w2"):
@@ -647,7 +565,7 @@ class TestWorkAndCollect:
     def test_error_rows_flow_through_the_queue(self, tmp_path, kind):
         spec = faulty_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         stats = work_queue(queue, worker_id="w0")
         assert stats["executed"] == 4 and stats["errors"] == 2
         _, payload = collect_queue(queue, str(tmp_path))
@@ -658,7 +576,7 @@ class TestWorkAndCollect:
     def test_collect_refuses_an_incomplete_queue(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0", max_tasks=2)
         with pytest.raises(QueueIncomplete, match=r"2 run\(s\) have no journaled record"):
             collect_queue(queue, str(tmp_path))
@@ -666,7 +584,7 @@ class TestWorkAndCollect:
     def test_collect_refuses_foreign_shard_records(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         rogue = RunRecord(
             sweep=spec.name, index=99, family="dihedral_rotation", params={"n": 8},
@@ -676,23 +594,10 @@ class TestWorkAndCollect:
         with pytest.raises(QueueCorrupt, match="outside the pinned sweep expansion"):
             collect_queue(queue, str(tmp_path))
 
-    def test_partial_shard_torn_line_counts_as_missing(self, tmp_path):
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        work_queue(queue, worker_id="w0")
-        shard = shard_path(queue, "w0")
-        lines = open(shard, "r", encoding="utf-8").read().splitlines(keepends=True)
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:-1])
-            handle.write(lines[-1][: len(lines[-1]) // 2])  # tear the final record
-        with pytest.raises(QueueIncomplete, match=r"1 run\(s\)"):
-            collect_queue(queue, str(tmp_path))
-
     def test_duplicate_records_across_shards_dedup_preferring_ok(self, tmp_path, kind):
         spec = faulty_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         # a reclaimed-after-append duplicate: the same runs journaled again
         # by a second worker, with one legitimate error row flipped to ok —
@@ -722,7 +627,7 @@ class TestSqliteSpecifics:
     def test_database_runs_in_wal_mode(self, tmp_path):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         (mode,) = resolve_transport(queue)._connect().execute("PRAGMA journal_mode").fetchone()
         assert mode == "wal"
 
@@ -731,7 +636,7 @@ class TestSqliteSpecifics:
         # records to the exact same sorted-key JSON form
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0", max_tasks=1)
         (line,) = resolve_transport(queue)._connect().execute(
             "SELECT record_json FROM records"
@@ -742,7 +647,7 @@ class TestSqliteSpecifics:
     def test_wrong_layout_version_is_refused(self, tmp_path):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         resolve_transport(queue)._connect().execute(
             "UPDATE meta SET value = '999' WHERE key = 'queue_version'"
         )
@@ -754,7 +659,7 @@ class TestSqliteSpecifics:
         # ends that shard at the last good record instead of crashing
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         resolve_transport(queue)._connect().execute(
             "UPDATE records SET record_json = 'garbage' WHERE seq = 2"
@@ -783,10 +688,7 @@ class TestKillAWorker:
             text=True,
         )
 
-    def _live_leases(self, queue, kind):
-        if kind == "dir":
-            leases = os.path.join(queue, "leases")
-            return [name.split("@", 1)[1] for name in os.listdir(leases) if "@" in name]
+    def _live_leases(self, queue):
         rows = resolve_transport(backing_db(queue))._connect().execute(
             "SELECT worker FROM tasks WHERE status = 'running'"
         ).fetchall()
@@ -806,12 +708,12 @@ class TestKillAWorker:
             seed=SEED,
         )
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         workers = {wid: self._spawn_worker(queue, wid) for wid in ("w0", "w1", "w2")}
         victim = None
         deadline = time.time() + 20.0
         while time.time() < deadline:
-            held = self._live_leases(queue, kind)
+            held = self._live_leases(queue)
             if held:
                 victim = held[0]
                 break
@@ -909,7 +811,7 @@ class TestQueueCLI:
 
     def test_collect_incomplete_queue_exits_nonzero(self, tmp_path, capsys):
         out = str(tmp_path)
-        queue = os.path.join(out, "QUEUE_queue-smoke")
+        queue = os.path.join(out, "QUEUE_queue-smoke.sqlite")
         assert cli_main(["enqueue", "queue-smoke", "--out", out]) == 0
         assert cli_main(["collect", queue, "--out", out]) == 1
         assert "incomplete" in capsys.readouterr().err
@@ -919,8 +821,15 @@ class TestQueueCLI:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_work_on_a_non_queue_exits_nonzero(self, tmp_path, capsys):
-        assert cli_main(["work", str(tmp_path)]) == 1
-        assert "spec.json" in capsys.readouterr().err
+        assert cli_main(["work", str(tmp_path / "no-such.sqlite")]) == 1
+        assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["work", "collect", "status"])
+    def test_a_retired_directory_queue_exits_nonzero(self, tmp_path, command, capsys):
+        legacy = tmp_path / "QUEUE_queue-smoke"
+        (legacy / "tasks").mkdir(parents=True)
+        assert cli_main([command, str(legacy)]) == 1
+        assert "retired directory queue" in capsys.readouterr().err
 
     def test_enqueue_with_overrides_round_trips(self, tmp_path, kind):
         queue, enqueue_argv = cli_queue_args(tmp_path, kind)
@@ -929,11 +838,18 @@ class TestQueueCLI:
         assert spec.repeats == 1 and spec.seed == 5
         assert queue_status(queue)["tasks"] == 3
 
-    def test_enqueue_transport_http_requires_a_queue_url(self, tmp_path, capsys):
-        assert cli_main(
-            ["enqueue", "queue-smoke", "--out", str(tmp_path), "--transport", "http"]
-        ) == 1
-        assert "--queue-url" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [["--transport", "sqlite"], ["--queue", "q"]])
+    def test_enqueue_retired_backend_flags_are_rejected(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)] + flag)
+        assert "usage" in capsys.readouterr().err
+        assert not os.listdir(str(tmp_path))
+
+    def test_enqueue_writes_a_sqlite_queue_under_out_by_default(self, tmp_path):
+        assert cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)]) == 0
+        queue = queue_db_path(str(tmp_path), "queue-smoke")
+        assert isinstance(resolve_transport(queue), SqliteTransport)
+        assert queue_status(queue)["tasks"] == 6
 
 
 class TestStatusObservability:
@@ -950,10 +866,10 @@ class TestStatusObservability:
             root = tmp_path / kind
             root.mkdir()
             queue = make_queue(root, kind, spec)
-            enqueue_sweep(spec, queue, kind=kind)
+            enqueue_sweep(spec, queue)
             transport = resolve_transport(queue)
             history = [transport.status()]                    # all pending
-            plant_corrupt_task(queue, kind)
+            plant_corrupt_task(queue)
             first = transport.claim_next("w0")
             assert isinstance(first, CorruptTask)
             history.append(transport.status())                # one quarantined
@@ -966,8 +882,8 @@ class TestStatusObservability:
             transport.release(claim)
             history.append(transport.status())                # done + shard
             histories[kind] = history
-        assert histories["dir"] == histories["sqlite"] == histories["http"]
-        assert histories["dir"] == [
+        assert histories["sqlite"] == histories["http"]
+        assert histories["sqlite"] == [
             {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0},
             {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 1},
             {"tasks": 2, "leases": 1, "shards": 0, "corrupt": 1},
@@ -977,14 +893,14 @@ class TestStatusObservability:
     def test_lease_details_name_holder_and_age(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         assert lease_report(queue) == []
         claim = claim_next(queue, "w-obs")
         (entry,) = lease_report(queue)
         assert entry["task_id"] == claim.task_id
         assert entry["worker"] == "w-obs"
         assert 0.0 <= entry["age_seconds"] < 60.0
-        force_stale(queue, kind, age=900.0)
+        force_stale(queue, age=900.0)
         (aged,) = lease_report(queue)
         assert aged["age_seconds"] > 800.0
         # purely observational: reading details must not touch liveness
@@ -998,7 +914,7 @@ class TestStatusObservability:
 
         spec = tiny_spec()
         queue = make_queue(tmp_path, "sqlite", spec)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         transport = resolve_transport(queue)
         clock = {"t": 1000.0}
         monkeypatch.setattr(sqlite_mod, "_now", lambda: clock["t"])
@@ -1017,7 +933,7 @@ class TestStatusObservability:
     def test_queue_progress_reports_per_worker_records(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w1", max_tasks=3)
         work_queue(queue, worker_id="w2")
         progress = queue_progress(queue)
@@ -1033,7 +949,7 @@ class TestStatusObservability:
         # sampler, and engine layers plus the worker loop itself
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         trace = str(tmp_path / "trace.jsonl")
         executed = 0
         while executed < 4:
@@ -1056,7 +972,7 @@ class TestStatusCLI:
     def test_status_shows_progress_workers_and_leases(self, tmp_path, kind, capsys):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w1", max_tasks=2)
         claim = claim_next(queue, "w2")  # leave one live lease outstanding
         assert isinstance(claim, Claim)
@@ -1070,9 +986,9 @@ class TestStatusCLI:
     def test_status_flags_stale_leases(self, tmp_path, kind, capsys):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
-        enqueue_sweep(spec, queue, kind=kind)
+        enqueue_sweep(spec, queue)
         claim_next(queue, "w-dead")
-        force_stale(queue, kind, age=900.0)
+        force_stale(queue, age=900.0)
         assert cli_main(["status", queue]) == 0
         out = capsys.readouterr().out
         assert "held by w-dead" in out
@@ -1170,7 +1086,7 @@ class TestSqliteErrorTranslation:
     def _claimed_transport(self, tmp_path):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         transport = SqliteTransport(queue)
         claim = transport.claim_next("w0")
         assert isinstance(claim, Claim)
@@ -1204,7 +1120,7 @@ class TestTransportClose:
     def test_drained_cycle_leaves_no_wal_sidecars(self, tmp_path):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
         collect_queue(queue, str(tmp_path))
         queue_status(queue)
@@ -1216,7 +1132,7 @@ class TestTransportClose:
     def test_status_cli_leaves_no_wal_sidecars(self, tmp_path, capsys):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="sqlite")
+        enqueue_sweep(spec, queue)
         assert cli_main(["status", queue]) == 0
         capsys.readouterr()
         assert self._sidecars(tmp_path) == []
@@ -1231,10 +1147,6 @@ class TestTransportClose:
         transport.close()
         assert transport._con is None
         transport.close()  # idempotent
-
-    def test_directory_close_is_a_noop(self, tmp_path):
-        transport = DirectoryTransport(str(tmp_path / "q"))
-        transport.close()
 
 
 class TestHttpSpecifics:
@@ -1264,7 +1176,7 @@ class TestHttpSpecifics:
         server = self._start(db)
         port = server.server_address[1]
         url = self._url(server)
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         transport = HttpTransport(url, backoff=0.05)
         assert transport.status()["tasks"] == 4
         stop_http_server(server)
@@ -1284,7 +1196,7 @@ class TestHttpSpecifics:
         db = queue_db_path(str(tmp_path), spec.name)
         server = self._start(db)
         url = self._url(server)
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         transport = HttpTransport(url, retries=2, backoff=0.01)
         assert transport.status()["tasks"] == 4
         stop_http_server(server)
@@ -1306,7 +1218,7 @@ class TestHttpSpecifics:
         server = self._start(db)
         port = server.server_address[1]
         url = self._url(server)
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         outcome = {}
 
         def drain():
@@ -1331,7 +1243,7 @@ class TestHttpSpecifics:
     def test_malformed_requests_are_rejected_and_the_server_survives(self, tmp_path):
         spec = tiny_spec()
         url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
 
         def post(path, body, headers=None):
             request = urllib.request.Request(
@@ -1360,7 +1272,7 @@ class TestHttpSpecifics:
     def test_oversized_request_is_rejected_unread(self, tmp_path):
         spec = tiny_spec()
         url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         host, _, port = url[len("http://"):].partition(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=30)
         try:
@@ -1381,7 +1293,7 @@ class TestHttpSpecifics:
 
         spec = tiny_spec()
         url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         monkeypatch.setitem(
             http_mod._OPERATIONS,
             "handshake",
@@ -1400,7 +1312,7 @@ class TestHttpSpecifics:
 
         spec = tiny_spec()
         url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         monkeypatch.setitem(
             http_mod._OPERATIONS,
             "handshake",
@@ -1417,7 +1329,7 @@ class TestHttpSpecifics:
     def test_handshake_happens_once_per_session(self, tmp_path):
         spec = tiny_spec()
         url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url, kind="http")
+        enqueue_sweep(spec, url)
         client = HttpTransport(url)
         calls = []
         original = client._rpc

@@ -314,7 +314,7 @@ class TestTraceSummary:
                 "event": "run_metrics",
                 "pid": 1,
                 "worker": "w1",
-                "metrics": {"counters": {"engine.cache.hit": 2}, "timings": {}},
+                "metrics": {"counters": {"worker.executed": 2}, "timings": {}},
             },
         ]
         summary = obs.summarise_trace(events)
@@ -324,13 +324,13 @@ class TestTraceSummary:
         assert run["mean_s"] == pytest.approx(2.0)
         assert run["max_s"] == pytest.approx(3.0)
         assert run["counters"] == {"samples": 5}
-        assert summary["metrics"]["counters"] == {"engine.cache.hit": 2}
+        assert summary["metrics"]["counters"] == {"worker.executed": 2}
         assert summary["workers"] == ["w1", "w2"]
         # spans and metric timers bucket by name prefix into phases
         assert summary["phases"]["run"]["span_count"] == 2
         assert summary["phases"]["run"]["span_s"] == pytest.approx(4.0)
         rendered = obs.format_trace_summary(summary)
-        assert "run" in rendered and "engine.cache.hit = 2" in rendered
+        assert "run" in rendered and "worker.executed = 2" in rendered
         assert "share" in rendered and "100.0%" in rendered
 
     def test_solver_phases_sampler_batches_and_engine_events_covered(self, tmp_path):
