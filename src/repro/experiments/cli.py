@@ -504,6 +504,13 @@ def _command_enqueue(args) -> int:
     except (KeyError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 1
+    if args.queue_url is not None and not args.queue_url.startswith(("http://", "https://")):
+        print(
+            f"--queue-url takes a coordinator URL (http://host:port), not {args.queue_url!r}; "
+            f"name a local queue database with --queue-db",
+            file=sys.stderr,
+        )
+        return 1
     queue = args.queue_url or args.queue_db or distributed.queue_db_path(args.out, spec.name)
     try:
         counts = distributed.enqueue_sweep(spec, queue)

@@ -1,8 +1,9 @@
 """The queue-backed distributed runner (PR 5) and its transports (PR 6/10).
 
 The contract under test, for BOTH queue transports (the single-file SQLite
-WAL database, and the HTTP coordinator serving a SQLite queue to workers
-that have only a URL):
+WAL database — at its default ``.sqlite`` path and at an extensionless
+one — and the HTTP coordinator serving a SQLite queue to workers that have
+only a URL):
 
 * a ``RunSpec`` round-trips exactly through its JSON task form — the
   descriptor *is* the unit of work a remote worker executes;
@@ -96,7 +97,10 @@ from repro.experiments.transports.http import (
 SEED = 20010202
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-TRANSPORTS = ["sqlite", "http"]
+# "sqlite-bare" is a SQLite queue at an extensionless path — QUEUE_<name>,
+# the location a retired directory queue used to occupy.  Routing is
+# URL-or-not, never by extension, so every behaviour must hold there too.
+TRANSPORTS = ["sqlite", "sqlite-bare", "http"]
 
 
 def tiny_spec(name="queued", **kwargs):
@@ -159,17 +163,23 @@ def make_queue(tmp_path, kind, spec):
     db = queue_db_path(str(tmp_path), spec.name)
     if kind == "http":
         return start_http_queue(db)
+    if kind == "sqlite-bare":
+        return os.path.splitext(db)[0]
     return db
 
 
 def cli_queue_args(tmp_path, kind, name="queue-smoke"):
     """(queue location, enqueue argv) for a CLI lifecycle test of ``kind``:
-    HTTP queues are addressed by coordinator URL (``--queue-url``), SQLite
-    queues by their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
+    HTTP queues are addressed by coordinator URL (``--queue-url``), bare
+    SQLite queues by an explicit ``--queue-db`` path, SQLite queues by
+    their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
     out = str(tmp_path)
     if kind == "http":
         url = start_http_queue(queue_db_path(out, name))
         return url, ["enqueue", name, "--queue-url", url]
+    if kind == "sqlite-bare":
+        path = os.path.join(out, f"QUEUE_{name}")
+        return path, ["enqueue", name, "--queue-db", path]
     return os.path.join(out, f"QUEUE_{name}.sqlite"), ["enqueue", name, "--out", out]
 
 
@@ -342,6 +352,39 @@ class TestClaimAndLease:
         # a live worker drains everything, including the reclaimed run
         stats = work_queue(queue, worker_id="alive")
         assert stats["executed"] == 4
+        _, payload = collect_queue(queue, str(tmp_path))
+        _, baseline = run_sweep(spec, workers=1, out_dir=None)
+        assert rows_bytes(payload) == rows_bytes(baseline)
+
+    def test_lease_clock_starts_at_the_claim_not_at_enqueue(self, tmp_path, kind, monkeypatch):
+        # a task claimed long after it was enqueued must not be born stale
+        # and reclaimed out from under its live holder: the liveness stamp
+        # is the claim time, never the enqueue time
+        from repro.experiments.transports import sqlite as sqlite_mod
+
+        clock = {"t": 1000.0}
+        monkeypatch.setattr(sqlite_mod, "_now", lambda: clock["t"])
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue)
+        clock["t"] += 900.0                     # the task waited 15 minutes
+        assert isinstance(claim_next(queue, "slowpoke"), Claim)
+        clock["t"] += 5.0
+        assert reclaim_stale(queue, stale_after=60.0) == 0
+        assert queue_status(queue)["leases"] == 1
+        clock["t"] += 60.0                      # now genuinely silent
+        assert reclaim_stale(queue, stale_after=60.0) == 1
+
+    def test_a_worker_id_resumed_later_continues_its_shard(self, tmp_path, kind):
+        # a worker started again under the same id appends after the records
+        # of its first life: one shard, every run once, rows identical to run
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue)
+        assert work_queue(queue, worker_id="w0", max_tasks=2)["executed"] == 2
+        assert work_queue(queue, worker_id="w0")["executed"] == 2
+        progress = queue_progress(queue)
+        assert [(e["worker"], e["records"]) for e in progress["workers"]] == [("w0", 4)]
         _, payload = collect_queue(queue, str(tmp_path))
         _, baseline = run_sweep(spec, workers=1, out_dir=None)
         assert rows_bytes(payload) == rows_bytes(baseline)
@@ -594,6 +637,21 @@ class TestWorkAndCollect:
         with pytest.raises(QueueCorrupt, match="outside the pinned sweep expansion"):
             collect_queue(queue, str(tmp_path))
 
+    def test_a_done_task_without_a_record_counts_as_missing(self, tmp_path, kind):
+        # collect trusts the records, never the task states: a run whose
+        # record is gone (an insert that never committed) is missing even
+        # though its task was released as done
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue)
+        work_queue(queue, worker_id="w0")
+        resolve_transport(backing_db(queue))._connect().execute(
+            "DELETE FROM records WHERE seq = (SELECT MAX(seq) FROM records)"
+        )
+        assert queue_status(queue)["tasks"] == 0
+        with pytest.raises(QueueIncomplete, match=r"1 run\(s\) have no journaled record"):
+            collect_queue(queue, str(tmp_path))
+
     def test_duplicate_records_across_shards_dedup_preferring_ok(self, tmp_path, kind):
         spec = faulty_spec()
         queue = make_queue(tmp_path, kind, spec)
@@ -824,7 +882,7 @@ class TestQueueCLI:
         assert cli_main(["work", str(tmp_path / "no-such.sqlite")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["work", "collect", "status"])
+    @pytest.mark.parametrize("command", ["work", "collect", "status", "serve"])
     def test_a_retired_directory_queue_exits_nonzero(self, tmp_path, command, capsys):
         legacy = tmp_path / "QUEUE_queue-smoke"
         (legacy / "tasks").mkdir(parents=True)
@@ -844,6 +902,21 @@ class TestQueueCLI:
             cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)] + flag)
         assert "usage" in capsys.readouterr().err
         assert not os.listdir(str(tmp_path))
+
+    def test_enqueue_into_a_retired_directory_queue_exits_nonzero(self, tmp_path, capsys):
+        legacy = tmp_path / "QUEUE_queue-smoke"
+        (legacy / "tasks").mkdir(parents=True)
+        assert cli_main(["enqueue", "queue-smoke", "--queue-db", str(legacy)]) == 1
+        assert "retired directory queue" in capsys.readouterr().err
+        assert os.listdir(str(legacy)) == ["tasks"]
+
+    def test_enqueue_queue_url_must_be_a_coordinator_url(self, tmp_path, capsys):
+        # a local path passed as --queue-url must not silently become a
+        # SQLite file: the flag names a coordinator, --queue-db a database
+        path = str(tmp_path / "QUEUE_queue-smoke.sqlite")
+        assert cli_main(["enqueue", "queue-smoke", "--queue-url", path]) == 1
+        assert "--queue-db" in capsys.readouterr().err
+        assert not os.path.exists(path)
 
     def test_enqueue_writes_a_sqlite_queue_under_out_by_default(self, tmp_path):
         assert cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)]) == 0
@@ -882,7 +955,7 @@ class TestStatusObservability:
             transport.release(claim)
             history.append(transport.status())                # done + shard
             histories[kind] = history
-        assert histories["sqlite"] == histories["http"]
+        assert histories["sqlite"] == histories["sqlite-bare"] == histories["http"]
         assert histories["sqlite"] == [
             {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0},
             {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 1},
@@ -1147,6 +1220,18 @@ class TestTransportClose:
         transport.close()
         assert transport._con is None
         transport.close()  # idempotent
+
+    def test_http_close_is_idempotent_and_reconnects(self, tmp_path):
+        spec = tiny_spec()
+        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
+        enqueue_sweep(spec, url)
+        transport = HttpTransport(url)
+        assert transport.status()["tasks"] == 4
+        transport.close()
+        assert transport._conn is None
+        transport.close()  # idempotent
+        assert transport.status()["tasks"] == 4  # a closed client reconnects lazily
+        transport.close()
 
 
 class TestHttpSpecifics:
