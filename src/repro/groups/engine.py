@@ -5,11 +5,15 @@ cost of the *simulation* is dominated by per-element Python group arithmetic
 in the Fourier-sampling and coset-enumeration hot paths.  This module provides
 a :class:`CayleyBackend` that
 
-* interns group elements to dense integer ids (a bijection between the
+* names group elements by dense integer ids (a bijection between the
   elements touched so far and ``0..n-1``),
 * memoizes products and inverses in a lazily filled NumPy Cayley table when
-  the group is small enough (``order <= table_limit``), falling back to a
-  sparse pair-cache for larger groups,
+  the group is small enough (``order <= table_limit``); larger groups with a
+  dense kernel are *id-native* (``mode == "kernel"``): ids are the indices
+  of the enumerated kernel rows, products are computed row-at-a-time by the
+  kernel and resolved back to ids through an integer-keyed row index, and
+  elements are decoded only on demand at the API edges; other groups fall
+  back to a sparse pair-cache,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
   :meth:`conj_many`, :meth:`orbit_closure` — that amortise Python dispatch
   over whole id arrays, and
@@ -65,29 +69,67 @@ _ORDER_ITERATION_LIMIT = 10**7
 class _RowIndex:
     """Row -> id lookup over an ``(n, w)`` int64 row matrix.
 
-    Rows are compared as opaque byte strings through a void view — the
-    classic unique-rows idiom — so a whole block of kernel-computed product
-    rows resolves to ids with one ``searchsorted``.  Unknown rows (a kernel
-    bug, or a foreign element) raise :class:`GroupError`.
+    Each row is keyed by one int64 mixed-radix value over the per-column
+    ranges ``[min, max]`` of the indexed rows (the last column least
+    significant), so a whole block of kernel-computed product rows resolves
+    to ids with one integer lookup: a direct-address table when the key
+    range is at most ``4 n`` — true of the dihedral, metacyclic and
+    Heisenberg row spaces — and a ``searchsorted`` over the sorted keys
+    otherwise.  Rows whose range product overflows int64 (e.g. permutations
+    of degree >= 16) are keyed as opaque byte strings through a void view
+    instead.  A query row outside the indexed ranges can alias the key of an
+    indexed row, so every lookup ends with a full row-equality check: unknown
+    rows (a kernel bug, or a foreign element) raise :class:`GroupError`.
     """
+
+    #: Largest ``key range / n`` ratio served by the direct-address table.
+    DIRECT_SLACK = 4
 
     def __init__(self, rows: np.ndarray):
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         self._rows = rows
-        self._void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-        keys = rows.view(self._void).ravel()
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
+        self._lo = rows.min(axis=0)
+        strides = []
+        span = 1
+        for width in reversed((rows.max(axis=0) - self._lo + 1).tolist()):
+            strides.append(span)
+            span *= width
+        self._strides: Optional[np.ndarray] = None
+        self._direct: Optional[np.ndarray] = None
+        if span <= np.iinfo(np.int64).max:
+            self._strides = np.asarray(strides[::-1], dtype=np.int64)
+        else:
+            self._void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+        keys = self._keys(rows)
+        n = rows.shape[0]
+        if self._strides is not None and span <= self.DIRECT_SLACK * n:
+            self._direct = np.zeros(span, dtype=np.int64)
+            self._direct[keys] = np.arange(n, dtype=np.int64)
+        else:
+            self._order = np.argsort(keys)
+            self._sorted = keys[self._order]
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        if self._strides is None:
+            return rows.view(self._void).ravel()
+        return (rows - self._lo) @ self._strides
 
     def lookup(self, query: np.ndarray) -> np.ndarray:
         query = np.ascontiguousarray(query, dtype=np.int64)
-        if query.size == 0:
+        if query.ndim != 2 or query.shape[1] != self._rows.shape[1]:
+            raise GroupError(f"row block of shape {query.shape} does not match the enumerated rows")
+        if query.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        qkeys = query.view(self._void).ravel()
-        pos = np.minimum(np.searchsorted(self._sorted, qkeys), len(self._sorted) - 1)
-        ids = self._order[pos].astype(np.int64)
-        if not np.array_equal(self._rows[ids], query):
-            raise GroupError("dense kernel produced a row outside the enumerated group")
+        keys = self._keys(query)
+        if self._direct is not None:
+            # Out-of-range keys clip to an end slot; the equality check
+            # rejects them like any other aliased key.
+            ids = self._direct.take(keys, mode="clip")
+        else:
+            pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+            ids = self._order[pos]
+        if not (self._rows[ids] == query).all():
+            raise GroupError("row outside the enumerated group")
         return ids
 
 
@@ -222,10 +264,18 @@ class CayleyBackend:
     kernel_limit:
         Opt-in ceiling for ``mode == "kernel"``: orders in
         ``(table_limit, kernel_limit]`` with a dense kernel enumerate the
-        whole group but skip the ``n^2`` table — products and inverses are
-        computed array-at-a-time by the kernel and resolved back to ids via
-        a sorted row index.  ``None`` (the default for direct construction)
-        disables the mode; :func:`maybe_engine` passes its ``intern_limit``.
+        whole group in row space but skip the ``n^2`` table — products and
+        inverses are computed array-at-a-time by the kernel and resolved
+        back to ids via the row index.  ``None`` (the default for direct
+        construction) disables the mode; :func:`maybe_engine` passes its
+        ``intern_limit``.
+
+    In kernel mode the engine holds no element objects: id ``i`` is row
+    ``i`` of the enumeration (identity first), :meth:`element_of` and
+    :meth:`elements_of` decode just the requested rows, and :meth:`intern`
+    and :meth:`intern_many` encode their elements and look the rows up (a
+    foreign element raises :class:`GroupError`).  Table and sparse modes
+    keep an element list and an element -> id dict.
     """
 
     def __init__(
@@ -268,52 +318,57 @@ class CayleyBackend:
         else:
             self.mode = "sparse"
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
-            if self.mode in ("table", "kernel"):
-                if self.mode == "kernel":
-                    # Row-space enumeration: the scalar element_list() BFS
-                    # is the dominant cold cost past the table limit, so
-                    # kernel mode enumerates by bulk kernel calls instead
-                    # (table mode keeps element_list() order — its ids are
-                    # shared with scalar paths).
-                    rows = _kernel_enumerate_rows(
-                        self.kernel,
-                        np.asarray(self.kernel.encode_many([group.identity()]))[0],
-                        np.asarray(self.kernel.encode_many(group.generators())),
+            if self.mode == "kernel":
+                # Row-space enumeration: the scalar element_list() BFS is the
+                # dominant cold cost past the table limit, so kernel mode
+                # enumerates by bulk kernel calls instead, and the enumerated
+                # rows *are* the id space — id ``i`` is row ``i`` (identity
+                # first); elements are decoded only when asked for.
+                rows = _kernel_enumerate_rows(
+                    self.kernel,
+                    np.asarray(self.kernel.encode_many([group.identity()]))[0],
+                    np.asarray(self.kernel.encode_many(group.generators())),
+                )
+                if order is not None and rows.shape[0] != order:
+                    raise GroupError(
+                        f"kernel enumeration found {rows.shape[0]} elements "
+                        f"of {group.name}, expected {order}"
                     )
-                    if order is not None and rows.shape[0] != order:
-                        raise GroupError(
-                            f"kernel enumeration found {rows.shape[0]} elements "
-                            f"of {group.name}, expected {order}"
-                        )
-                    for element in self.kernel.decode_many(rows):
-                        self.intern(element)
-                else:
-                    for element in group.element_list():
-                        self.intern(element)
+                self._kernel_rows = rows
+                self._row_index = _RowIndex(rows)
+                self.full_enumeration = True
+                # One bulk kernel pass replaces n lazy scalar fills.
+                self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
+            elif self.mode == "table":
+                # Table mode keeps element_list() order: its ids are shared
+                # with scalar paths.
+                for element in group.element_list():
+                    self.intern(element)
                 n = len(self._elements)
                 self.full_enumeration = True
-                if self.mode == "table":
-                    self._table = np.full((n, n), -1, dtype=np.int32)
-                    self._inv_table = np.full(n, -1, dtype=np.int32)
+                self._table = np.full((n, n), -1, dtype=np.int32)
+                self._inv_table = np.full(n, -1, dtype=np.int32)
                 if self.kernel is not None:
                     self._kernel_rows = np.ascontiguousarray(
                         self.kernel.encode_many(self._elements), dtype=np.int64
                     )
                     self._row_index = _RowIndex(self._kernel_rows)
-                    if self.mode == "kernel":
-                        # One bulk kernel pass replaces n lazy scalar fills.
-                        self._inv_table = np.empty(n, dtype=np.int64)
-                        self._inv_table[:] = self._bulk_inverses(
-                            np.arange(n, dtype=np.int64)
-                        )
             self.identity_id = self.intern(group.identity())
-            build_span.add("interned", len(self._elements))
+            build_span.add("interned", self.interned_count)
 
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
-        """The dense id of ``element`` (allocating one on first sight)."""
+        """The dense id of ``element`` (allocating one on first sight).
+
+        Kernel mode encodes the element and resolves its row; the id is
+        memoized per element, so repeated scalar queries stay dict lookups.
+        """
         found = self._ids.get(element)
         if found is not None:
+            return found
+        if self.mode == "kernel":
+            found = int(self._lookup_elements([element])[0])
+            self._ids[element] = found
             return found
         if self.full_enumeration:
             raise GroupError(
@@ -334,20 +389,40 @@ class CayleyBackend:
         size = len(elements) if hasattr(elements, "__len__") else None
         if size == 0:
             return np.empty(0, dtype=np.int64)
+        if self.mode == "kernel":
+            return self._lookup_elements(list(elements))
         if size is not None:
             return np.fromiter(
                 (self.intern(e) for e in elements), dtype=np.int64, count=size
             )
         return np.asarray([self.intern(e) for e in elements], dtype=np.int64)
 
+    def _lookup_elements(self, elements: List) -> np.ndarray:
+        """Kernel-mode ids of ``elements``: one bulk encode and row lookup."""
+        try:
+            return self._row_index.lookup(
+                np.asarray(self.kernel.encode_many(elements), dtype=np.int64)
+            )
+        except (GroupError, TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise GroupError(f"element not in the enumerated group {self.group.name}") from exc
+
     def element_of(self, element_id: int):
+        if self.mode == "kernel":
+            i = int(element_id)
+            return self.kernel.decode_many(self._kernel_rows[i : i + 1])[0]
         return self._elements[int(element_id)]
 
     def elements_of(self, ids: Iterable) -> List:
+        if self.mode == "kernel":
+            if not isinstance(ids, np.ndarray):
+                ids = list(ids)
+            return self.kernel.decode_many(self._kernel_rows[np.asarray(ids, dtype=np.int64)])
         return [self._elements[int(i)] for i in ids]
 
     @property
     def interned_count(self) -> int:
+        if self.mode == "kernel":
+            return self._kernel_rows.shape[0]
         return len(self._elements)
 
     # -- bulk kernel primitives ------------------------------------------------
@@ -514,7 +589,7 @@ class CayleyBackend:
         if self.full_enumeration:
             # Dense membership: one boolean flag per group element, one
             # vectorised product block per BFS level.
-            member = np.zeros(len(self._elements), dtype=bool)
+            member = np.zeros(self.interned_count, dtype=bool)
             member[seed] = True
             frontier = seed
             while frontier.size and gen_ids.size:
@@ -551,7 +626,7 @@ class CayleyBackend:
         if gen_id == self.identity_id:
             return np.asarray([self.identity_id], dtype=np.int64)
         powers = np.asarray([self.identity_id, gen_id], dtype=np.int64)
-        seen = np.zeros(len(self._elements), dtype=bool)
+        seen = np.zeros(self.interned_count, dtype=bool)
         seen[powers] = True
         pivot = int(self.mul_many([gen_id], [gen_id])[0])
         while True:
@@ -604,7 +679,7 @@ class CayleyBackend:
             current = np.unique(
                 np.concatenate([gen_ids, self.inv_many(gen_ids), [self.identity_id]])
             )
-            member = np.zeros(len(self._elements), dtype=bool)
+            member = np.zeros(self.interned_count, dtype=bool)
             member[current] = True
             frontier = current
             while frontier.size:
@@ -628,7 +703,7 @@ class CayleyBackend:
                 self._subgroup_cache[key] = current
             return current
         gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
-        member = np.zeros(len(self._elements), dtype=bool)
+        member = np.zeros(self.interned_count, dtype=bool)
         member[gens_ext] = True
         member[self.identity_id] = True
         # Seed with the cyclic subgroup of every generator: shift doubling
@@ -823,7 +898,7 @@ class CayleyBackend:
         else:
             filled = len(self._mul_cache)
         return {
-            "interned": len(self._elements),
+            "interned": self.interned_count,
             "cached_products": filled,
             "cached_inverses": (
                 int((self._inv_table >= 0).sum()) if self._inv_table is not None else len(self._inv_cache)
@@ -834,7 +909,7 @@ class CayleyBackend:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CayleyBackend {self.group.name} mode={self.mode} interned={len(self._elements)}>"
+        return f"<CayleyBackend {self.group.name} mode={self.mode} interned={self.interned_count}>"
 
 
 def get_engine(

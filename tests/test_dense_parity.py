@@ -22,7 +22,7 @@ from repro.experiments.registry import build_instance, families
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import engine_disabled, get_engine
+from repro.groups.engine import CayleyBackend, engine_disabled, get_engine, maybe_engine
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
 
@@ -68,6 +68,37 @@ def test_dense_path_matches_scalar_path(family, params):
     assert dense_solution.strategy == scalar_solution.strategy
     assert dense_solution.generators == scalar_solution.generators
     assert dense_report == scalar_report
+
+
+@pytest.fixture
+def kernel_mode_engines(monkeypatch):
+    """Route every ``maybe_engine`` build to kernel mode.
+
+    Every ``FAMILY_POINTS`` order is under the table limit, so the default
+    route builds table-mode engines only; a zero table limit sends groups
+    with a dense kernel to the id-native kernel mode instead.  Returns the
+    modes of the engines built meanwhile.
+    """
+    built = []
+    original = CayleyBackend.__init__
+
+    def recording_init(engine, *args, **kwargs):
+        original(engine, *args, **kwargs)
+        built.append(engine.mode)
+
+    monkeypatch.setattr(maybe_engine, "__defaults__", (0, 1 << 16))
+    monkeypatch.setattr(CayleyBackend, "__init__", recording_init)
+    return built
+
+
+@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
+def test_kernel_mode_path_matches_scalar_path(family, params, kernel_mode_engines):
+    kernel_solution, kernel_report = _solve(family, params, dense=True)
+    assert set(kernel_mode_engines) <= {"kernel"}
+    scalar_solution, scalar_report = _solve(family, params, dense=False)
+    assert kernel_solution.strategy == scalar_solution.strategy
+    assert kernel_solution.generators == scalar_solution.generators
+    assert kernel_report == scalar_report
 
 
 def test_journal_rows_identical_across_engine_configurations():
