@@ -39,11 +39,15 @@ def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> C
 
     For Abelian tuple groups the label is the canonical lattice representative
     (polynomial time per query).  For other groups with a usable Cayley
-    engine the label is the minimum interned id over the coset ``x H`` (one
-    batched row of ``|H|`` memoized products per uncached query); the
-    engine-less fallback is the minimum encoding over the enumerated
-    subgroup.  Either way this is instance-construction cost, not solver
-    cost, and it costs ``|H|`` group operations per query.
+    engine the label is the minimum interned id over the coset ``x H``: a
+    fully enumerated engine (table or kernel mode) computes that minimum for
+    every element at once on the first query, ``k |G|`` products for ``k``
+    generators of ``H``, and then answers each query by a table lookup; a
+    sparse engine takes one batched row of ``|H|`` memoized products per
+    uncached query.  The engine-less fallback is the minimum encoding over
+    the enumerated subgroup.  Either way this is instance-construction cost,
+    not solver cost: the hiding oracle counts its queries, not the
+    simulation's group operations.
     """
     label, _engine, _label_ids = _coset_label_parts(group, subgroup_generators)
     return label
@@ -52,6 +56,39 @@ def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> C
 #: Chunk bound for vectorized coset labelling: one products block is at most
 #: this many id entries, so label batches never materialise huge matrices.
 _LABEL_BLOCK_ENTRIES = 1 << 20
+
+
+def _whole_group_coset_labels(engine, generator_ids: np.ndarray) -> np.ndarray:
+    """The minimum id of ``x H`` for every id ``x`` of a fully enumerated engine.
+
+    The left cosets of ``H = <h_1, ..., h_k>`` are the components of the
+    graph with edges ``x -> x h_j``.  Each generator's edges form a
+    permutation ``P`` of the ids, and pointer doubling
+    (``L = min(L, L[P]); P = P[P]``) spreads the running minimum ``L`` over
+    every cycle of ``P`` in ``O(log ord h_j)`` rounds; a round that changes
+    nothing means ``L`` is already constant on those cycles.  Passes over
+    the generators repeat until one changes nothing, which makes ``L``
+    constant on components, i.e. the coset minimum, for any ``H``.
+    """
+    everything = np.arange(engine.interned_count, dtype=np.int64)
+    steps = [
+        engine.mul_many(everything, np.full(everything.size, h, dtype=np.int64))
+        for h in np.unique(generator_ids).tolist()
+        if h != engine.identity_id
+    ]
+    labels = everything
+    changed = True
+    while changed:
+        changed = False
+        for pointer in steps:
+            while True:
+                merged = np.minimum(labels, labels[pointer])
+                if np.array_equal(merged, labels):
+                    break
+                labels = merged
+                changed = True
+                pointer = pointer[pointer]
+    return labels
 
 
 def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
@@ -71,6 +108,25 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
 
         return label, None, None
     engine = maybe_engine(group)
+    if engine is not None and engine.full_enumeration:
+        generator_ids = engine.intern_many(list(subgroup_generators))
+        # Computed on the first query and shared by every oracle built from
+        # this closure (including fresh counted views of the same instance).
+        table: Optional[np.ndarray] = None
+
+        def labels() -> np.ndarray:
+            nonlocal table
+            if table is None:
+                table = _whole_group_coset_labels(engine, generator_ids)
+            return table
+
+        def label(x):
+            return int(labels()[engine.intern(x)])
+
+        def label_ids(ids):
+            return labels()[ids].tolist()
+
+        return label, engine, label_ids
     if engine is not None:
         subgroup_ids = engine.subgroup_ids(engine.intern_many(subgroup_generators))
         # Label values are memoized on the instance side: oracles built from

@@ -447,9 +447,13 @@ class HidingOracle:
         if fresh:
             self.counter.classical_queries += len(fresh)
             if self._label_ids is not None:
-                fresh_array = np.asarray(fresh, dtype=np.int64)
-                for i, value in zip(fresh, self._label_ids(fresh_array)):
-                    cache[i] = value
+                values = self._label_ids(np.asarray(fresh, dtype=np.int64))
+                if len(values) != len(fresh):
+                    raise ValueError(
+                        f"{self.description}: vectorized labeller returned {len(values)} "
+                        f"labels for {len(fresh)} ids"
+                    )
+                cache.update(zip(fresh, values))
             else:
                 for i in fresh:
                     cache[i] = self._label(self._engine.element_of(i))

@@ -848,30 +848,7 @@ class CayleyBackend:
         Constant exactly on left cosets of the subgroup, so it is a valid
         hiding-function value; computing it is one batched row of products.
         """
-        element_id = int(element_id)
-        subgroup_ids = np.asarray(subgroup_ids, dtype=np.int64)
-        if self._table is not None:
-            row = self._table[element_id, subgroup_ids]
-            missing = np.flatnonzero(row < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    filled = self._bulk_products(
-                        np.full(missing.size, element_id, dtype=np.int64),
-                        subgroup_ids[missing],
-                    )
-                    row[missing] = filled
-                    self._table[element_id, subgroup_ids[missing]] = filled
-                else:
-                    for idx in missing:
-                        row[idx] = self.mul(element_id, int(subgroup_ids[idx]))
-            return int(row.min())
-        if self.mode == "kernel":
-            return int(
-                self._bulk_products(
-                    np.full(subgroup_ids.size, element_id, dtype=np.int64), subgroup_ids
-                ).min()
-            )
-        return min(self.mul(element_id, int(b)) for b in subgroup_ids)
+        return int(self.coset_label_many([element_id], subgroup_ids)[0])
 
     def coset_label_many(self, element_ids: Sequence[int], subgroup_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`coset_label` over a whole block of elements.

@@ -17,13 +17,23 @@ explicitly (polynomial time, no cheating — it is classical linear algebra).
 For oracles that involve the hiding function ``f`` the kernel is *not*
 declared; the sampler falls back to domain enumeration (the statevector-cost
 simulation of one superposition query), bounded by ``max_enumeration``.
+
+That enumeration is the simulation's hot loop, so when the group is a
+counted black box whose Cayley engine is also the one ``f`` is keyed on, the
+whole domain scan stays in engine ids: one uncounted power table per
+element, one bulk product per factor and one batched evaluation of ``f``.
+It charges exactly what the per-point loop charges — the binary
+exponentiation of every power plus the fold product — so query reports do
+not depend on the route.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.blackbox.oracle import HidingOracle, QueryCounter
+import numpy as np
+
+from repro.blackbox.oracle import BlackBoxGroup, DenseBlackBoxGroup, HidingOracle, QueryCounter
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.base import FiniteGroup
 from repro.linalg.hermite import integer_kernel
@@ -126,6 +136,11 @@ def hidden_power_product_oracle(
             product = group.multiply(product, group.power(element, int(exponent)))
         return hiding(product)
 
+    label_many = None
+    if hiding.dense_engine is not None and isinstance(group, BlackBoxGroup):
+        dense = group.dense_view()
+        if dense is not None and dense.engine is hiding.dense_engine:
+            label_many = _bulk_power_product_labeller(dense, hiding, elements, orders)
     return TupleFunctionOracle(
         orders,
         label,
@@ -133,4 +148,62 @@ def hidden_power_product_oracle(
         counter=counter if counter is not None else hiding.counter,
         description=description,
         max_enumeration=max_enumeration,
+        label_many=label_many,
     )
+
+
+def _power_ids(engine, element_id: int, count: int) -> np.ndarray:
+    """Ids of ``h^0, ..., h^{count-1}`` by shift doubling (uncounted)."""
+    powers = np.empty(count, dtype=np.int64)
+    powers[0] = engine.identity_id
+    filled = 1
+    pivot = int(element_id)  # h^filled
+    while filled < count:
+        take = min(filled, count - filled)
+        powers[filled : filled + take] = engine.mul_many(
+            powers[:take], np.full(take, pivot, dtype=np.int64)
+        )
+        filled += take
+        if filled < count:
+            pivot = engine.mul(pivot, pivot)
+    return powers
+
+
+def _power_charge(exponent: int) -> int:
+    """Group multiplications the per-point loop spends on one factor ``h^a``.
+
+    :meth:`~repro.groups.base.FiniteGroup.power` on a counted black box
+    multiplies once per set bit and squares once per bit of ``a``; the fold
+    into the running product is one more.
+    """
+    return bin(exponent).count("1") + exponent.bit_length() + 1
+
+
+def _bulk_power_product_labeller(
+    dense: DenseBlackBoxGroup,
+    hiding: HidingOracle,
+    elements: Sequence,
+    orders: Sequence[int],
+) -> Callable[[Sequence[Vector]], List]:
+    """Batched twin of the per-point ``f(h_1^{a_1} ... h_r^{a_r})`` labeller.
+
+    Power tables and products run uncounted in the engine; the counter is
+    charged :func:`_power_charge` per factor of every point, the per-point
+    loop's total, and ``f`` is asked once for the whole batch.
+    """
+    engine = dense.engine
+    tables = [_power_ids(engine, engine.intern(h), s) for h, s in zip(elements, orders)]
+    charges = [np.asarray([_power_charge(a) for a in range(s)], dtype=np.int64) for s in orders]
+
+    def label_many(points: Sequence[Vector]) -> List:
+        exponents = np.asarray(points, dtype=np.int64).reshape(len(points), len(tables))
+        product = np.full(len(points), engine.identity_id, dtype=np.int64)
+        charged = 0
+        for j, (table, charge) in enumerate(zip(tables, charges)):
+            column = exponents[:, j]
+            product = table[column] if j == 0 else engine.mul_many(product, table[column])
+            charged += int(charge[column].sum())
+        dense.counter.group_multiplications += charged
+        return hiding.evaluate_ids(product)
+
+    return label_many

@@ -99,6 +99,11 @@ class TupleFunctionOracle(AbelianHSPOracle):
     coset of the identity — the same work the statevector backend performs.
     ``max_enumeration`` bounds that cost; larger domains must declare their
     kernel.
+
+    ``label_many`` is an optional batched twin of ``func`` (a list of reduced
+    points in, one label per point out, same values); :meth:`evaluate_many`
+    hands it all uncached points at once, which is how the domain scans
+    above run.  Without it the scan calls ``func`` point by point.
     """
 
     def __init__(
@@ -109,9 +114,11 @@ class TupleFunctionOracle(AbelianHSPOracle):
         counter: Optional[QueryCounter] = None,
         description: str = "function oracle",
         max_enumeration: int = 1 << 18,
+        label_many: Optional[Callable[[List[Vector]], Sequence]] = None,
     ):
         super().__init__(moduli, counter, description)
         self._func = func
+        self._func_many = label_many
         self._declared = [self.module.reduce(g) for g in declared_kernel] if declared_kernel is not None else None
         self._kernel_cache: Optional[List[Vector]] = None
         self._value_cache: Dict[Vector, object] = {}
@@ -125,6 +132,22 @@ class TupleFunctionOracle(AbelianHSPOracle):
         self._value_cache[element] = value
         return value
 
+    def evaluate_many(self, elements: Sequence[Vector]) -> List:
+        if self._func_many is None:
+            return super().evaluate_many(elements)
+        reduced = [self.module.reduce(x) for x in elements]
+        cache = self._value_cache
+        fresh = list(dict.fromkeys(x for x in reduced if x not in cache))
+        if fresh:
+            values = self._func_many(fresh)
+            if len(values) != len(fresh):
+                raise ValueError(
+                    f"{self.description}: bulk labeller returned {len(values)} labels "
+                    f"for {len(fresh)} points"
+                )
+            cache.update(zip(fresh, values))
+        return [cache[x] for x in reduced]
+
     def kernel_generators(self) -> List[Vector]:
         if self._declared is not None:
             return list(self._declared)
@@ -135,8 +158,9 @@ class TupleFunctionOracle(AbelianHSPOracle):
                     "declare the kernel or use the statevector backend with a smaller instance"
                 )
             identity_label = self.evaluate(self.module.identity())
+            domain = list(self.module.elements())
             kernel = [
-                x for x in self.module.elements() if self.evaluate(x) == identity_label
+                x for x, label in zip(domain, self.evaluate_many(domain)) if label == identity_label
             ]
             self._kernel_cache = canonical_generators(kernel, self.moduli)
         return list(self._kernel_cache)
