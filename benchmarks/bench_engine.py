@@ -1,4 +1,4 @@
-"""Engine benchmark: vectorized Cayley-table path vs the scalar path.
+"""Engine benchmark: vectorized dense-id engine path vs the scalar path.
 
 A thin wrapper over the experiment subsystem: the workload instances come
 from :mod:`repro.experiments.registry` (the same families the declared
@@ -16,14 +16,15 @@ in both configurations:
     arithmetic, per-round Fourier sampling (``FourierSampler(batch=False)``,
     ``use_engine=False``);
 ``engine``
-    the batched profile: Cayley-engine products and coset labels, per-oracle
+    the batched profile: engine products and coset labels, per-oracle
     partition/decomposition caches, block sampling.
 
 Both configurations produce verified solutions and identical query totals
 per round; only the wall-clock cost of *simulating* the queries changes.
 The timing methodology is steady-state: one warm-up run, then the best of
-``repeats`` — the engine's one-off table fill-in is amortised, exactly as a
-sweep of many runs over the same group amortises it.  Run directly::
+``repeats`` — the engine's one-off build (the row enumeration) is
+amortised, exactly as a sweep of many runs over the same group amortises
+it.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
 

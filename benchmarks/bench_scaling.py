@@ -1,10 +1,10 @@
-"""Scaling benchmark: dense-kernel engine vs the pre-kernel engine path.
+"""Scaling benchmark: kernel-mode engine vs the scalar sparse engine.
 
 The dense-id refactor makes int64 ids the currency from the hiding oracle
-down to the linear algebra: Cayley tables are bulk-filled by per-family
-``DenseKernel`` batch arithmetic (no scalar ``multiply`` in the fill loops),
-coset labels are computed a block of ids at a time, and groups past the
-table limit get a table-free ``"kernel"`` engine mode.  This benchmark
+down to the linear algebra: groups with a per-family ``DenseKernel`` get
+the id-native ``"kernel"`` engine mode, whose products are computed by
+batch arithmetic (no scalar ``multiply`` in the hot loops), and coset
+labels are computed a block of ids at a time.  This benchmark
 commits the resulting trajectory as ``BENCH_scaling.json``: wall-clock and
 query totals versus ``|G|`` for three group families, with the dihedral
 family reaching ``|G| = 16384`` and the extraspecial family ``|G| = 24389``
@@ -13,14 +13,16 @@ BENCH.
 
 Methodology — cold end-to-end runs, not steady state: every run builds a
 fresh instance (fresh group, fresh engine, fresh oracle caches) and solves
-it, so the measurement includes exactly the table-fill and labelling work
-the dense kernels accelerate.  The baseline runs under
-:func:`repro.groups.engine.kernel_disabled`, which reproduces the
-pre-kernel engine byte-for-byte (lazy scalar fills, sparse mode past the
-table limit); everything else — seeds, batch sampler, engine use — is
-identical.  Query accounting must not depend on the route: the benchmark
-asserts the per-row query reports of the two configurations are equal and
-stores the shared report in the row.
+it, so the measurement includes exactly the enumeration, product and
+labelling work the dense kernels accelerate.  The baseline runs under
+:func:`repro.groups.engine.kernel_disabled`, which builds sparse-mode
+engines on scalar arithmetic at every size; everything else — seeds,
+batch sampler, engine use — is identical.  (The committed baseline column
+was measured when the baseline still built a lazily filled Cayley table at
+``|G| <= 4096``, so its small points are not what a rerun measures now.)
+Query accounting must not depend on the route: the benchmark asserts the
+per-row query reports of the two configurations are equal and stores the
+shared report in the row.
 
 Run directly::
 
@@ -159,7 +161,7 @@ def main() -> None:
 
 
 def test_scaling_speedup():
-    """The dense path must beat the pre-kernel path >= 3x on the largest points."""
+    """The dense path must beat the scalar sparse path >= 3x on the largest points."""
     aggregate = aggregate_speedup(run_all())
     assert aggregate >= 3.0, f"aggregate speedup {aggregate:.2f}x below target"
 

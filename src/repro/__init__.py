@@ -30,9 +30,10 @@ Performance engine
 The paper counts oracle queries; the simulation's wall-clock cost lives in
 per-element Python group arithmetic.  ``repro.groups.engine`` provides a
 vectorized Cayley engine (:class:`~repro.groups.engine.CayleyBackend`) that
-interns elements to dense integer ids, memoizes products in a lazily filled
-NumPy Cayley table (with a sparse fallback past a size guard), and exposes
-batch operations (``mul_many``, ``inv_many``, ``conj_many``,
+names elements by dense integer ids — the rows of a whole-group enumeration
+computed by the group's dense kernel, or, for groups without one or past a
+size guard, a sparse per-pair memo over elements interned on sight — and
+exposes batch operations (``mul_many``, ``inv_many``, ``conj_many``,
 ``orbit_closure``) plus memoized structure queries (commutator subgroups,
 element orders, subgroup closures).  The hot paths — Fourier sampling,
 coset enumeration, the Theorem 8/11 solvers — route through the engine and

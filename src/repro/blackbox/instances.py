@@ -108,7 +108,7 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
 
         return label, None, None
     engine = maybe_engine(group)
-    if engine is not None and engine.full_enumeration:
+    if engine is not None and engine.mode == "kernel":
         generator_ids = engine.intern_many(list(subgroup_generators))
         # Computed on the first query and shared by every oracle built from
         # this closure (including fresh counted views of the same instance).

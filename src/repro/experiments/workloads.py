@@ -370,14 +370,13 @@ _declare_comparison("hidden-normal", "dihedral_rotation", {"n": [128]}, repeats=
 # -- scaling trajectory (bench_scaling.py, BENCH_scaling.json) ----------------
 
 #: Axes of the dense-kernel scaling benchmark: per family, group sizes from
-#: comfortably-enumerable up to well past the Cayley-table limit (dihedral
-#: reaches |G| = 16384 and extraspecial |G| = 24389, an order of magnitude
-#: beyond the largest group in any other committed BENCH).
+#: |G| = 155 up to dihedral |G| = 16384 and extraspecial |G| = 24389, an
+#: order of magnitude beyond the largest group in any other committed BENCH.
 #: ``bench_scaling.py`` times each point cold (fresh group, fresh engine,
 #: fresh oracle caches) with the dense kernels on and with
-#: :func:`repro.groups.engine.kernel_disabled` — the pre-kernel engine
-#: path — and asserts the two query reports are identical per point.  The
-#: first point of each family doubles as the CI ``scaling-smoke`` subset.
+#: :func:`repro.groups.engine.kernel_disabled` — sparse engines on scalar
+#: arithmetic — and asserts the two query reports are identical per point.
+#: The first point of each family doubles as the CI ``scaling-smoke`` subset.
 SCALING_AXES: List[Dict[str, object]] = [
     {"label": "dihedral", "family": "dihedral_rotation", "grid": {"n": [512, 2048, 8192]}},
     {"label": "metacyclic", "family": "metacyclic_core", "grid": {"pq": [(31, 5), (127, 7), (1999, 3)]}},

@@ -41,8 +41,7 @@ class DenseKernel:
     :meth:`FiniteGroup.dense_kernel`.  The Cayley engine then computes whole
     blocks of products and inverses as single NumPy expressions instead of
     calling the scalar :meth:`FiniteGroup.multiply` per pair — this is the
-    batch protocol behind the bulk table fills and the ``"kernel"`` engine
-    mode.
+    batch protocol behind the ``"kernel"`` engine mode.
 
     Contract: ``decode_many(encode_many(xs)) == xs`` for group elements, and
     ``compose_many``/``inverse_many`` agree row-for-row with the group's
@@ -144,7 +143,7 @@ class FiniteGroup(abc.ABC):
     def power(self, a: Element, k: int) -> Element:
         """``a**k`` by binary exponentiation (``k`` may be negative)."""
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode in ("table", "kernel"):
+        if engine is not None and engine.mode == "kernel":
             return engine.element_of(engine.power(engine.intern(a), k))
         if k < 0:
             return self.power(self.inverse(a), -k)
@@ -196,7 +195,7 @@ class FiniteGroup(abc.ABC):
         if self.is_identity(a):
             return 1
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode in ("table", "kernel"):
+        if engine is not None and engine.mode == "kernel":
             return engine.element_order(engine.intern(a))
         bound = exponent if exponent is not None else self.exponent_bound()
         if bound is not None:

@@ -1,19 +1,18 @@
-"""Vectorized Cayley-table group engine.
+"""Vectorized dense-id group engine.
 
 The paper states its complexity bounds in oracle queries, but the wall-clock
 cost of the *simulation* is dominated by per-element Python group arithmetic
 in the Fourier-sampling and coset-enumeration hot paths.  This module provides
 a :class:`CayleyBackend` that
 
-* names group elements by dense integer ids (a bijection between the
-  elements touched so far and ``0..n-1``),
-* memoizes products and inverses in a lazily filled NumPy Cayley table when
-  the group is small enough (``order <= table_limit``); larger groups with a
-  dense kernel are *id-native* (``mode == "kernel"``): ids are the indices
-  of the enumerated kernel rows, products are computed row-at-a-time by the
-  kernel and resolved back to ids through an integer-keyed row index, and
-  elements are decoded only on demand at the API edges; other groups fall
-  back to a sparse pair-cache,
+* names group elements by dense integer ids,
+* runs in one of two modes, chosen by the group alone: a group of known
+  order at most :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel is
+  *id-native* (``mode == "kernel"``): ids are the indices of the enumerated
+  kernel rows, products are computed array-at-a-time by the kernel and
+  resolved back to ids through an integer-keyed row index, and elements are
+  decoded only on demand at the API edges; every other group uses a sparse
+  pair-cache over elements interned on first sight (``mode == "sparse"``),
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
   :meth:`conj_many`, :meth:`orbit_closure` — that amortise Python dispatch
   over whole id arrays, and
@@ -54,13 +53,16 @@ __all__ = [
     "kernel_disabled",
 ]
 
-#: Largest group order for which the dense (lazily filled) Cayley table is used.
-DEFAULT_TABLE_LIMIT = 4096
-
-#: Largest group order for which :func:`maybe_engine` engages at all; beyond
-#: this the sparse pair-cache would still be correct but interning whole
-#: orbits may not fit comfortably in memory.
+#: The single size ceiling: groups of known order up to this with a dense
+#: kernel are enumerated whole (kernel mode), and :func:`maybe_engine` engages
+#: at all only up to it; beyond it the sparse pair-cache would still be
+#: correct but interning whole orbits may not fit comfortably in memory.
 DEFAULT_INTERN_LIMIT = 1 << 16
+
+#: Largest pair count of one quadratic-doubling level in
+#: :meth:`CayleyBackend.subgroup_ids`; past it the closure takes linear
+#: generator steps.
+_PAIR_BUDGET = 1 << 17
 
 #: Safety cap for element-order iteration in sparse mode.
 _ORDER_ITERATION_LIMIT = 10**7
@@ -254,49 +256,34 @@ class CayleyBackend:
     group:
         The wrapped group.  Elements must be hashable (they are, for every
         concrete group in this reproduction).
-    table_limit:
-        Orders up to this use ``mode == "table"`` (a lazily filled dense
-        NumPy Cayley table over the *full* element list); larger groups use
-        ``mode == "kernel"`` when the group exposes a
-        :class:`~repro.groups.base.DenseKernel` and ``kernel_limit`` allows
-        it, and ``mode == "sparse"`` (per-pair memoisation, on-demand
-        interning) otherwise.
-    kernel_limit:
-        Opt-in ceiling for ``mode == "kernel"``: orders in
-        ``(table_limit, kernel_limit]`` with a dense kernel enumerate the
-        whole group in row space but skip the ``n^2`` table — products and
-        inverses are computed array-at-a-time by the kernel and resolved
-        back to ids via the row index.  ``None`` (the default for direct
-        construction) disables the mode; :func:`maybe_engine` passes its
-        ``intern_limit``.
 
-    In kernel mode the engine holds no element objects: id ``i`` is row
-    ``i`` of the enumeration (identity first), :meth:`element_of` and
-    :meth:`elements_of` decode just the requested rows, and :meth:`intern`
-    and :meth:`intern_many` encode their elements and look the rows up (a
-    foreign element raises :class:`GroupError`).  Table and sparse modes
-    keep an element list and an element -> id dict.
+    The mode follows from the group: ``"kernel"`` when its order is known
+    without enumeration, is at most :data:`DEFAULT_INTERN_LIMIT`, and the
+    group exposes a :class:`~repro.groups.base.DenseKernel` (outside
+    :func:`kernel_disabled`); ``"sparse"`` otherwise.
+
+    Kernel mode enumerates the whole group in row space and holds no element
+    objects: id ``i`` is row ``i`` of the enumeration (identity first),
+    products are computed array-at-a-time by the kernel and resolved back to
+    ids via the row index, every inverse is filled at build,
+    :meth:`element_of` and :meth:`elements_of` decode just the requested
+    rows, and :meth:`intern` and :meth:`intern_many` encode their elements
+    and look the rows up (a foreign element raises :class:`GroupError`).
+    Sparse mode keeps an element list and an element -> id dict, interns on
+    first sight and memoizes products and inverses per pair.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        table_limit: int = DEFAULT_TABLE_LIMIT,
-        kernel_limit: Optional[int] = None,
-    ):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.table_limit = table_limit
         self._elements: List = []
         self._ids: Dict = {}
         self._mul_cache: Dict[Tuple[int, int], int] = {}
         self._inv_cache: Dict[int, int] = {}
         self._order_cache: Dict[int, int] = {}
-        self._table: Optional[np.ndarray] = None
         self._inv_table: Optional[np.ndarray] = None
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self.full_enumeration = False
         self._kernel_rows: Optional[np.ndarray] = None
         self._row_index: Optional[_RowIndex] = None
         kernel = None
@@ -306,53 +293,30 @@ class CayleyBackend:
         self.kernel = kernel
         order = _cheap_order(group)
         self.group_order = order
-        if order is not None and order <= table_limit:
-            self.mode = "table"
-        elif (
-            kernel is not None
-            and kernel_limit is not None
-            and order is not None
-            and order <= kernel_limit
-        ):
+        if kernel is not None and order is not None and order <= DEFAULT_INTERN_LIMIT:
             self.mode = "kernel"
         else:
             self.mode = "sparse"
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
             if self.mode == "kernel":
-                # Row-space enumeration: the scalar element_list() BFS is the
-                # dominant cold cost past the table limit, so kernel mode
-                # enumerates by bulk kernel calls instead, and the enumerated
-                # rows *are* the id space — id ``i`` is row ``i`` (identity
-                # first); elements are decoded only when asked for.
+                # Row-space enumeration by bulk kernel calls instead of the
+                # scalar element_list() BFS: the enumerated rows *are* the id
+                # space — id ``i`` is row ``i`` (identity first); elements
+                # are decoded only when asked for.
                 rows = _kernel_enumerate_rows(
                     self.kernel,
                     np.asarray(self.kernel.encode_many([group.identity()]))[0],
                     np.asarray(self.kernel.encode_many(group.generators())),
                 )
-                if order is not None and rows.shape[0] != order:
+                if rows.shape[0] != order:
                     raise GroupError(
                         f"kernel enumeration found {rows.shape[0]} elements "
                         f"of {group.name}, expected {order}"
                     )
                 self._kernel_rows = rows
                 self._row_index = _RowIndex(rows)
-                self.full_enumeration = True
-                # One bulk kernel pass replaces n lazy scalar fills.
+                # Every inverse in one bulk kernel pass.
                 self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
-            elif self.mode == "table":
-                # Table mode keeps element_list() order: its ids are shared
-                # with scalar paths.
-                for element in group.element_list():
-                    self.intern(element)
-                n = len(self._elements)
-                self.full_enumeration = True
-                self._table = np.full((n, n), -1, dtype=np.int32)
-                self._inv_table = np.full(n, -1, dtype=np.int32)
-                if self.kernel is not None:
-                    self._kernel_rows = np.ascontiguousarray(
-                        self.kernel.encode_many(self._elements), dtype=np.int64
-                    )
-                    self._row_index = _RowIndex(self._kernel_rows)
             self.identity_id = self.intern(group.identity())
             build_span.add("interned", self.interned_count)
 
@@ -370,10 +334,6 @@ class CayleyBackend:
             found = int(self._lookup_elements([element])[0])
             self._ids[element] = found
             return found
-        if self.full_enumeration:
-            raise GroupError(
-                f"element {element!r} is not in the enumerated group {self.group.name}"
-            )
         new_id = len(self._elements)
         self._ids[element] = new_id
         self._elements.append(element)
@@ -446,7 +406,7 @@ class CayleyBackend:
     def _fill_product(self, a: int, b: int) -> int:
         """Compute one uncached product; the miss path, timed when observed."""
         start = time.perf_counter() if obs_metrics.collecting() else None
-        if self._kernel_rows is not None:
+        if self.mode == "kernel":
             value = int(
                 self._bulk_products(
                     np.asarray([a], dtype=np.int64), np.asarray([b], dtype=np.int64)
@@ -460,39 +420,24 @@ class CayleyBackend:
 
     def _fill_inverse(self, a: int) -> int:
         start = time.perf_counter() if obs_metrics.collecting() else None
-        if self._kernel_rows is not None:
-            value = int(self._bulk_inverses(np.asarray([a], dtype=np.int64))[0])
-        else:
-            value = self.intern(self.group.inverse(self._elements[a]))
+        value = self.intern(self.group.inverse(self._elements[a]))
         if start is not None:
             obs_metrics.observe("engine.fill.inv", time.perf_counter() - start)
         return value
 
     def mul(self, a: int, b: int) -> int:
         """Product of two interned elements, memoized."""
-        a = int(a)
-        b = int(b)
-        if self._table is not None:
-            value = int(self._table[a, b])
-            if value < 0:
-                value = self._fill_product(a, b)
-                self._table[a, b] = value
-            return value
-        key = (a, b)
+        key = (int(a), int(b))
         value = self._mul_cache.get(key)
         if value is None:
-            value = self._fill_product(a, b)
+            value = self._fill_product(*key)
             self._mul_cache[key] = value
         return value
 
     def inv(self, a: int) -> int:
         a = int(a)
         if self._inv_table is not None:
-            value = int(self._inv_table[a])
-            if value < 0:
-                value = self._fill_inverse(a)
-                self._inv_table[a] = value
-            return value
+            return int(self._inv_table[a])
         value = self._inv_cache.get(a)
         if value is None:
             value = self._fill_inverse(a)
@@ -519,20 +464,6 @@ class CayleyBackend:
         ids_b = np.asarray(ids_b, dtype=np.int64)
         if ids_a.shape != ids_b.shape:
             raise ValueError("mul_many requires id arrays of equal length")
-        if self._table is not None:
-            out = self._table[ids_a, ids_b].astype(np.int64)
-            missing = np.flatnonzero(out < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    # Bulk fill: one kernel call computes every missing
-                    # product and writes it back into the lazy table.
-                    filled = self._bulk_products(ids_a[missing], ids_b[missing])
-                    out[missing] = filled
-                    self._table[ids_a[missing], ids_b[missing]] = filled
-                else:
-                    for idx in missing:
-                        out[idx] = self.mul(int(ids_a[idx]), int(ids_b[idx]))
-            return out
         if self.mode == "kernel":
             if ids_a.size == 0:
                 return np.empty(0, dtype=np.int64)
@@ -548,17 +479,7 @@ class CayleyBackend:
         """Componentwise inverses of an id array."""
         ids = np.asarray(ids, dtype=np.int64)
         if self._inv_table is not None:
-            out = self._inv_table[ids].astype(np.int64)
-            missing = np.flatnonzero(out < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    filled = self._bulk_inverses(ids[missing])
-                    out[missing] = filled
-                    self._inv_table[ids[missing]] = filled
-                else:
-                    for idx in missing:
-                        out[idx] = self.inv(int(ids[idx]))
-            return out
+            return self._inv_table[ids]
         return np.fromiter((self.inv(a) for a in ids), dtype=np.int64, count=len(ids))
 
     def conj_many(self, ids_g: Sequence[int], ids_h: Sequence[int]) -> np.ndarray:
@@ -586,7 +507,7 @@ class CayleyBackend:
         if include_inverses and gen_ids.size:
             gen_ids = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         seed = np.unique(np.asarray(seed_ids, dtype=np.int64))
-        if self.full_enumeration:
+        if self.mode == "kernel":
             # Dense membership: one boolean flag per group element, one
             # vectorised product block per BFS level.
             member = np.zeros(self.interned_count, dtype=bool)
@@ -644,13 +565,11 @@ class CayleyBackend:
     ) -> np.ndarray:
         """Ids of the subgroup generated by ``generator_ids``.
 
-        With a batch kernel the closure seeds each generator's cyclic
-        subgroup by shift doubling (``O(log ord)`` bulk products apiece),
-        then finishes with budgeted doubling and a linear generator-step
-        tail; without one it keeps the pre-kernel quadratic doubling, whose
-        pair products double as lazy table fills.  Sparse mode falls back
-        to the generator-step orbit closure.  ``memoize=False`` skips the
-        closure cache — use it for one-off generating sets (e.g.
+        Kernel mode seeds each generator's cyclic subgroup by shift
+        doubling (``O(log ord)`` bulk products apiece), then finishes with
+        budgeted doubling and a linear generator-step tail.  Sparse mode
+        falls back to the generator-step orbit closure.  ``memoize=False``
+        skips the closure cache — use it for one-off generating sets (e.g.
         incremental re-closures seeded with a whole member set) whose keys
         would never be hit again.
         """
@@ -664,44 +583,11 @@ class CayleyBackend:
                 if limit is not None and cached.size > limit:
                     raise GroupError(f"subgroup closure exceeded limit {limit}")
                 return cached
-        if not self.full_enumeration:
+        if self.mode != "kernel":
             closure = self.orbit_closure([self.identity_id], gen_ids, limit=limit)
             if key is not None:
                 self._subgroup_cache[key] = closure
             return closure
-        if self._kernel_rows is None:
-            # Pre-kernel closure, kept byte-for-byte for engines without a
-            # batch kernel (including everything built under
-            # ``kernel_disabled()``): plain quadratic doubling, whose pair
-            # products double as lazy table fills.  ``bench_scaling``
-            # baselines rely on this branch reproducing the pre-refactor
-            # engine path exactly.
-            current = np.unique(
-                np.concatenate([gen_ids, self.inv_many(gen_ids), [self.identity_id]])
-            )
-            member = np.zeros(self.interned_count, dtype=bool)
-            member[current] = True
-            frontier = current
-            while frontier.size:
-                # Both orders: a pair (a, b) with b discovered after a is
-                # covered at b's level, where a is in `current` — a*b by the
-                # second block and b*a by the first.
-                left = self.mul_many(
-                    np.repeat(frontier, current.size), np.tile(current, frontier.size)
-                )
-                right = self.mul_many(
-                    np.repeat(current, frontier.size), np.tile(frontier, current.size)
-                )
-                products = np.unique(np.concatenate([left, right]))
-                fresh = products[~member[products]]
-                member[fresh] = True
-                current = np.flatnonzero(member).astype(np.int64)
-                if limit is not None and current.size > limit:
-                    raise GroupError(f"subgroup closure exceeded limit {limit}")
-                frontier = fresh
-            if key is not None:
-                self._subgroup_cache[key] = current
-            return current
         gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         member = np.zeros(self.interned_count, dtype=bool)
         member[gens_ext] = True
@@ -721,12 +607,10 @@ class CayleyBackend:
         # the closure switches to generator-step BFS, whose total pair
         # count is |H| * |gens_ext|.  The switch is complete: every member
         # outside the live frontier was already multiplied by all of
-        # ``gens_ext`` (a subset of ``current`` since level 0).  Table mode
-        # memoizes pairs in the int32 table so its budget is generous;
-        # kernel mode recomputes every pair through the batch kernel plus a
-        # row search and leans on the linear tail much sooner.
-        pair_budget = (1 << 22) if self.mode == "table" else (1 << 17)
-        while frontier.size and frontier.size * current.size * 2 <= pair_budget:
+        # ``gens_ext`` (a subset of ``current`` since level 0).  Every pair is
+        # recomputed through the batch kernel plus a row lookup, so the
+        # budget is modest.
+        while frontier.size and frontier.size * current.size * 2 <= _PAIR_BUDGET:
             # Both orders: a pair (a, b) with b discovered after a is covered
             # at b's level, where a is in `current` — a*b by the second block
             # and b*a by the first.
@@ -816,8 +700,8 @@ class CayleyBackend:
             return cached
         bound = self.group.exponent_bound() if self.mode == "kernel" else None
         if bound is not None:
-            # Kernel mode has no n^2 table to amortise a linear walk into;
-            # divide primes out of the exponent bound instead (O(log) muls).
+            # Divide primes out of the exponent bound instead of walking the
+            # powers (O(log) muls).
             from repro.linalg.modular import element_order_from_exponent
 
             order = element_order_from_exponent(
@@ -870,17 +754,12 @@ class CayleyBackend:
     # -- diagnostics ---------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Cache-occupancy statistics (used by tests and the benchmark report)."""
-        if self._table is not None:
-            filled = int((self._table >= 0).sum())
-        else:
-            filled = len(self._mul_cache)
         return {
             "interned": self.interned_count,
-            "cached_products": filled,
+            "cached_products": len(self._mul_cache),
             "cached_inverses": (
-                int((self._inv_table >= 0).sum()) if self._inv_table is not None else len(self._inv_cache)
+                self._inv_table.size if self._inv_table is not None else len(self._inv_cache)
             ),
-            "table_mode": int(self.mode == "table"),
             "kernel_mode": int(self.mode == "kernel"),
             "has_kernel": int(self.kernel is not None),
         }
@@ -889,11 +768,7 @@ class CayleyBackend:
         return f"<CayleyBackend {self.group.name} mode={self.mode} interned={self.interned_count}>"
 
 
-def get_engine(
-    group: FiniteGroup,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-    kernel_limit: Optional[int] = None,
-) -> CayleyBackend:
+def get_engine(group: FiniteGroup) -> CayleyBackend:
     """The engine installed on ``group``, building (and installing) one if absent.
 
     Installation makes the group's default ``multiply_many``/``inverse_many``
@@ -901,7 +776,7 @@ def get_engine(
     """
     engine = getattr(group, "_cayley_engine", None)
     if engine is None:
-        engine = CayleyBackend(group, table_limit=table_limit, kernel_limit=kernel_limit)
+        engine = CayleyBackend(group)
         group._cayley_engine = engine
     return engine
 
@@ -910,22 +785,22 @@ def get_engine(
 #: through :func:`engine_disabled` to force the scalar per-element paths.
 _ENGINE_DISABLED = False
 
-#: When true, newly built engines ignore dense kernels entirely — table
-#: fills revert to per-pair scalar ``multiply`` and the ``"kernel"`` mode is
-#: unavailable.  Set through :func:`kernel_disabled`; this reproduces the
-#: pre-kernel engine exactly and is the baseline configuration of the
-#: scaling benchmark.
+#: When true, newly built engines ignore dense kernels entirely: every engine
+#: is a sparse engine on the group's scalar ``multiply``/``inverse``.  Set
+#: through :func:`kernel_disabled`; it is the baseline configuration of the
+#: scaling benchmark and the scalar reference the tests diff against.
 _KERNEL_DISABLED = False
 
 
 @contextmanager
 def kernel_disabled():
-    """Context manager forcing engines built inside it onto scalar fills.
+    """Context manager building sparse engines on scalar arithmetic.
 
-    Unlike :func:`engine_disabled` the Cayley engine itself stays on — ids,
-    lazy tables and memoisation all work as before the dense kernels existed
-    — but no :class:`~repro.groups.base.DenseKernel` is consulted, so every
-    table fill goes through the group's scalar ``multiply``/``inverse``.
+    Unlike :func:`engine_disabled` the Cayley engine itself stays on — ids
+    and per-pair memoisation work as usual — but no
+    :class:`~repro.groups.base.DenseKernel` is consulted, so every engine
+    built inside it is ``mode == "sparse"`` and every product and inverse
+    goes through the group's scalar ``multiply``/``inverse``.
     Query accounting is unaffected (the engine never counts).  Engines
     *already installed* on a group keep their kernels; the context only
     affects constructions inside it.
@@ -958,19 +833,15 @@ def engine_disabled():
         _ENGINE_DISABLED = previous
 
 
-def maybe_engine(
-    group: FiniteGroup,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-    intern_limit: int = DEFAULT_INTERN_LIMIT,
-) -> Optional[CayleyBackend]:
+def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
     """A guarded :func:`get_engine`: ``None`` when no usable encoding exists.
 
     The engine engages only when the group order is known without a fresh
     full enumeration (a concrete ``order()`` override or an already-cached
-    element list) and fits under ``intern_limit``, and when elements are
-    hashable.  Counted black-box wrappers are unwrapped so that the engine
-    memoizes the *uncounted* arithmetic — the wrapper keeps doing the (bulk)
-    accounting.
+    element list) and fits under :data:`DEFAULT_INTERN_LIMIT`, and when
+    elements are hashable.  Counted black-box wrappers are unwrapped so that
+    the engine memoizes the *uncounted* arithmetic — the wrapper keeps doing
+    the (bulk) accounting.
     """
     if _ENGINE_DISABLED:
         return None
@@ -981,10 +852,10 @@ def maybe_engine(
     if existing is not None:
         return existing
     order = _cheap_order(group)
-    if order is None or order > intern_limit:
+    if order is None or order > DEFAULT_INTERN_LIMIT:
         return None
     try:
         hash(group.identity())
     except TypeError:
         return None
-    return get_engine(group, table_limit=table_limit, kernel_limit=intern_limit)
+    return get_engine(group)

@@ -9,7 +9,8 @@ the experiment runner — byte-identical journal rows.  These tests pin that
 contract for every family in the instance registry, and a counting test
 double asserts the stronger structural claim behind the BENCH_scaling
 speedups: batch-protocol groups never see a scalar ``multiply`` call
-inside the Cayley table fills or the Fourier-sampling label loops.
+inside a kernel-mode engine build, its batch products or the
+Fourier-sampling label loops.
 """
 
 from contextlib import nullcontext
@@ -22,7 +23,7 @@ from repro.experiments.registry import build_instance, families
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import CayleyBackend, engine_disabled, get_engine, maybe_engine
+from repro.groups.engine import CayleyBackend, engine_disabled, get_engine, kernel_disabled
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
 
@@ -47,38 +48,22 @@ def test_family_points_cover_registry():
     assert {family for family, _ in FAMILY_POINTS} == set(families())
 
 
-def _solve(family, params, dense):
-    """One cold solve; ``dense=False`` forces the scalar per-element paths."""
-    context = nullcontext() if dense else engine_disabled()
-    with context:
+def _solve(family, params, route=nullcontext):
+    """One cold solve inside ``route``; ``engine_disabled`` forces the scalar paths."""
+    with route():
         instance = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0)))
         # The sampler's batch flag is a declared option that changes how many
         # rounds are drawn; the route comparison holds it fixed so any report
         # difference is an accounting divergence, not a sampler-profile one.
         sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED), batch=True)
-        solution = solve_hsp(instance, sampler=sampler, use_engine=dense)
+        solution = solve_hsp(instance, sampler=sampler, use_engine=route is not engine_disabled)
         assert instance.verify(solution.generators or [instance.group.identity()])
     return solution, instance.query_report()
 
 
-@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
-def test_dense_path_matches_scalar_path(family, params):
-    dense_solution, dense_report = _solve(family, params, dense=True)
-    scalar_solution, scalar_report = _solve(family, params, dense=False)
-    assert dense_solution.strategy == scalar_solution.strategy
-    assert dense_solution.generators == scalar_solution.generators
-    assert dense_report == scalar_report
-
-
 @pytest.fixture
-def kernel_mode_engines(monkeypatch):
-    """Route every ``maybe_engine`` build to kernel mode.
-
-    Every ``FAMILY_POINTS`` order is under the table limit, so the default
-    route builds table-mode engines only; a zero table limit sends groups
-    with a dense kernel to the id-native kernel mode instead.  Returns the
-    modes of the engines built meanwhile.
-    """
+def built_modes(monkeypatch):
+    """The modes of the engines built during a test, in build order."""
     built = []
     original = CayleyBackend.__init__
 
@@ -86,19 +71,30 @@ def kernel_mode_engines(monkeypatch):
         original(engine, *args, **kwargs)
         built.append(engine.mode)
 
-    monkeypatch.setattr(maybe_engine, "__defaults__", (0, 1 << 16))
     monkeypatch.setattr(CayleyBackend, "__init__", recording_init)
     return built
 
 
+def _assert_route_matches_scalar(family, params, route=nullcontext):
+    dense_solution, dense_report = _solve(family, params, route)
+    scalar_solution, scalar_report = _solve(family, params, engine_disabled)
+    assert dense_solution.strategy == scalar_solution.strategy
+    assert dense_solution.generators == scalar_solution.generators
+    assert dense_report == scalar_report
+
+
 @pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
-def test_kernel_mode_path_matches_scalar_path(family, params, kernel_mode_engines):
-    kernel_solution, kernel_report = _solve(family, params, dense=True)
-    assert set(kernel_mode_engines) <= {"kernel"}
-    scalar_solution, scalar_report = _solve(family, params, dense=False)
-    assert kernel_solution.strategy == scalar_solution.strategy
-    assert kernel_solution.generators == scalar_solution.generators
-    assert kernel_report == scalar_report
+def test_kernel_mode_path_matches_scalar_path(family, params, built_modes):
+    """The default route: every engine built is id-native kernel mode."""
+    _assert_route_matches_scalar(family, params)
+    assert set(built_modes) <= {"kernel"}
+
+
+@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
+def test_sparse_mode_path_matches_scalar_path(family, params, built_modes):
+    """Engines built under ``kernel_disabled`` are sparse, on scalar arithmetic."""
+    _assert_route_matches_scalar(family, params, kernel_disabled)
+    assert set(built_modes) <= {"sparse"}
 
 
 def test_journal_rows_identical_across_engine_configurations():
@@ -148,14 +144,15 @@ class _ScalarMultiplyProbe:
         return False
 
 
-def test_table_fill_uses_no_scalar_multiplies():
+def test_kernel_mode_uses_no_scalar_multiplies():
     group = dihedral_semidirect(16)
-    engine = get_engine(group)
-    assert engine.kernel is not None, "dihedral must expose a dense kernel"
-    ids = np.arange(group.order(), dtype=np.int64)
     with _ScalarMultiplyProbe(group) as probe:
+        engine = get_engine(group)
+        assert engine.mode == "kernel", "dihedral must expose a dense kernel"
+        ids = np.arange(group.order(), dtype=np.int64)
         engine.mul_many(np.repeat(ids, ids.size), np.tile(ids, ids.size))
         engine.inv_many(ids)
+        engine.subgroup_ids(ids[1:3])
     assert probe.calls == 0
 
 

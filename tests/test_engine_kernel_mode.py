@@ -22,7 +22,7 @@ from repro.groups.products import dihedral_semidirect
 
 
 def _kernel_engine(group):
-    engine = CayleyBackend(group, table_limit=0, kernel_limit=1 << 16)
+    engine = CayleyBackend(group)
     assert engine.mode == "kernel"
     return engine
 
@@ -61,7 +61,7 @@ class TestKernelModeEdges:
         assert len(set(elements)) == engine.interned_count
         assert set(elements) == set(engine.group.element_list())
 
-    def test_maybe_engine_builds_kernel_mode_past_the_table_limit(self):
+    def test_maybe_engine_builds_kernel_mode_on_a_large_group(self):
         group = extraspecial_group(17)
         engine = maybe_engine(group)
         assert engine.mode == "kernel" and engine.interned_count == 17**3
@@ -140,14 +140,10 @@ class TestByteKeyRows:
         cycle = tuple((i + 1) % self.DEGREE for i in range(self.DEGREE))
         return PermutationGroup([cycle], name="C20")
 
-    @pytest.fixture(params=["table", "kernel"])
-    def engine(self, request):
-        group = self._group()
-        if request.param == "table":
-            engine = get_engine(group)
-        else:
-            engine = get_engine(group, table_limit=0, kernel_limit=1 << 16)
-        assert engine.mode == request.param
+    @pytest.fixture
+    def engine(self):
+        engine = get_engine(self._group())
+        assert engine.mode == "kernel"
         assert engine._row_index._strides is None, "expected the byte-key branch"
         return engine
 

@@ -1,4 +1,4 @@
-"""Property-based tests for the vectorized Cayley-table group engine.
+"""Property-based tests for the vectorized dense-id group engine.
 
 Three families of invariants:
 
@@ -7,7 +7,7 @@ Three families of invariants:
 * **engine arithmetic agrees with scalar group arithmetic** — ``mul_many``,
   ``inv_many``, ``conj_many``, ``power``, ``element_order``, subgroup and
   commutator closures all reproduce the per-element ``FiniteGroup`` results,
-  in both the dense-table and the sparse fallback mode;
+  in both the kernel and the sparse fallback mode;
 * **batch oracle accounting** — the bulk APIs on ``BlackBoxGroup`` and
   ``HidingOracle`` report exactly the totals of the equivalent scalar loops.
 """
@@ -21,7 +21,7 @@ from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.base import FiniteGroup, GroupError
-from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
+from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
@@ -39,15 +39,15 @@ def heisenberg_elements(p=3, n=1):
     return st.tuples(vec, vec, coord)
 
 
-@pytest.fixture(scope="module")
-def table_engine():
-    return CayleyBackend(extraspecial_group(3))
-
-
-@pytest.fixture(scope="module")
-def sparse_engine():
-    # Order 27 forced under a tiny table limit: exercises the fallback mode.
-    return CayleyBackend(extraspecial_group(3), table_limit=4)
+def _engine(group, mode):
+    """A kernel-mode engine, or (``mode == "sparse"``) the scalar sparse one."""
+    if mode == "sparse":
+        with kernel_disabled():
+            engine = CayleyBackend(group)
+    else:
+        engine = CayleyBackend(group)
+    assert engine.mode == mode
+    return engine
 
 
 class TestInterning:
@@ -65,23 +65,23 @@ class TestInterning:
             for b, id_b in zip(elements, ids):
                 assert (id_a == id_b) == (a == b)
 
-    def test_table_mode_interns_whole_group(self, table_engine):
-        assert table_engine.mode == "table"
-        assert table_engine.interned_count == 27
+    def test_kernel_mode_interns_whole_group(self):
+        engine = CayleyBackend(extraspecial_group(3))
+        assert engine.mode == "kernel"
+        assert engine.interned_count == 27
 
-    def test_table_mode_rejects_foreign_elements(self):
+    def test_kernel_mode_rejects_foreign_elements(self):
         engine = CayleyBackend(extraspecial_group(3))
         with pytest.raises(GroupError):
             engine.intern(((5,), (0,), 0))  # coordinates outside Z_3
 
 
 class TestArithmeticAgreement:
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(data=st.data())
     def test_mul_many_agrees_with_scalar_op(self, mode, data):
         group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
-        assert engine.mode == mode
+        engine = _engine(group, mode)
         pairs = data.draw(
             st.lists(st.tuples(heisenberg_elements(), heisenberg_elements()), min_size=1, max_size=16)
         )
@@ -90,11 +90,11 @@ class TestArithmeticAgreement:
         got = engine.multiply_elements(elements_a, elements_b)
         assert got == [group.multiply(a, b) for a, b in zip(elements_a, elements_b)]
 
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(elements=st.lists(heisenberg_elements(), min_size=1, max_size=16))
     def test_inv_many_agrees_with_scalar_inverse(self, mode, elements):
         group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
+        engine = _engine(group, mode)
         assert engine.inverse_elements(elements) == [group.inverse(a) for a in elements]
 
     @given(data=st.data())
@@ -121,11 +121,11 @@ class TestArithmeticAgreement:
             scalar_group, element
         )
 
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(generators=st.lists(heisenberg_elements(), min_size=1, max_size=3))
     def test_subgroup_closure_agrees_with_bfs(self, mode, generators):
         group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
+        engine = _engine(group, mode)
         got = set(engine.elements_of(engine.subgroup_ids(engine.intern_many(generators))))
         assert got == set(generate_subgroup_elements(group, generators))
 
@@ -142,15 +142,15 @@ class TestArithmeticAgreement:
         want = set(generate_subgroup_elements(group, commutator_subgroup_generators(group)))
         assert set(engine.commutator_subgroup_elements()) == want
 
-    def test_fallback_mode_agrees_with_table_mode(self):
+    def test_fallback_mode_agrees_with_kernel_mode(self):
         group = extraspecial_group(3)
-        table = CayleyBackend(group)
-        sparse = CayleyBackend(group, table_limit=4)
+        kernel = _engine(group, "kernel")
+        sparse = _engine(group, "sparse")
         elements = group.element_list()
         for a in elements[:9]:
             for b in elements[:9]:
                 want = group.multiply(a, b)
-                assert table.element_of(table.mul(table.intern(a), table.intern(b))) == want
+                assert kernel.element_of(kernel.mul(kernel.intern(a), kernel.intern(b))) == want
                 assert sparse.element_of(sparse.mul(sparse.intern(a), sparse.intern(b))) == want
 
     def test_coset_label_constant_exactly_on_left_cosets(self):

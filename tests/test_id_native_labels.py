@@ -51,14 +51,6 @@ ENUMERATED_POINTS = [
 ]
 
 
-@pytest.fixture(params=["table", "kernel"])
-def engine_mode(request, monkeypatch):
-    """Table mode (the default at these orders) or forced kernel mode."""
-    if request.param == "kernel":
-        monkeypatch.setattr(maybe_engine, "__defaults__", (0, 1 << 16))
-    return request.param
-
-
 def _subgroup_cases(family, group, rng):
     """``(name, generators)`` of the hidden subgroups checked per family."""
     cases = [
@@ -83,11 +75,11 @@ def _brute_force_labels(group, engine, generators):
 
 
 @pytest.mark.parametrize("family,params", ENUMERATED_POINTS, ids=[f for f, _ in ENUMERATED_POINTS])
-def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode):
+def test_whole_group_coset_labels_match_brute_force(family, params):
     instance = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0)))
     group = instance.group.group
     engine = maybe_engine(group)
-    assert engine.mode == engine_mode and engine.full_enumeration
+    assert engine.mode == "kernel"
     rng = np.random.default_rng(SEED)
     for name, generators in _subgroup_cases(family, group, rng):
         expected = _brute_force_labels(group, engine, generators)
@@ -100,7 +92,7 @@ def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode)
         assert oracle.counter.classical_queries == engine.interned_count
 
 
-def test_alternating_subgroup_has_two_cosets(engine_mode):
+def test_alternating_subgroup_has_two_cosets():
     instance = build_instance("symmetric_alternating", {"n": 5}, np.random.default_rng(SEED))
     group = instance.group.group
     engine = maybe_engine(group)
@@ -151,11 +143,8 @@ def test_bulk_charge_equals_counted_power_plus_fold():
         assert value == instance.oracle(power)
 
 
-@pytest.mark.parametrize("mode", ["table", "kernel"])
-def test_bulk_scan_matches_per_point_on_non_commuting_factors(mode, monkeypatch):
+def test_bulk_scan_matches_per_point_on_non_commuting_factors(monkeypatch):
     """With trivial ``H`` the label pins the product element, factor order included."""
-    if mode == "kernel":
-        monkeypatch.setattr(maybe_engine, "__defaults__", (0, 1 << 16))
     results = []
     for bulk in (True, False):
         if not bulk:
