@@ -15,8 +15,16 @@ import numpy as np
 import pytest
 
 from repro.groups.base import GroupError
-from repro.groups.engine import CayleyBackend, _RowIndex, get_engine, maybe_engine
+from repro.groups.engine import (
+    DEFAULT_INTERN_LIMIT,
+    CayleyBackend,
+    _RowIndex,
+    get_engine,
+    kernel_disabled,
+    maybe_engine,
+)
 from repro.groups.extraspecial import extraspecial_group
+from repro.groups.matrix import heisenberg_matrix_group
 from repro.groups.perm import PermutationGroup
 from repro.groups.products import dihedral_semidirect
 
@@ -72,6 +80,61 @@ class TestKernelModeEdges:
         product = engine.mul(engine.intern(a), engine.intern(b))
         assert engine.element_of(product) == group.multiply(a, b)
         assert engine.element_of(engine.inv(engine.intern(a))) == group.inverse(a)
+
+
+BUILDERS = [CayleyBackend, get_engine, maybe_engine]
+
+
+class TestModeRule:
+    """No knob picks the mode: every builder derives it from the group.
+
+    Kernel mode when the group has a dense kernel and a cheaply known order
+    of at most ``DEFAULT_INTERN_LIMIT``; sparse mode otherwise.
+    """
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_small_group_with_a_kernel_builds_kernel_mode(self, build):
+        engine = build(dihedral_semidirect(64))
+        assert engine.mode == "kernel" and engine.interned_count == 128
+        stats = engine.stats()
+        assert "table_mode" not in stats
+        assert stats["kernel_mode"] == stats["has_kernel"] == 1
+        # The inverse table is complete at build; products are not memoized.
+        assert stats["cached_inverses"] == 128 and stats["cached_products"] == 0
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_group_past_the_old_table_limit_builds_kernel_mode(self, build):
+        group = dihedral_semidirect(4096)
+        engine = build(group)
+        assert engine.mode == "kernel" and engine.interned_count == 8192
+        a, b = group.embed_normal((5,)), group.generators()[-1]
+        assert engine.element_of(engine.mul(engine.intern(a), engine.intern(b))) == group.multiply(a, b)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_group_without_a_kernel_builds_sparse_mode(self, build):
+        group = heisenberg_matrix_group(3)
+        group.element_list()  # makes the order cheap to read
+        assert group.dense_kernel() is None
+        engine = build(group)
+        assert engine.mode == "sparse" and engine.kernel is None
+        assert engine.interned_count == 1, "sparse mode interns on first sight"
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_kernel_disabled_builds_sparse_mode(self, build):
+        with kernel_disabled():
+            engine = build(extraspecial_group(3))
+        assert engine.mode == "sparse" and engine.kernel is None
+        assert engine.stats()["kernel_mode"] == 0
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_group_past_the_intern_limit_is_not_enumerated(self, build):
+        group = dihedral_semidirect(DEFAULT_INTERN_LIMIT)
+        assert group.order() > DEFAULT_INTERN_LIMIT and group.dense_kernel() is not None
+        engine = build(group)
+        if build is maybe_engine:
+            assert engine is None
+        else:
+            assert engine.mode == "sparse" and engine.interned_count == 1
 
 
 class TestRowIndexAliasing:

@@ -12,7 +12,9 @@ must be invisible in the results and the query report:
   labels a batch of ``x`` with one counted products block.
 
 These tests check the labels against brute force and each route against the
-per-point route it replaces.
+per-point route it replaces.  Sparse engines (groups without a dense kernel,
+or any group under ``kernel_disabled``) keep the per-coset min-id labeller,
+which must agree with the same brute force.
 """
 
 import json
@@ -51,6 +53,25 @@ ENUMERATED_POINTS = [
 ]
 
 
+@pytest.fixture(params=["kernel", "sparse"])
+def engine_mode(request):
+    """The default kernel mode, or the sparse mode ``kernel_disabled`` builds."""
+    return request.param
+
+
+def _enumerated_instance(family, params, rng, engine_mode):
+    """An instance built under ``engine_mode``, its group fully interned."""
+    with kernel_disabled() if engine_mode == "sparse" else nullcontext():
+        instance = build_instance(family, dict(params), rng)
+        group = instance.group.group
+        engine = maybe_engine(group)
+    assert engine.mode == engine_mode
+    # Sparse ids are allocated on first sight; kernel mode has them all.
+    engine.intern_many(group.element_list())
+    assert engine.interned_count == group.order()
+    return instance, group, engine
+
+
 def _subgroup_cases(family, group, rng):
     """``(name, generators)`` of the hidden subgroups checked per family."""
     cases = [
@@ -75,11 +96,10 @@ def _brute_force_labels(group, engine, generators):
 
 
 @pytest.mark.parametrize("family,params", ENUMERATED_POINTS, ids=[f for f, _ in ENUMERATED_POINTS])
-def test_whole_group_coset_labels_match_brute_force(family, params):
-    instance = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0)))
-    group = instance.group.group
-    engine = maybe_engine(group)
-    assert engine.mode == "kernel"
+def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode):
+    _, group, engine = _enumerated_instance(
+        family, params, np.random.default_rng(derive_seed(SEED, 0)), engine_mode
+    )
     rng = np.random.default_rng(SEED)
     for name, generators in _subgroup_cases(family, group, rng):
         expected = _brute_force_labels(group, engine, generators)
@@ -92,10 +112,10 @@ def test_whole_group_coset_labels_match_brute_force(family, params):
         assert oracle.counter.classical_queries == engine.interned_count
 
 
-def test_alternating_subgroup_has_two_cosets():
-    instance = build_instance("symmetric_alternating", {"n": 5}, np.random.default_rng(SEED))
-    group = instance.group.group
-    engine = maybe_engine(group)
+def test_alternating_subgroup_has_two_cosets(engine_mode):
+    instance, _, engine = _enumerated_instance(
+        "symmetric_alternating", {"n": 5}, np.random.default_rng(SEED), engine_mode
+    )
     labels = instance.oracle.evaluate_ids(np.arange(engine.interned_count, dtype=np.int64))
     assert len(set(labels)) == 2
     assert labels[engine.identity_id] == engine.identity_id
