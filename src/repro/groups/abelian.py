@@ -26,6 +26,7 @@ class _AbelianKernel(DenseKernel):
 
     def __init__(self, moduli: Tuple[int, ...]):
         self.width = len(moduli)
+        self.radices = tuple(int(m) for m in moduli)
         self._moduli = np.asarray(moduli, dtype=np.int64)
 
     def encode_many(self, elements: Sequence[Vector]) -> np.ndarray:

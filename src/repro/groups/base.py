@@ -48,10 +48,21 @@ class DenseKernel:
     scalar ``multiply``/``inverse`` (property-tested per group).  Kernels
     perform *no query accounting* — counted wrappers bump their counters in
     bulk before any kernel runs, exactly as for the scalar engine paths.
+
+    Every kernel must also declare :attr:`radices`, one exclusive upper bound
+    per column: every row it encodes or computes from group elements lies in
+    ``[0, radices[j])`` in column ``j``.  The engine keys rows by the
+    mixed-radix value over these bounds, so a kernel that emits a value
+    outside them is a bug, and the engine rejects it with a
+    :class:`GroupError` naming the column.
     """
 
     #: Number of int64 coordinates per element row.
     width: int = 0
+
+    #: Per-column exclusive upper bounds on row values (``len == width``).
+    #: Required: there is deliberately no default.
+    radices: Tuple[int, ...]
 
     def encode_many(self, elements: Sequence[Element]) -> np.ndarray:
         """Encode elements into an ``(n, width)`` int64 row array."""

@@ -36,6 +36,7 @@ which keeps the per-element code path as the fallback.
 from __future__ import annotations
 
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,53 +69,162 @@ _PAIR_BUDGET = 1 << 17
 _ORDER_ITERATION_LIMIT = 10**7
 
 
+class _RowKeys:
+    """Mixed-radix int64 keys of kernel rows over the kernel's declared radices.
+
+    One key function serves the row-space enumeration's dedup, its cyclic
+    chains and every :class:`_RowIndex` lookup: ``key(row) = row @ strides``
+    with strides computed once from :attr:`DenseKernel.radices` (the last
+    column least significant), so every row in range has a distinct key in
+    ``[0, prod(radices))``.  :attr:`path` names how keys are held, and
+    follows from the radix product and the element count alone:
+
+    * ``"direct"`` — the product is at most ``DIRECT_SLACK`` times the count
+      (dihedral, metacyclic, Heisenberg and Abelian products, where it equals
+      the order): membership is a boolean bitmap over all keys and the row
+      index a direct-address table;
+    * ``"sorted"`` — int64 keys over a sparse range (small symmetric groups:
+      S_5 has 5^5 keys for 120 elements): membership is a set of Python ints
+      and the row index a ``searchsorted`` over the sorted keys;
+    * ``"bytes"`` — the product overflows int64 (permutations of degree
+      >= 16): rows are keyed as opaque byte strings through a void view.
+    """
+
+    #: Largest ``radix product / count`` ratio served by direct addressing.
+    DIRECT_SLACK = 4
+
+    def __init__(self, radices: Sequence[int], count: int, name: str):
+        self.name = name
+        self.count = count
+        radices = [int(r) for r in radices]
+        self.width = len(radices)
+        strides = []
+        size = 1
+        for radix in reversed(radices):
+            strides.append(size)
+            size *= radix
+        self.size = size
+        self.strides: Optional[np.ndarray] = None
+        if size > np.iinfo(np.int64).max:
+            self.path = "bytes"
+            self._void = np.dtype((np.void, 8 * self.width))
+        else:
+            self.strides = np.asarray(strides[::-1], dtype=np.int64)
+            self.path = "direct" if size <= self.DIRECT_SLACK * count else "sorted"
+        # Maximal column runs of one radix: the range check is one max per run.
+        self._runs: List[Tuple[int, int, int]] = []
+        for j, radix in enumerate(radices):
+            if self._runs and self._runs[-1][2] == radix:
+                self._runs[-1] = (self._runs[-1][0], j + 1, radix)
+            else:
+                self._runs.append((j, j + 1, radix))
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of a contiguous int64 row block; rows out of range may alias."""
+        if self.strides is None:
+            return rows.view(self._void).ravel()
+        return rows @ self.strides
+
+    def checked_keys(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, keys)`` for a kernel-computed block, range-checked first.
+
+        A value outside its column's radix would alias another row's key or
+        index past the bitmap, so it raises :class:`GroupError` naming the
+        group and the column instead.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.width:
+            raise GroupError(
+                f"dense kernel of {self.name} emitted rows of shape {rows.shape}, "
+                f"but declares {self.width} radices"
+            )
+        if rows.shape[0]:
+            # Negative values wrap to huge unsigned ones: one max covers both ends.
+            unsigned = rows.view(np.uint64)
+            for lo, hi, radix in self._runs:
+                if unsigned[:, lo:hi].max() >= radix:
+                    bad = unsigned[:, lo:hi] >= radix
+                    column = lo + int(np.argmax(bad.any(axis=0)))
+                    value = int(rows[bad[:, column - lo], column][0])
+                    raise GroupError(
+                        f"dense kernel of {self.name} emitted {value} in column {column}, "
+                        f"outside its declared radix range [0, {radix})"
+                    )
+        return rows, self.keys(rows)
+
+
+class _KeySet:
+    """Membership over :class:`_RowKeys` keys: a bitmap on the direct path, else a set."""
+
+    def __init__(self, space: _RowKeys):
+        self._bits: Optional[np.ndarray] = None
+        self._seen: set = set()
+        if space.path == "direct":
+            self._bits = np.zeros(space.size, dtype=bool)
+            # Work table: the first position of each key within a block.
+            self._first = np.empty(space.size, dtype=np.int64)
+
+    def __contains__(self, key) -> bool:
+        if self._bits is not None:
+            return bool(self._bits[key])
+        return key in self._seen
+
+    def missing(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask of the keys not in the set."""
+        if self._bits is not None:
+            return ~self._bits[keys]
+        seen = self._seen
+        return np.fromiter((k not in seen for k in keys.tolist()), dtype=bool, count=len(keys))
+
+    def absorb(self, keys: np.ndarray) -> np.ndarray:
+        """Add a block of keys; return the positions of its new ones.
+
+        Each new key counts once, at its first occurrence, and positions
+        come back in block order — so the rows kept are exactly those a
+        row-by-row scan of the block would keep.
+        """
+        if self._bits is None:
+            seen = self._seen
+            fresh = []
+            for i, key in enumerate(keys.tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            return np.asarray(fresh, dtype=np.int64)
+        pos = np.flatnonzero(~self._bits[keys])
+        if pos.size:
+            # First occurrence per key: the least block position wins.
+            fresh_keys = keys[pos]
+            self._first[fresh_keys] = pos.size
+            np.minimum.at(self._first, fresh_keys, np.arange(pos.size))
+            pos = pos[self._first[fresh_keys] == np.arange(pos.size)]
+            self._bits[keys[pos]] = True
+        return pos
+
+
 class _RowIndex:
     """Row -> id lookup over an ``(n, w)`` int64 row matrix.
 
-    Each row is keyed by one int64 mixed-radix value over the per-column
-    ranges ``[min, max]`` of the indexed rows (the last column least
-    significant), so a whole block of kernel-computed product rows resolves
-    to ids with one integer lookup: a direct-address table when the key
-    range is at most ``4 n`` — true of the dihedral, metacyclic and
-    Heisenberg row spaces — and a ``searchsorted`` over the sorted keys
-    otherwise.  Rows whose range product overflows int64 (e.g. permutations
-    of degree >= 16) are keyed as opaque byte strings through a void view
-    instead.  A query row outside the indexed ranges can alias the key of an
-    indexed row, so every lookup ends with a full row-equality check: unknown
-    rows (a kernel bug, or a foreign element) raise :class:`GroupError`.
+    Takes the rows' :class:`_RowKeys` keys as the enumeration computed them,
+    so a whole block of kernel-computed product rows resolves to ids with
+    one integer lookup: a direct-address table on the ``"direct"`` key path,
+    a ``searchsorted`` over the sorted keys otherwise (int64 or byte keys).
+    A query row outside the kernel's radices can alias the key of an indexed
+    row, so every lookup ends with a full row-equality check: unknown rows
+    (a kernel bug, or a foreign element) raise :class:`GroupError`.
     """
 
-    #: Largest ``key range / n`` ratio served by the direct-address table.
-    DIRECT_SLACK = 4
-
-    def __init__(self, rows: np.ndarray):
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    def __init__(self, rows: np.ndarray, keys: np.ndarray, space: _RowKeys):
         self._rows = rows
-        self._lo = rows.min(axis=0)
-        strides = []
-        span = 1
-        for width in reversed((rows.max(axis=0) - self._lo + 1).tolist()):
-            strides.append(span)
-            span *= width
-        self._strides: Optional[np.ndarray] = None
+        self._space = space
+        self.path = space.path
         self._direct: Optional[np.ndarray] = None
-        if span <= np.iinfo(np.int64).max:
-            self._strides = np.asarray(strides[::-1], dtype=np.int64)
-        else:
-            self._void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-        keys = self._keys(rows)
-        n = rows.shape[0]
-        if self._strides is not None and span <= self.DIRECT_SLACK * n:
-            self._direct = np.zeros(span, dtype=np.int64)
-            self._direct[keys] = np.arange(n, dtype=np.int64)
+        if space.path == "direct":
+            self._direct = np.zeros(space.size, dtype=np.int64)
+            self._direct[keys] = np.arange(rows.shape[0], dtype=np.int64)
         else:
             self._order = np.argsort(keys)
             self._sorted = keys[self._order]
-
-    def _keys(self, rows: np.ndarray) -> np.ndarray:
-        if self._strides is None:
-            return rows.view(self._void).ravel()
-        return (rows - self._lo) @ self._strides
 
     def lookup(self, query: np.ndarray) -> np.ndarray:
         query = np.ascontiguousarray(query, dtype=np.int64)
@@ -122,7 +232,7 @@ class _RowIndex:
             raise GroupError(f"row block of shape {query.shape} does not match the enumerated rows")
         if query.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        keys = self._keys(query)
+        keys = self._space.keys(query)
         if self._direct is not None:
             # Out-of-range keys clip to an end slot; the equality check
             # rejects them like any other aliased key.
@@ -154,43 +264,38 @@ def _cheap_order(group: FiniteGroup) -> Optional[int]:
     return None
 
 
-def _row_keys(rows: np.ndarray) -> List[bytes]:
-    """Hashable per-row keys of a contiguous int64 row block."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    stride = rows.shape[1] * rows.dtype.itemsize
-    data = rows.tobytes()
-    return [data[i * stride : (i + 1) * stride] for i in range(rows.shape[0])]
-
-
-def _row_chain(kernel, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
+def _row_chain(kernel, space: _RowKeys, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
     """Rows of the cyclic group ``<g>`` by shift doubling on kernel rows.
 
     Same invariant as :meth:`CayleyBackend._cyclic_power_ids` — ``powers =
     [g^0 .. g^{k-1}]`` with ``pivot = g^k`` — but over raw kernel rows, for
     use before any id assignment exists.  ``O(log ord g)`` kernel calls.
     """
-    if bytes(np.ascontiguousarray(gen_row, dtype=np.int64).tobytes()) == bytes(
-        np.ascontiguousarray(identity_row, dtype=np.int64).tobytes()
-    ):
-        return np.ascontiguousarray(identity_row, dtype=np.int64)[None, :]
-    powers = np.ascontiguousarray(np.stack([identity_row, gen_row]), dtype=np.int64)
-    seen = set(_row_keys(powers))
+    powers, keys = space.checked_keys(np.stack([identity_row, gen_row]))
+    identity_key = keys[0]
+    if keys[1] == identity_key:
+        return powers[:1]
     pivot = kernel.compose_many(gen_row[None, :], gen_row[None, :])[0]
     while True:
-        block = np.ascontiguousarray(
-            kernel.compose_many(powers, np.tile(pivot, (powers.shape[0], 1))),
-            dtype=np.int64,
+        # One kernel call per level: the extra last row squares the pivot.
+        k = powers.shape[0]
+        block, keys = space.checked_keys(
+            kernel.compose_many(np.concatenate([powers, pivot[None, :]]), np.tile(pivot, (k + 1, 1)))
         )
-        keys = _row_keys(block)
-        cut = next((i for i, k in enumerate(keys) if k in seen), None)
-        if cut is not None:
-            return np.concatenate([powers, block[:cut]])
-        seen.update(keys)
-        powers = np.concatenate([powers, block])
-        pivot = kernel.compose_many(pivot[None, :], pivot[None, :])[0]
+        # The first power to repeat an earlier one is g^ord = e.
+        done = keys[:k] == identity_key
+        if done.any():
+            return np.concatenate([powers, block[: int(np.argmax(done))]])
+        powers = np.concatenate([powers, block[:k]])
+        if powers.shape[0] > space.count:
+            # Distinct powers of a group element never outnumber the group.
+            raise GroupError(f"dense kernel of {space.name}: a cyclic chain outgrew the group order")
+        pivot = block[k]
 
 
-def _kernel_enumerate_rows(kernel, identity_row: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
+def _kernel_enumerate_rows(
+    kernel, space: _RowKeys, identity_row: np.ndarray, gen_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate the group generated by ``gen_rows`` entirely in row space.
 
     Dimino-style closure: the first generator's cyclic chain is built by
@@ -200,52 +305,58 @@ def _kernel_enumerate_rows(kernel, identity_row: np.ndarray, gen_rows: np.ndarra
     representatives are probed breadth-first with every generator processed
     so far.  No scalar ``multiply`` is ever called; the output order is
     deterministic (identity first), which fixes the dense id assignment.
+
+    Rows are deduplicated on their ``space`` keys — a bitmap over the key
+    range where it is dense, a set of keys otherwise — keeping each block's
+    first occurrences in block order, so the output is the same row by row
+    as a scan that dedups one row at a time.  Returns ``(rows, keys)``; the
+    keys feed :class:`_RowIndex`.
+    Every kernel-computed block is range-checked against the kernel's
+    radices first (:meth:`_RowKeys.checked_keys`).
     """
-    blocks: List[np.ndarray] = []
-    seen: set = set()
+    row_blocks: List[np.ndarray] = []
+    key_blocks: List[np.ndarray] = []
+    seen = _KeySet(space)
 
     def absorb(rows: np.ndarray) -> None:
-        fresh_idx = []
-        for i, row_key in enumerate(_row_keys(rows)):
-            if row_key not in seen:
-                seen.add(row_key)
-                fresh_idx.append(i)
-        if fresh_idx:
-            blocks.append(np.ascontiguousarray(rows[np.asarray(fresh_idx)], dtype=np.int64))
+        rows, keys = space.checked_keys(rows)
+        fresh = seen.absorb(keys)
+        if fresh.size:
+            row_blocks.append(rows[fresh])
+            key_blocks.append(keys[fresh])
 
     identity_row = np.ascontiguousarray(identity_row, dtype=np.int64)
     absorb(identity_row[None, :])
-    processed: List[np.ndarray] = []
-    for g_idx in range(gen_rows.shape[0]):
-        gen_row = np.ascontiguousarray(gen_rows[g_idx], dtype=np.int64)
-        processed.append(gen_row)
-        if _row_keys(gen_row[None, :])[0] in seen:
+    gen_rows, gen_keys = space.checked_keys(gen_rows)
+    for g_idx, gen_key in enumerate(gen_keys.tolist()):
+        if gen_key in seen:
             continue
-        base = np.concatenate(blocks)
-        pending: List[np.ndarray] = [gen_row]
+        base = np.concatenate(row_blocks)
+        gen_stack = gen_rows[: g_idx + 1]
+        pending = deque([(gen_key, gen_rows[g_idx])])
         while pending:
-            rep = pending.pop(0)
-            if _row_keys(rep[None, :])[0] in seen:
+            rep_key, rep = pending.popleft()
+            if rep_key in seen:
                 continue
             # powers = [e, r, r^2, ...]: the whole stack of cosets
             # K r^j lands in one bulk call, and every power is probed with
             # every processed generator so no coset of the closure is missed.
-            shifts = _row_chain(kernel, identity_row, rep)[1:]
-            coset = kernel.compose_many(
-                np.repeat(base, shifts.shape[0], axis=0),
-                np.tile(shifts, (base.shape[0], 1)),
+            shifts = _row_chain(kernel, space, identity_row, rep)[1:]
+            absorb(
+                kernel.compose_many(
+                    np.repeat(base, shifts.shape[0], axis=0),
+                    np.tile(shifts, (base.shape[0], 1)),
+                )
             )
-            absorb(np.asarray(coset))
-            gen_stack = np.stack(processed)
-            probes = np.asarray(
+            probes, probe_keys = space.checked_keys(
                 kernel.compose_many(
                     np.repeat(shifts, gen_stack.shape[0], axis=0),
                     np.tile(gen_stack, (shifts.shape[0], 1)),
                 )
             )
-            fresh = [i for i, k in enumerate(_row_keys(probes)) if k not in seen]
-            pending.extend(np.ascontiguousarray(probes[i], dtype=np.int64) for i in fresh)
-    return np.concatenate(blocks)
+            fresh = seen.missing(probe_keys)
+            pending.extend(zip(probe_keys[fresh].tolist(), probes[fresh]))
+    return np.concatenate(row_blocks), np.concatenate(key_blocks)
 
 
 class CayleyBackend:
@@ -303,8 +414,11 @@ class CayleyBackend:
                 # scalar element_list() BFS: the enumerated rows *are* the id
                 # space — id ``i`` is row ``i`` (identity first); elements
                 # are decoded only when asked for.
-                rows = _kernel_enumerate_rows(
+                space = _RowKeys(self.kernel.radices, order, group.name)
+                build_span.set(key_path=space.path)
+                rows, keys = _kernel_enumerate_rows(
                     self.kernel,
+                    space,
                     np.asarray(self.kernel.encode_many([group.identity()]))[0],
                     np.asarray(self.kernel.encode_many(group.generators())),
                 )
@@ -314,7 +428,7 @@ class CayleyBackend:
                         f"of {group.name}, expected {order}"
                     )
                 self._kernel_rows = rows
-                self._row_index = _RowIndex(rows)
+                self._row_index = _RowIndex(rows, keys, space)
                 # Every inverse in one bulk kernel pass.
                 self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
             self.identity_id = self.intern(group.identity())

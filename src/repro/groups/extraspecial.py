@@ -37,6 +37,7 @@ class _HeisenbergKernel(DenseKernel):
         self.p = p
         self.n = n
         self.width = 2 * n + 1
+        self.radices = (p,) * self.width
 
     def encode_many(self, elements: Sequence[HeisElement]) -> np.ndarray:
         if not elements:

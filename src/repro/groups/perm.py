@@ -137,6 +137,7 @@ class _PermKernel(DenseKernel):
 
     def __init__(self, degree: int):
         self.width = degree
+        self.radices = (degree,) * degree
 
     def encode_many(self, elements: Sequence[Perm]) -> np.ndarray:
         if not elements:

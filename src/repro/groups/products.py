@@ -45,6 +45,7 @@ class _ConcatKernel(DenseKernel):
             self.offsets.append((start, start + kernel.width))
             start += kernel.width
         self.width = start
+        self.radices = tuple(r for kernel in self.kernels for r in kernel.radices)
 
     def _slices(self, rows: np.ndarray) -> List[np.ndarray]:
         return [rows[:, lo:hi] for lo, hi in self.offsets]

@@ -29,6 +29,9 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import SweepSpec
+from repro.groups.engine import CayleyBackend
+from repro.groups.perm import PermutationGroup, symmetric_group
+from repro.groups.products import dihedral_semidirect
 from repro.obs import metrics as metrics_mod
 from repro.obs import profile as profile_mod
 from repro.obs import trace as trace_mod
@@ -218,6 +221,24 @@ class TestTracer:
         with obs.observed() as tracer:
             assert tracer is None
             assert not metrics_mod.collecting()
+
+    @pytest.mark.parametrize(
+        "build, key_path",
+        [
+            (lambda: dihedral_semidirect(64), "direct"),
+            (lambda: symmetric_group(5), "sorted"),
+            (lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))]), "bytes"),
+        ],
+        ids=["direct", "sorted", "bytes"],
+    )
+    def test_engine_build_span_records_the_key_path(self, tmp_path, build, key_path):
+        path = str(tmp_path / "trace.jsonl")
+        with trace_mod.tracing(path):
+            CayleyBackend(build())
+        (entry,) = [json.loads(line) for line in open(path)]
+        assert entry["name"] == "engine.build"
+        assert entry["attrs"]["mode"] == "kernel"
+        assert entry["attrs"]["key_path"] == key_path
 
 
 class TestProfiled:
