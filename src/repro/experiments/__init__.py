@@ -29,17 +29,14 @@ persistent experiment layer:
     BENCH-vs-journal agreement check;
 ``distributed``
     the queue-backed distributed runner: ``enqueue`` materialises pending
-    runs as claimable tasks on a pluggable queue *transport* — a
-    single-file SQLite WAL database (``BEGIN IMMEDIATE`` transactional
-    claims), or a ``serve``d HTTP coordinator URL (workers need no shared
-    mount) — any number of ``work`` processes claim them with
-    heartbeat-based stale reclamation and corrupt-task quarantine, and
-    ``collect`` merges the per-worker shards into a BENCH byte-identical
-    to a single-process run;
+    runs as claimable tasks in a single-file SQLite WAL database
+    (``BEGIN IMMEDIATE`` transactional claims), any number of ``work``
+    processes on its host claim them with heartbeat-based stale
+    reclamation and corrupt-task quarantine, and ``collect`` merges the
+    per-worker shards into a BENCH byte-identical to a single-process run;
 ``transports``
-    the :class:`Transport` protocol (enqueue/claim/heartbeat/release/
-    reclaim/append/enumerate/status) and its SQLite and HTTP
-    implementations;
+    :class:`SqliteTransport`, the queue database behind ``distributed``
+    (enqueue/claim/heartbeat/release/reclaim/append/enumerate/status);
 ``workloads``
     the declared sweeps (including the migrated ``benchmarks/bench_*``
     workloads) and the per-workload analysis directives (which grid axes
@@ -92,11 +89,7 @@ from repro.experiments.results import (
     resolve_bench,
     write_bench,
 )
-from repro.experiments.transports import (
-    HttpTransport,
-    SqliteTransport,
-    Transport,
-)
+from repro.experiments.transports import SqliteTransport
 from repro.experiments.runner import (
     SweepAborted,
     execute_batch,
@@ -118,14 +111,12 @@ __all__ = [
     "ANALYSES",
     "DEFAULT_SEED",
     "AnalysisDirective",
-    "HttpTransport",
     "LedgerDivergence",
     "QueueBusy",
     "QueueCorrupt",
     "QueueIncomplete",
     "RunSpec",
     "SqliteTransport",
-    "Transport",
     "SamplerSpec",
     "SpecMismatch",
     "SweepAborted",

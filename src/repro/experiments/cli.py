@@ -1,6 +1,6 @@
 """The ``python -m repro.experiments`` command line.
 
-Eleven subcommands make sweeps reproducible (and analysable) from a shell:
+Ten subcommands make sweeps reproducible (and analysable) from a shell:
 
 ``list``
     the declared workloads and registered instance families;
@@ -10,21 +10,14 @@ Eleven subcommands make sweeps reproducible (and analysable) from a shell:
     may error before the sweep aborts, and ``--resume`` continues an
     interrupted sweep from its ``BENCH_<name>.partial.jsonl`` journal;
 ``enqueue NAME``
-    materialise a sweep's pending runs as claimable tasks on a queue — a
-    single ``QUEUE_<name>.sqlite`` WAL database under ``--out`` (the
-    default; ``--queue-db`` names it explicitly) or a running coordinator
-    named by ``--queue-url http://host:port``;
-``serve QUEUE.sqlite``
-    the HTTP queue coordinator: serve a local SQLite queue database to
-    remote workers, so a ``work``/``collect``/``status`` process needs
-    only a URL, not a shared mount.  Plain HTTP with **no
-    authentication** — bind to localhost or a trusted network only;
+    materialise a sweep's pending runs as claimable tasks in a queue — a
+    single ``QUEUE_<name>.sqlite`` WAL database under ``--out``
+    (``--queue-db`` names it explicitly);
 ``work QUEUE``
     claim and execute queue tasks until the queue drains — any number of
-    ``work`` processes sharing the queue (a database file or a coordinator
-    ``http://`` URL) cooperate via leased claims with heartbeat-based
-    stale reclamation; corrupt tasks are quarantined and reported, never
-    crash-looped;
+    ``work`` processes on the host of the queue database cooperate via
+    leased claims with heartbeat-based stale reclamation; corrupt tasks
+    are quarantined and reported, never crash-looped;
 ``collect QUEUE``
     merge the per-worker record shards of a drained queue into a
     ``BENCH_<name>.json`` whose deterministic rows are byte-identical to a
@@ -57,10 +50,6 @@ Examples::
     python -m repro.experiments work .benchmarks/QUEUE_queue-smoke.sqlite
     python -m repro.experiments collect .benchmarks/QUEUE_queue-smoke.sqlite --out .benchmarks
     python -m repro.experiments status .benchmarks/QUEUE_queue-smoke.sqlite
-    python -m repro.experiments serve .benchmarks/QUEUE_queue-smoke.sqlite --port 8765 &
-    python -m repro.experiments enqueue queue-smoke --queue-url http://127.0.0.1:8765
-    python -m repro.experiments work http://127.0.0.1:8765
-    python -m repro.experiments collect http://127.0.0.1:8765 --out .benchmarks
     python -m repro.experiments run smoke --trace .benchmarks/trace.jsonl --out .benchmarks
     python -m repro.experiments trace summarise .benchmarks/trace.jsonl
     python -m repro.experiments report smoke --out .benchmarks
@@ -72,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 from typing import List, Optional
 
@@ -151,8 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_observability_options(run_parser)
 
+    # No abbreviations: `--queue` would otherwise abbreviate `--queue-db`
+    # and quietly turn a retired backend flag into a database path.
     enqueue_parser = sub.add_parser(
-        "enqueue", help="materialise a sweep's pending runs as claimable queue tasks"
+        "enqueue",
+        help="materialise a sweep's pending runs as claimable queue tasks",
+        allow_abbrev=False,
     )
     enqueue_parser.add_argument("name", help="a workload name from `list`")
     enqueue_parser.add_argument(
@@ -164,49 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="explicit queue database path (overrides --out)",
     )
-    enqueue_parser.add_argument(
-        "--queue-url",
-        default=None,
-        metavar="URL",
-        help="a running coordinator's http://host:port (see `serve`; overrides --out)",
-    )
     enqueue_parser.add_argument("--seed", type=int, default=None, help="override the sweep master seed")
     enqueue_parser.add_argument(
         "--repeats", type=int, default=None, help="override the repeats per grid point"
     )
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help="HTTP queue coordinator: serve a local SQLite queue database to "
-        "remote workers (no auth — trusted networks only)",
-    )
-    serve_parser.add_argument(
-        "queue",
-        help="the QUEUE_<name>.sqlite database to serve (created by a remote "
-        "`enqueue --queue-url` if it does not exist yet)",
-    )
-    serve_parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; the coordinator speaks plain "
-        "HTTP with no authentication — expose it to trusted networks only)",
-    )
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help=f"port to bind (default {distributed.DEFAULT_HTTP_PORT}; 0 picks an "
-        f"ephemeral port, printed on startup)",
-    )
-
     work_parser = sub.add_parser(
         "work", help="claim and execute queue tasks until the queue drains"
     )
-    work_parser.add_argument(
-        "queue",
-        help="the shared queue: a QUEUE_<name>.sqlite database or a coordinator "
-        "http://host:port URL",
-    )
+    work_parser.add_argument("queue", help="the shared queue: a QUEUE_<name>.sqlite database")
     work_parser.add_argument(
         "--worker-id", default=None, help="stable worker id (default: host-pid-random)"
     )
@@ -237,11 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     collect_parser = sub.add_parser(
         "collect", help="merge a drained queue's record shards into BENCH_<name>.json"
     )
-    collect_parser.add_argument(
-        "queue",
-        help="the queue: a QUEUE_<name>.sqlite database or a coordinator "
-        "http://host:port URL",
-    )
+    collect_parser.add_argument("queue", help="the queue: a QUEUE_<name>.sqlite database")
     collect_parser.add_argument("--out", default=".", help="output directory for the BENCH file")
     collect_parser.add_argument(
         "--force",
@@ -254,11 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "status",
         help="pending/lease/shard counts, per-worker progress and heartbeat ages of a queue",
     )
-    status_parser.add_argument(
-        "queue",
-        help="the queue: a QUEUE_<name>.sqlite database or a coordinator "
-        "http://host:port URL",
-    )
+    status_parser.add_argument("queue", help="the queue: a QUEUE_<name>.sqlite database")
     status_parser.add_argument(
         "--stale-after",
         type=_stale_after_seconds,
@@ -504,14 +454,7 @@ def _command_enqueue(args) -> int:
     except (KeyError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 1
-    if args.queue_url is not None and not args.queue_url.startswith(("http://", "https://")):
-        print(
-            f"--queue-url takes a coordinator URL (http://host:port), not {args.queue_url!r}; "
-            f"name a local queue database with --queue-db",
-            file=sys.stderr,
-        )
-        return 1
-    queue = args.queue_url or args.queue_db or distributed.queue_db_path(args.out, spec.name)
+    queue = args.queue_db or distributed.queue_db_path(args.out, spec.name)
     try:
         counts = distributed.enqueue_sweep(spec, queue)
     except (distributed.QueueCorrupt, ValueError) as error:
@@ -571,43 +514,6 @@ def _command_work(args) -> int:
     if _report_corrupt_tasks(args.queue):
         return 1
     return 0
-
-
-def _command_serve(args) -> int:
-    """Run the HTTP queue coordinator until interrupted.
-
-    Wraps a local SQLite queue database in a threading HTTP server so
-    remote ``work``/``collect``/``status`` processes need only the printed
-    URL.  Plain HTTP, no authentication — trusted networks only.
-    """
-    port = distributed.DEFAULT_HTTP_PORT if args.port is None else args.port
-    try:
-        server = distributed.make_server(args.queue, args.host, port)
-    except (distributed.QueueCorrupt, ValueError, OSError) as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    host, bound_port = server.server_address[:2]
-    print(
-        f"serving queue {args.queue} at http://{host}:{bound_port} "
-        f"(no auth — trusted networks only; Ctrl-C to stop)",
-        flush=True,
-    )
-    # SIGTERM (systemd stop, docker stop, CI cleanup `kill`) gets the same
-    # clean shutdown as Ctrl-C: close the listener, sever keep-alive
-    # sessions, and close the SQLite connection so its WAL sidecars merge.
-    previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-    return 0
-
-
-def _raise_keyboard_interrupt(signum, frame):
-    raise KeyboardInterrupt
 
 
 def _command_status(args) -> int:
@@ -808,8 +714,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_run(args)
     if args.command == "enqueue":
         return _command_enqueue(args)
-    if args.command == "serve":
-        return _command_serve(args)
     if args.command == "work":
         return _command_work(args)
     if args.command == "collect":

@@ -1,27 +1,19 @@
 """The queue-backed distributed runner (``enqueue`` / ``work`` / ``collect``).
 
 The PR 3 journal made run state externally visible; this module makes it the
-*shared ledger* of a work queue, so any number of worker processes — on one
-machine or on many — can execute one sweep cooperatively and the merged
-result is testable to byte-identity against a single-process ``run``.
+*shared ledger* of a work queue, so any number of worker processes can
+execute one sweep cooperatively and the merged result is testable to
+byte-identity against a single-process ``run``.
 
-The coordination backend is pluggable (:mod:`repro.experiments.transports`):
-tasks, leases and shard records are JSON round-trippable, so the lifecycle
-here is written against the eight-operation
-:class:`~repro.experiments.transports.base.Transport` protocol — enqueue,
-claim, heartbeat, release, reclaim, shard append, shard enumerate, status —
-and two backends ship:
+The coordination backend is one SQLite database per sweep
+(:class:`~repro.experiments.transports.sqlite.SqliteTransport`,
+``QUEUE_<name>.sqlite``): WAL mode, ``BEGIN IMMEDIATE`` claim transactions
+over a pending/running/done status table, heartbeats as row-timestamp
+updates, and shards as a records table keyed by worker id.  Tasks and
+shard records are JSON round-trippable, and the workers run on the host
+that holds the database.
 
-* the **sqlite** transport (``QUEUE_<name>.sqlite``, WAL mode, ``BEGIN
-  IMMEDIATE`` claim transactions over a pending/running/done status table,
-  heartbeats as row-timestamp updates, shards as a records table keyed by
-  worker id), the default, for queues on one host;
-* the **http** transport (``http://coordinator:8765``), the client half of
-  ``python -m repro.experiments serve QUEUE.sqlite`` — the same operations
-  as JSON POSTs against a coordinator wrapping a SQLite queue, so workers
-  need only a URL, not a shared mount (no auth; trusted networks only).
-
-The lease protocol, for either backend:
+The lease protocol:
 
 * **claim** — exactly one contender wins each task; the losers move on.  A
   task whose payload will not parse is *quarantined* at claim time (never
@@ -41,8 +33,8 @@ The lease protocol, for either backend:
 * **complete** — the worker appends the record to *its own* shard (no two
   workers ever write the same shard) and releases the lease.
 
-``collect`` merges every shard through the validated record streams
-(:meth:`~repro.experiments.transports.base.Transport.record_streams`, then
+``collect`` merges every shard through the record streams
+(:meth:`~repro.experiments.transports.sqlite.SqliteTransport.record_streams`, then
 :func:`~repro.experiments.results.merge_record_streams`), refuses an
 incomplete queue loudly, refuses quarantined-corrupt tasks loudly, refuses
 (without ``force``) a queue whose expansion is covered while a live lease is
@@ -76,23 +68,18 @@ from repro.experiments.transports import (
     QUEUE_VERSION,
     Claim,
     CorruptTask,
-    HttpTransport,
     QueueBusy,
     QueueCorrupt,
     QueueIncomplete,
-    Transport,
-    make_server,
+    SqliteTransport,
     queue_db_path,
     resolve_transport,
 )
-from repro.experiments.transports.http import DEFAULT_PORT as DEFAULT_HTTP_PORT
 
 __all__ = [
-    "DEFAULT_HTTP_PORT",
     "QUEUE_VERSION",
     "Claim",
     "CorruptTask",
-    "HttpTransport",
     "QueueBusy",
     "QueueCorrupt",
     "QueueIncomplete",
@@ -103,7 +90,6 @@ __all__ = [
     "enqueue_sweep",
     "lease_report",
     "load_queue_spec",
-    "make_server",
     "queue_db_path",
     "queue_progress",
     "queue_status",
@@ -119,7 +105,7 @@ HEARTBEAT_CAP_SECONDS = 5.0
 
 _WORKER_ID_BAD = re.compile(r"[^A-Za-z0-9_.-]")
 
-QueueLike = Union[str, Transport]
+QueueLike = Union[str, SqliteTransport]
 
 
 def default_worker_id() -> str:
@@ -162,20 +148,20 @@ def validate_lease_timings(
 
 
 @contextmanager
-def _opened(queue: QueueLike) -> Iterator[Transport]:
+def _opened(queue: QueueLike) -> Iterator[SqliteTransport]:
     """Resolve ``queue`` to a transport, closing it afterwards if owned.
 
-    Every lifecycle helper routes through this so no path leaks backend
-    resources — a SQLite connection left open keeps the WAL
-    ``-wal``/``-shm`` sidecar files alive, an HTTP session keeps a socket.
-    A caller-supplied :class:`Transport` instance is *not* closed: its
-    owner manages that lifecycle.
+    Every lifecycle helper routes through this so no path leaks the
+    connection — a SQLite connection left open keeps the WAL
+    ``-wal``/``-shm`` sidecar files alive.  A caller-supplied
+    :class:`SqliteTransport` instance is *not* closed: its owner manages
+    that lifecycle.
     """
     transport = resolve_transport(queue)
     try:
         yield transport
     finally:
-        if not isinstance(queue, Transport):
+        if not isinstance(queue, SqliteTransport):
             transport.close()
 
 
@@ -212,7 +198,7 @@ def queue_progress(queue: QueueLike) -> Dict[str, object]:
     """
     with _opened(queue) as transport:
         spec = transport.load_spec()
-        streams = transport.record_streams(spec)
+        streams = transport.record_streams()
     expected = {(run.index, run.seed) for run in spec.expand()}
     merged = merge_record_streams(records for _, records in streams)
     workers = [
@@ -287,7 +273,7 @@ def enqueue_sweep(spec: SweepSpec, queue: QueueLike) -> Dict[str, int]:
             done = {
                 key: record
                 for key, record in merge_record_streams(
-                    records for _, records in transport.record_streams(spec)
+                    records for _, records in transport.record_streams()
                 ).items()
                 if record.status != "error"
             }
@@ -303,7 +289,7 @@ class _Heartbeat:
     executes; stops quietly when the lease was reclaimed from under us
     (collect dedups the re-execution)."""
 
-    def __init__(self, transport: Transport, claim: Claim, interval: float):
+    def __init__(self, transport: SqliteTransport, claim: Claim, interval: float):
         self._transport = transport
         self._claim = claim
         self._interval = max(float(interval), 0.01)
@@ -365,7 +351,7 @@ def work_queue(
 
 
 def _work_loop(
-    transport: Transport,
+    transport: SqliteTransport,
     stale_after: float,
     poll: float,
     heartbeat: Optional[float],
@@ -376,7 +362,6 @@ def _work_loop(
 ) -> Dict[str, int]:
     spec = transport.load_spec()
     worker = _sanitize_worker_id(worker_id) if worker_id else default_worker_id()
-    transport.prepare_shard(spec, worker)
     interval = heartbeat if heartbeat is not None else default_heartbeat(stale_after)
     executed = errors = reclaimed = corrupt = 0
     with obs.observed(trace_path=trace, profile_dir=profile_dir, worker=worker):
@@ -403,7 +388,7 @@ def _work_loop(
                 with obs.span("task", task=claim.task_id):
                     with _Heartbeat(transport, claim, interval):
                         record = execute_run_safe(claim.run)
-                transport.append_record(spec, worker, record)
+                transport.append_record(worker, record)
                 transport.release(claim)
                 executed += 1
                 obs.count("worker.executed")
@@ -456,7 +441,7 @@ def collect_queue(
                 f"task(s) ({shown}{suffix}); re-enqueue the sweep to reissue them"
             )
         merged = merge_record_streams(
-            records for _, records in transport.record_streams(spec)
+            records for _, records in transport.record_streams()
         )
         expected = {(run.index, run.seed) for run in spec.expand()}
         unexpected = sorted(set(merged) - expected)

@@ -1,12 +1,10 @@
-"""The queue-backed distributed runner (PR 5) and its transports (PR 6/10).
+"""The queue-backed distributed runner (PR 5) and its SQLite transport.
 
-The contract under test, for BOTH queue transports (the single-file SQLite
-WAL database — at its default ``.sqlite`` path and at an extensionless
-one — and the HTTP coordinator serving a SQLite queue to workers that have
-only a URL):
+The contract under test, for the single-file SQLite WAL queue both at its
+default ``.sqlite`` path and at an extensionless one:
 
 * a ``RunSpec`` round-trips exactly through its JSON task form — the
-  descriptor *is* the unit of work a remote worker executes;
+  descriptor *is* the unit of work a worker executes;
 * ``enqueue`` materialises the pending runs as claimable tasks; ``work``
   processes claim them exactly-once under contention, heartbeat their
   leases, reclaim stale leases of dead workers, and append to per-worker
@@ -25,19 +23,14 @@ only a URL):
   loudly, naming the divergent ``(index, seed)`` pairs.
 """
 
-import http.client
 import itertools
 import json
 import os
-import re
 import signal
 import sqlite3
 import subprocess
 import sys
-import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -84,23 +77,17 @@ from repro.experiments.specs import RunSpec, SamplerSpec
 from repro.experiments.transports import (
     Claim,
     CorruptTask,
-    HttpTransport,
     SqliteTransport,
-    make_server,
     resolve_transport,
-)
-from repro.experiments.transports.http import (
-    HTTP_PROTOCOL_VERSION,
-    MAX_REQUEST_BYTES,
 )
 
 SEED = 20010202
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 # "sqlite-bare" is a SQLite queue at an extensionless path — QUEUE_<name>,
-# the location a retired directory queue used to occupy.  Routing is
-# URL-or-not, never by extension, so every behaviour must hold there too.
-TRANSPORTS = ["sqlite", "sqlite-bare", "http"]
+# the location a retired directory queue used to occupy.  Routing never
+# looks at the extension, so every behaviour must hold there too.
+TRANSPORTS = ["sqlite", "sqlite-bare"]
 
 
 def tiny_spec(name="queued", **kwargs):
@@ -117,52 +104,9 @@ def faulty_spec(name="queued-faulty", **kwargs):
     )
 
 
-# HTTP queues are a coordinator process in front of a SQLite database; in
-# tests the coordinator runs on a daemon thread in this process.  The
-# registries let `make_queue` hand back a plain URL (what workers see) while
-# the fault-injection helpers reach through to the backing database, and the
-# autouse fixture below guarantees every coordinator dies with its test.
-_LIVE_SERVERS = []
-_HTTP_BACKING = {}
-
-
-def start_http_queue(db_path, port=0):
-    """Serve ``db_path`` over HTTP on a daemon thread; return the queue URL."""
-    server = make_server(db_path, "127.0.0.1", port)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, bound_port = server.server_address[:2]
-    url = f"http://{host}:{bound_port}"
-    _LIVE_SERVERS.append(server)
-    _HTTP_BACKING[url] = db_path
-    return url
-
-
-def stop_http_server(server):
-    server.shutdown()
-    server.server_close()
-    if server in _LIVE_SERVERS:
-        _LIVE_SERVERS.remove(server)
-
-
-@pytest.fixture(autouse=True)
-def _reap_http_servers():
-    yield
-    while _LIVE_SERVERS:
-        stop_http_server(_LIVE_SERVERS[-1])
-    _HTTP_BACKING.clear()
-
-
-def backing_db(queue):
-    """The SQLite file behind ``queue`` — the queue itself unless it is a
-    coordinator URL started by :func:`start_http_queue`."""
-    return _HTTP_BACKING.get(queue, queue)
-
-
 def make_queue(tmp_path, kind, spec):
-    """The queue location of ``spec`` for a transport kind under ``tmp_path``."""
+    """The queue location of ``spec`` for a queue leg under ``tmp_path``."""
     db = queue_db_path(str(tmp_path), spec.name)
-    if kind == "http":
-        return start_http_queue(db)
     if kind == "sqlite-bare":
         return os.path.splitext(db)[0]
     return db
@@ -170,13 +114,9 @@ def make_queue(tmp_path, kind, spec):
 
 def cli_queue_args(tmp_path, kind, name="queue-smoke"):
     """(queue location, enqueue argv) for a CLI lifecycle test of ``kind``:
-    HTTP queues are addressed by coordinator URL (``--queue-url``), bare
-    SQLite queues by an explicit ``--queue-db`` path, SQLite queues by
+    bare SQLite queues by an explicit ``--queue-db`` path, SQLite queues by
     their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
     out = str(tmp_path)
-    if kind == "http":
-        url = start_http_queue(queue_db_path(out, name))
-        return url, ["enqueue", name, "--queue-url", url]
     if kind == "sqlite-bare":
         path = os.path.join(out, f"QUEUE_{name}")
         return path, ["enqueue", name, "--queue-db", path]
@@ -186,7 +126,7 @@ def cli_queue_args(tmp_path, kind, name="queue-smoke"):
 def force_stale(queue, age=900.0):
     """Backdate every live lease's liveness stamp by ``age`` seconds — the
     holder 'died' that long ago and its heartbeat froze."""
-    resolve_transport(backing_db(queue))._connect().execute(
+    resolve_transport(queue)._connect().execute(
         "UPDATE tasks SET heartbeat_at = heartbeat_at - ? WHERE status = 'running'",
         (age,),
     )
@@ -195,7 +135,7 @@ def force_stale(queue, age=900.0):
 def plant_corrupt_task(queue):
     """Corrupt the lowest-indexed pending task's payload (torn mid-write /
     hand-edited)."""
-    resolve_transport(backing_db(queue))._connect().execute(
+    resolve_transport(queue)._connect().execute(
         "UPDATE tasks SET run_json = '{\"torn' "
         "WHERE idx = (SELECT MIN(idx) FROM tasks WHERE status = 'pending')"
     )
@@ -236,11 +176,13 @@ class TestSpecSerialization:
 
 
 class TestTransportResolution:
-    def test_urls_resolve_to_http_and_paths_to_sqlite(self, tmp_path):
-        # construction is lazy: no coordinator needs to be listening and no
-        # database needs to exist just to resolve the kind
-        assert isinstance(resolve_transport("http://127.0.0.1:1"), HttpTransport)
-        assert isinstance(resolve_transport("https://example.org/queue"), HttpTransport)
+    def test_urls_are_refused_and_paths_resolve_to_sqlite(self, tmp_path):
+        # a URL names the retired HTTP coordinator; it must never become a
+        # SQLite path (an `http:/` directory holding a `127.0.0.1:1` file).
+        # Paths resolve lazily: no database needs to exist to resolve one
+        for url in ("http://127.0.0.1:1", "https://example.org/queue"):
+            with pytest.raises(QueueCorrupt, match="retired HTTP coordinator"):
+                resolve_transport(url)
         assert isinstance(resolve_transport(str(tmp_path / "q.sqlite")), SqliteTransport)
         assert isinstance(resolve_transport(str(tmp_path / "QUEUE_q")), SqliteTransport)
 
@@ -267,10 +209,6 @@ class TestTransportResolution:
     def test_transport_instances_pass_through(self, tmp_path):
         transport = SqliteTransport(str(tmp_path / "q.sqlite"))
         assert resolve_transport(transport) is transport
-
-    def test_http_transport_rejects_a_non_url(self, tmp_path):
-        with pytest.raises(ValueError, match="http"):
-            HttpTransport(str(tmp_path / "q.sqlite"))
 
 
 class TestEnqueue:
@@ -581,7 +519,7 @@ class TestWorkAndCollect:
         # The noise-channel determinism drill: corrupted answers derive from
         # the per-run seed, never from which worker executes the run, so a
         # noisy 2-worker work/collect is byte-identical to the
-        # single-process `run` on both transports.
+        # single-process `run` on both queue legs.
         spec = SweepSpec.from_grid(
             "queued-noisy",
             "dihedral_rotation",
@@ -633,7 +571,7 @@ class TestWorkAndCollect:
             sweep=spec.name, index=99, family="dihedral_rotation", params={"n": 8},
             repeat=0, seed=1, strategy="auto", success=True, generators=[], query_report={},
         )
-        resolve_transport(queue).append_record(spec, "w0", rogue)
+        resolve_transport(queue).append_record("w0", rogue)
         with pytest.raises(QueueCorrupt, match="outside the pinned sweep expansion"):
             collect_queue(queue, str(tmp_path))
 
@@ -645,7 +583,7 @@ class TestWorkAndCollect:
         queue = make_queue(tmp_path, kind, spec)
         enqueue_sweep(spec, queue)
         work_queue(queue, worker_id="w0")
-        resolve_transport(backing_db(queue))._connect().execute(
+        resolve_transport(queue)._connect().execute(
             "DELETE FROM records WHERE seq = (SELECT MAX(seq) FROM records)"
         )
         assert queue_status(queue)["tasks"] == 0
@@ -661,16 +599,15 @@ class TestWorkAndCollect:
         # by a second worker, with one legitimate error row flipped to ok —
         # the merge must prefer the ok record wherever one exists
         transport = resolve_transport(queue)
-        streams = dict(transport.record_streams(spec))
+        streams = dict(transport.record_streams())
         (records,) = streams.values()
         import dataclasses
 
-        transport.prepare_shard(spec, "w1")
         for key, record in sorted(records.items()):
             if record.status == "error":
                 record = dataclasses.replace(record, status="ok", error=None, success=True)
-            transport.append_record(spec, "w1", record)
-        streams = [recs for _, recs in transport.record_streams(spec)]
+            transport.append_record("w1", record)
+        streams = [recs for _, recs in transport.record_streams()]
         merged = merge_record_streams(streams)
         assert len(merged) == 4
         assert all(record.status == "ok" for record in merged.values())
@@ -690,8 +627,8 @@ class TestSqliteSpecifics:
         assert mode == "wal"
 
     def test_record_rows_store_journal_identical_lines(self, tmp_path):
-        # the byte-identity contract rests on both transports serializing
-        # records to the exact same sorted-key JSON form
+        # the byte-identity contract rests on queue records and journal
+        # lines serializing to the exact same sorted-key JSON form
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
         enqueue_sweep(spec, queue)
@@ -747,7 +684,7 @@ class TestKillAWorker:
         )
 
     def _live_leases(self, queue):
-        rows = resolve_transport(backing_db(queue))._connect().execute(
+        rows = resolve_transport(queue)._connect().execute(
             "SELECT worker FROM tasks WHERE status = 'running'"
         ).fetchall()
         return [worker for (worker,) in rows]
@@ -882,7 +819,7 @@ class TestQueueCLI:
         assert cli_main(["work", str(tmp_path / "no-such.sqlite")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["work", "collect", "status", "serve"])
+    @pytest.mark.parametrize("command", ["work", "collect", "status"])
     def test_a_retired_directory_queue_exits_nonzero(self, tmp_path, command, capsys):
         legacy = tmp_path / "QUEUE_queue-smoke"
         (legacy / "tasks").mkdir(parents=True)
@@ -896,7 +833,10 @@ class TestQueueCLI:
         assert spec.repeats == 1 and spec.seed == 5
         assert queue_status(queue)["tasks"] == 3
 
-    @pytest.mark.parametrize("flag", [["--transport", "sqlite"], ["--queue", "q"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--transport", "sqlite"], ["--queue", "q"], ["--queue-url", "http://127.0.0.1:1"]],
+    )
     def test_enqueue_retired_backend_flags_are_rejected(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit):
             cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)] + flag)
@@ -910,13 +850,25 @@ class TestQueueCLI:
         assert "retired directory queue" in capsys.readouterr().err
         assert os.listdir(str(legacy)) == ["tasks"]
 
-    def test_enqueue_queue_url_must_be_a_coordinator_url(self, tmp_path, capsys):
-        # a local path passed as --queue-url must not silently become a
-        # SQLite file: the flag names a coordinator, --queue-db a database
-        path = str(tmp_path / "QUEUE_queue-smoke.sqlite")
-        assert cli_main(["enqueue", "queue-smoke", "--queue-url", path]) == 1
-        assert "--queue-db" in capsys.readouterr().err
-        assert not os.path.exists(path)
+    @pytest.mark.parametrize(
+        "argv",
+        [["enqueue", "queue-smoke", "--queue-db"], ["work"], ["collect"], ["status"]],
+        ids=["enqueue", "work", "collect", "status"],
+    )
+    def test_a_retired_coordinator_url_exits_nonzero(self, tmp_path, argv, capsys, monkeypatch):
+        # a URL is refused by name, never opened as a SQLite path relative
+        # to the working directory
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv + ["http://127.0.0.1:8765"]) == 1
+        assert "retired HTTP coordinator" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_the_retired_serve_command_exits_nonzero(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve", queue_db_path(str(tmp_path), "queue-smoke")])
+        assert excinfo.value.code != 0
+        assert "invalid choice" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
 
     def test_enqueue_writes_a_sqlite_queue_under_out_by_default(self, tmp_path):
         assert cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)]) == 0
@@ -931,7 +883,7 @@ class TestStatusObservability:
     the traced-drain byte-identity acceptance check."""
 
     def test_status_parity_across_all_task_states(self, tmp_path):
-        # every transport must report identical counts at every lifecycle
+        # every queue leg must report identical counts at every lifecycle
         # stage: pending, quarantined, running, and done-with-shard
         spec = tiny_spec()
         histories = {}
@@ -950,12 +902,11 @@ class TestStatusObservability:
             assert isinstance(claim, Claim)
             history.append(transport.status())                # one running
             record = execute_run_safe(claim.run)
-            transport.prepare_shard(spec, "w0")
-            transport.append_record(spec, "w0", record)
+            transport.append_record("w0", record)
             transport.release(claim)
             history.append(transport.status())                # done + shard
             histories[kind] = history
-        assert histories["sqlite"] == histories["sqlite-bare"] == histories["http"]
+        assert histories["sqlite"] == histories["sqlite-bare"]
         assert histories["sqlite"] == [
             {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0},
             {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 1},
@@ -1177,9 +1128,47 @@ class TestSqliteErrorTranslation:
         with pytest.raises(QueueCorrupt, match="refused the release"):
             transport.release(claim)
 
+    def test_a_refused_begin_translates_without_a_rollback(self, tmp_path):
+        # BEGIN IMMEDIATE itself can fail (the write lock is held past the
+        # busy timeout); no transaction began, so there is nothing to roll
+        # back and the lock error must surface as QueueCorrupt
+        spec = tiny_spec()
+        queue = queue_db_path(str(tmp_path), spec.name)
+        enqueue_sweep(spec, queue)
+        transport = SqliteTransport(queue)
+        transport._connect().execute("PRAGMA busy_timeout=0")
+        blocker = sqlite3.connect(queue, isolation_level=None)
+        blocker.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(QueueCorrupt, match="refused the claim: database is locked"):
+                transport.claim_next("w0")
+        finally:
+            blocker.execute("ROLLBACK")
+            blocker.close()
+        assert isinstance(transport.claim_next("w0"), Claim)
+        transport.close()
+
+    def test_a_foreign_schema_is_refused_naming_the_schema_error(self, tmp_path):
+        # a valid SQLite file whose `tasks` table has another shape: the
+        # schema error surfaces as QueueCorrupt, never as a raw sqlite3
+        # error, and the schema is created inside the transaction, so no
+        # table is added to the file
+        path = str(tmp_path / "foreign.sqlite")
+        con = sqlite3.connect(path)
+        con.execute("CREATE TABLE tasks (idx INTEGER PRIMARY KEY, payload TEXT)")
+        con.commit()
+        con.close()
+        with pytest.raises(QueueCorrupt, match="could not be initialised: no such column: status"):
+            enqueue_sweep(tiny_spec(), path)
+        con = sqlite3.connect(path)
+        try:
+            assert con.execute("SELECT name FROM sqlite_master").fetchall() == [("tasks",)]
+        finally:
+            con.close()
+
 
 class TestTransportClose:
-    """Transport.close() plumbing: helpers close what they open, so a
+    """SqliteTransport.close() plumbing: helpers close what they open, so a
     drained SQLite queue leaves no WAL sidecar files behind, and transports
     owned by the caller are never closed out from under them."""
 
@@ -1220,260 +1209,3 @@ class TestTransportClose:
         transport.close()
         assert transport._con is None
         transport.close()  # idempotent
-
-    def test_http_close_is_idempotent_and_reconnects(self, tmp_path):
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-        transport = HttpTransport(url)
-        assert transport.status()["tasks"] == 4
-        transport.close()
-        assert transport._conn is None
-        transport.close()  # idempotent
-        assert transport.status()["tasks"] == 4  # a closed client reconnects lazily
-        transport.close()
-
-
-class TestHttpSpecifics:
-    """The HTTP coordinator: restart resilience, request hygiene, and the
-    version-checked handshake."""
-
-    def _start(self, db, port=0):
-        server = make_server(db, "127.0.0.1", port)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        _LIVE_SERVERS.append(server)
-        return server
-
-    @staticmethod
-    def _url(server):
-        host, port = server.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def test_make_server_refuses_urls_and_directory_queues(self, tmp_path):
-        with pytest.raises(ValueError, match="not a URL"):
-            make_server("http://127.0.0.1:8765")
-        with pytest.raises(ValueError, match="directory queue"):
-            make_server(str(tmp_path))
-
-    def test_client_retries_through_a_coordinator_restart(self, tmp_path):
-        spec = tiny_spec()
-        db = queue_db_path(str(tmp_path), spec.name)
-        server = self._start(db)
-        port = server.server_address[1]
-        url = self._url(server)
-        enqueue_sweep(spec, url)
-        transport = HttpTransport(url, backoff=0.05)
-        assert transport.status()["tasks"] == 4
-        stop_http_server(server)
-
-        def relaunch():
-            time.sleep(0.4)
-            self._start(db, port=port)
-
-        threading.Thread(target=relaunch, daemon=True).start()
-        # issued while the coordinator is down: the client must stall in its
-        # backoff loop, reconnect to the relaunched process, and succeed
-        assert transport.status()["tasks"] == 4
-        transport.close()
-
-    def test_exhausted_retries_surface_as_queue_corrupt(self, tmp_path):
-        spec = tiny_spec()
-        db = queue_db_path(str(tmp_path), spec.name)
-        server = self._start(db)
-        url = self._url(server)
-        enqueue_sweep(spec, url)
-        transport = HttpTransport(url, retries=2, backoff=0.01)
-        assert transport.status()["tasks"] == 4
-        stop_http_server(server)
-        with pytest.raises(QueueCorrupt, match="unreachable after 3 attempt"):
-            transport.status()
-
-    def test_coordinator_restart_mid_sweep_loses_nothing(self, tmp_path):
-        # the acceptance drill: a worker mid-drain survives its coordinator
-        # being killed and relaunched on the same port, and the collected
-        # rows stay byte-identical to a single-process run
-        spec = SweepSpec.from_grid(
-            "restart-drill",
-            "diagnostic_fault",
-            {"n": [8], "delay": [0.3]},
-            repeats=4,
-            seed=SEED,
-        )
-        db = queue_db_path(str(tmp_path), spec.name)
-        server = self._start(db)
-        port = server.server_address[1]
-        url = self._url(server)
-        enqueue_sweep(spec, url)
-        outcome = {}
-
-        def drain():
-            outcome["stats"] = work_queue(
-                url, worker_id="w0", stale_after=60.0, poll=0.1
-            )
-
-        worker = threading.Thread(target=drain)
-        worker.start()
-        time.sleep(0.45)  # inside a task's 0.3 s execution window
-        stop_http_server(server)
-        time.sleep(0.2)
-        self._start(db, port=port)
-        worker.join(timeout=120)
-        assert not worker.is_alive(), "worker never finished after the restart"
-        assert outcome["stats"]["executed"] == 4
-        assert outcome["stats"]["errors"] == 0
-        _, payload = collect_queue(url, str(tmp_path))
-        _, baseline = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(payload) == rows_bytes(baseline)
-
-    def test_malformed_requests_are_rejected_and_the_server_survives(self, tmp_path):
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-
-        def post(path, body, headers=None):
-            request = urllib.request.Request(
-                f"{url}{path}", data=body, method="POST", headers=headers or {}
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            return excinfo.value.code, json.loads(excinfo.value.read())
-
-        code, payload = post("/api/status", b"{not json")
-        assert code == 400 and "malformed request body" in payload["error"]["message"]
-        code, payload = post("/api/no-such-op", b"{}")
-        assert code == 404
-        code, payload = post("/api/heartbeat", b"{}")  # structurally wrong payload
-        assert code == 400 and "malformed request payload" in payload["error"]["message"]
-        code, payload = post("/elsewhere", b"{}")
-        assert code == 404
-        code, payload = post("/api/status", b"{}", {"X-Queue-Protocol": "999"})
-        assert code == 400 and "protocol" in payload["error"]["message"]
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{url}/api/status")  # GET
-        assert excinfo.value.code == 405
-        # after all of that abuse the coordinator still serves real clients
-        assert queue_status(url)["tasks"] == 4
-
-    def test_oversized_request_is_rejected_unread(self, tmp_path):
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-        host, _, port = url[len("http://"):].partition(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=30)
-        try:
-            # declare a body over the cap but never send it: the refusal must
-            # arrive without the server waiting to drain the payload
-            connection.putrequest("POST", "/api/status")
-            connection.putheader("Content-Length", str(MAX_REQUEST_BYTES + 1))
-            connection.endheaders()
-            response = connection.getresponse()
-            assert response.status == 413
-            assert "cap" in json.loads(response.read())["error"]["message"]
-        finally:
-            connection.close()
-        assert queue_status(url)["tasks"] == 4
-
-    def test_protocol_version_mismatch_refuses_the_handshake(self, tmp_path, monkeypatch):
-        import repro.experiments.transports.http as http_mod
-
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-        monkeypatch.setitem(
-            http_mod._OPERATIONS,
-            "handshake",
-            lambda transport, payload: {
-                "protocol": HTTP_PROTOCOL_VERSION + 1,
-                "queue_version": 1,
-                "backend": transport.kind,
-            },
-        )
-        client = HttpTransport(url)
-        with pytest.raises(QueueCorrupt, match="wire protocol"):
-            client.status()
-
-    def test_queue_layout_version_mismatch_refuses_the_handshake(self, tmp_path, monkeypatch):
-        import repro.experiments.transports.http as http_mod
-
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-        monkeypatch.setitem(
-            http_mod._OPERATIONS,
-            "handshake",
-            lambda transport, payload: {
-                "protocol": HTTP_PROTOCOL_VERSION,
-                "queue_version": 999,
-                "backend": transport.kind,
-            },
-        )
-        client = HttpTransport(url)
-        with pytest.raises(QueueCorrupt, match="layout version"):
-            client.status()
-
-    def test_handshake_happens_once_per_session(self, tmp_path):
-        spec = tiny_spec()
-        url = start_http_queue(queue_db_path(str(tmp_path), spec.name))
-        enqueue_sweep(spec, url)
-        client = HttpTransport(url)
-        calls = []
-        original = client._rpc
-
-        def counting_rpc(operation, payload=None):
-            calls.append(operation)
-            return original(operation, payload)
-
-        client._rpc = counting_rpc
-        client.status()
-        client.status()
-        client.close()
-        assert calls.count("handshake") == 1
-        assert calls.count("status") == 2
-
-
-class TestServeCLI:
-    def test_serve_refuses_urls_and_directories(self, tmp_path, capsys):
-        assert cli_main(["serve", "http://127.0.0.1:1"]) == 1
-        assert "not a URL" in capsys.readouterr().err
-        assert cli_main(["serve", str(tmp_path)]) == 1
-        assert "directory queue" in capsys.readouterr().err
-
-    def test_serve_lifecycle_end_to_end(self, tmp_path):
-        # the full deployment shape: a `serve` subprocess fronts the queue,
-        # CLI enqueue/work/collect speak only its URL, and the collected
-        # BENCH is byte-identical to a single-process run
-        db = queue_db_path(str(tmp_path), "queue-smoke")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        coordinator = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments", "serve", db, "--port", "0"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = coordinator.stdout.readline()
-            match = re.search(r"http://[0-9.]+:[0-9]+", banner)
-            assert match, f"no coordinator URL in banner: {banner!r}"
-            url = match.group(0)
-            assert "no auth" in banner
-            assert cli_main(["enqueue", "queue-smoke", "--queue-url", url]) == 0
-            assert cli_main(["work", url, "--worker-id", "w1", "--max-tasks", "3"]) == 0
-            assert cli_main(["work", url, "--worker-id", "w2"]) == 0
-            assert cli_main(["collect", url, "--out", str(tmp_path)]) == 0
-        finally:
-            coordinator.terminate()
-            coordinator.wait(timeout=30)
-        from repro.experiments.workloads import get_workload
-
-        _, baseline = run_sweep(get_workload("queue-smoke"), workers=1, out_dir=None)
-        collected = load_bench(os.path.join(str(tmp_path), "BENCH_queue-smoke.json"))
-        assert rows_bytes(collected) == rows_bytes(baseline)
-        # SIGTERM is a *clean* shutdown: the coordinator closed its SQLite
-        # connection, so the WAL sidecars merged back into the database
-        sidecars = [
-            name for name in os.listdir(str(tmp_path))
-            if name.endswith(("-wal", "-shm"))
-        ]
-        assert sidecars == [], f"coordinator left WAL sidecars: {sidecars}"
