@@ -1,7 +1,8 @@
 """The queue-backed distributed runner (PR 5) and its SQLite transport.
 
-The contract under test, for the single-file SQLite WAL queue both at its
-default ``.sqlite`` path and at an extensionless one:
+The contract under test, for the single-file SQLite WAL queue at its
+default ``.sqlite`` path, at an extensionless one, and as a caller-owned
+``SqliteTransport`` held open across every call:
 
 * a ``RunSpec`` round-trips exactly through its JSON task form — the
   descriptor *is* the unit of work a worker executes;
@@ -87,7 +88,14 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 # "sqlite-bare" is a SQLite queue at an extensionless path — QUEUE_<name>,
 # the location a retired directory queue used to occupy.  Routing never
 # looks at the extension, so every behaviour must hold there too.
-TRANSPORTS = ["sqlite", "sqlite-bare"]
+# "sqlite-open" passes the library calls one caller-owned SqliteTransport
+# (the other half of ``QueueLike``) whose connection stays open for the
+# whole test, so every transaction must leave it reusable; the CLI and
+# worker subprocesses of that leg open the same database by path.
+TRANSPORTS = ["sqlite", "sqlite-bare", "sqlite-open"]
+
+# the caller-owned transports of the "sqlite-open" leg, closed at teardown
+_OPEN_TRANSPORTS = []
 
 
 def tiny_spec(name="queued", **kwargs):
@@ -104,23 +112,40 @@ def faulty_spec(name="queued-faulty", **kwargs):
     )
 
 
+def open_transport(path):
+    transport = SqliteTransport(path)
+    _OPEN_TRANSPORTS.append(transport)
+    return transport
+
+
 def make_queue(tmp_path, kind, spec):
-    """The queue location of ``spec`` for a queue leg under ``tmp_path``."""
+    """The queue of ``spec`` for a queue leg under ``tmp_path``: a path, or
+    for the "sqlite-open" leg a caller-owned transport."""
     db = queue_db_path(str(tmp_path), spec.name)
     if kind == "sqlite-bare":
         return os.path.splitext(db)[0]
+    if kind == "sqlite-open":
+        return open_transport(db)
     return db
 
 
+def location(queue):
+    """The path of ``queue`` for a CLI argument or a worker subprocess."""
+    return queue.location if isinstance(queue, SqliteTransport) else queue
+
+
 def cli_queue_args(tmp_path, kind, name="queue-smoke"):
-    """(queue location, enqueue argv) for a CLI lifecycle test of ``kind``:
-    bare SQLite queues by an explicit ``--queue-db`` path, SQLite queues by
-    their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
+    """(queue, enqueue argv) for a CLI lifecycle test of ``kind``: bare
+    SQLite queues by an explicit ``--queue-db`` path, the others at their
+    default ``QUEUE_<name>.sqlite`` path under ``--out``."""
     out = str(tmp_path)
     if kind == "sqlite-bare":
         path = os.path.join(out, f"QUEUE_{name}")
         return path, ["enqueue", name, "--queue-db", path]
-    return os.path.join(out, f"QUEUE_{name}.sqlite"), ["enqueue", name, "--out", out]
+    path = os.path.join(out, f"QUEUE_{name}.sqlite")
+    if kind == "sqlite-open":
+        return open_transport(path), ["enqueue", name, "--out", out]
+    return path, ["enqueue", name, "--out", out]
 
 
 def force_stale(queue, age=900.0):
@@ -143,7 +168,9 @@ def plant_corrupt_task(queue):
 
 @pytest.fixture(params=TRANSPORTS)
 def kind(request):
-    return request.param
+    yield request.param
+    while _OPEN_TRANSPORTS:
+        _OPEN_TRANSPORTS.pop().close()
 
 
 class TestSpecSerialization:
@@ -392,7 +419,7 @@ class TestCorruptQuarantine:
         queue = make_queue(tmp_path, kind, spec)
         enqueue_sweep(spec, queue)
         plant_corrupt_task(queue)
-        assert cli_main(["work", queue, "--worker-id", "w0"]) == 1
+        assert cli_main(["work", location(queue), "--worker-id", "w0"]) == 1
         captured = capsys.readouterr()
         assert "executed 3 task(s)" in captured.out
         assert captured.err.count("CORRUPT:") == 1
@@ -429,9 +456,9 @@ class TestCollectBusy:
 
     def test_collect_cli_force_warns_but_succeeds(self, tmp_path, kind, capsys):
         _, queue = self._covered_queue_with_live_lease(tmp_path, kind)
-        assert cli_main(["collect", queue, "--out", str(tmp_path)]) == 1
+        assert cli_main(["collect", location(queue), "--out", str(tmp_path)]) == 1
         assert "live lease" in capsys.readouterr().err
-        assert cli_main(["collect", queue, "--out", str(tmp_path), "--force"]) == 0
+        assert cli_main(["collect", location(queue), "--out", str(tmp_path), "--force"]) == 0
         assert "warning: collected with 1 live lease(s)" in capsys.readouterr().err
 
     def test_incomplete_beats_busy_in_the_error_report(self, tmp_path, kind):
@@ -485,7 +512,7 @@ class TestLeaseTimings:
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
         enqueue_sweep(spec, queue)
-        assert cli_main(["work", queue, "--stale-after", "10", "--heartbeat", "10"]) == 1
+        assert cli_main(["work", location(queue), "--stale-after", "10", "--heartbeat", "10"]) == 1
         assert "heartbeat" in capsys.readouterr().err
 
 
@@ -673,7 +700,7 @@ class TestKillAWorker:
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro.experiments", "work", queue,
+                sys.executable, "-m", "repro.experiments", "work", location(queue),
                 "--worker-id", worker_id,
                 "--stale-after", "1.2", "--poll", "0.1", "--heartbeat", "0.25",
             ],
@@ -790,9 +817,9 @@ class TestQueueCLI:
         queue, enqueue_argv = cli_queue_args(tmp_path, kind)
         assert cli_main(enqueue_argv) == 0
         assert "enqueued 6 task(s)" in capsys.readouterr().out
-        assert cli_main(["work", queue, "--worker-id", "w1", "--max-tasks", "3"]) == 0
-        assert cli_main(["work", queue, "--worker-id", "w2"]) == 0
-        assert cli_main(["collect", queue, "--out", out]) == 0
+        assert cli_main(["work", location(queue), "--worker-id", "w1", "--max-tasks", "3"]) == 0
+        assert cli_main(["work", location(queue), "--worker-id", "w2"]) == 0
+        assert cli_main(["collect", location(queue), "--out", out]) == 0
         captured = capsys.readouterr().out
         assert "6 runs" in captured
         assert os.path.exists(os.path.join(out, "BENCH_queue-smoke.json"))
@@ -905,8 +932,10 @@ class TestStatusObservability:
             transport.append_record("w0", record)
             transport.release(claim)
             history.append(transport.status())                # done + shard
+            transport.close()
             histories[kind] = history
-        assert histories["sqlite"] == histories["sqlite-bare"]
+        for kind in TRANSPORTS:
+            assert histories[kind] == histories["sqlite"]
         assert histories["sqlite"] == [
             {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0},
             {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 1},
@@ -1000,7 +1029,7 @@ class TestStatusCLI:
         work_queue(queue, worker_id="w1", max_tasks=2)
         claim = claim_next(queue, "w2")  # leave one live lease outstanding
         assert isinstance(claim, Claim)
-        assert cli_main(["status", queue]) == 0
+        assert cli_main(["status", location(queue)]) == 0
         out = capsys.readouterr().out
         assert "2/4 run(s) journaled" in out
         assert "w1: 2 record(s)" in out
@@ -1013,7 +1042,7 @@ class TestStatusCLI:
         enqueue_sweep(spec, queue)
         claim_next(queue, "w-dead")
         force_stale(queue, age=900.0)
-        assert cli_main(["status", queue]) == 0
+        assert cli_main(["status", location(queue)]) == 0
         out = capsys.readouterr().out
         assert "held by w-dead" in out
         assert "STALE (reclaimable)" in out
@@ -1037,8 +1066,8 @@ class TestStatusCLI:
         queue, enqueue_argv = cli_queue_args(tmp_path, kind)
         trace = os.path.join(out, "trace.jsonl")
         assert cli_main(enqueue_argv) == 0
-        assert cli_main(["work", queue, "--worker-id", "w1", "--trace", trace]) == 0
-        assert cli_main(["collect", queue, "--out", out]) == 0
+        assert cli_main(["work", location(queue), "--worker-id", "w1", "--trace", trace]) == 0
+        assert cli_main(["collect", location(queue), "--out", out]) == 0
         capsys.readouterr()
         from repro.experiments.workloads import get_workload
 
@@ -1165,6 +1194,113 @@ class TestSqliteErrorTranslation:
             assert con.execute("SELECT name FROM sqlite_master").fetchall() == [("tasks",)]
         finally:
             con.close()
+
+
+class TestSqliteTransportContract:
+    """The lease, shard and header contracts documented on SqliteTransport,
+    checked on the transport itself."""
+
+    @pytest.fixture
+    def transport(self, tmp_path):
+        spec = tiny_spec()
+        transport = SqliteTransport(queue_db_path(str(tmp_path), spec.name))
+        enqueue_sweep(spec, transport)
+        yield transport
+        transport.close()
+
+    def test_describe_names_the_database(self, tmp_path):
+        path = queue_db_path(str(tmp_path), "q")
+        assert SqliteTransport(path).describe() == f"sqlite:{path}"
+        assert resolve_transport(path).describe() == f"sqlite:{path}"
+
+    def test_a_reclaimed_lease_stops_heartbeating(self, transport):
+        claim = transport.claim_next("w0")
+        assert transport.heartbeat(claim)
+        force_stale(transport)
+        assert transport.reclaim_stale(10.0) == 1
+        assert not transport.heartbeat(claim)
+
+    def test_a_late_release_leaves_the_new_holders_lease_alone(self, transport):
+        # the old holder finishes after its lease was reclaimed and re-issued:
+        # its release must not complete the new holder's task
+        old = transport.claim_next("w0")
+        force_stale(transport)
+        assert transport.reclaim_stale(10.0) == 1
+        new = transport.claim_next("w1")
+        assert new.run == old.run
+        transport.release(old)
+        (entry,) = transport.lease_details()
+        assert (entry["task_id"], entry["worker"]) == (new.task_id, "w1")
+        assert transport.heartbeat(new)
+        transport.release(new)
+        assert transport.status()["leases"] == 0
+
+    def test_records_within_a_shard_are_last_wins_in_append_order(self, transport):
+        import dataclasses
+
+        claim = transport.claim_next("w0")
+        record = execute_run_safe(claim.run)
+        assert record.status == "ok"
+        transport.append_record("w0", dataclasses.replace(record, status="error", error="boom"))
+        transport.append_record("w0", record)
+        transport.append_record("w1", dataclasses.replace(record, status="error", error="boom"))
+        streams = dict(transport.record_streams())
+        assert sorted(streams) == ["w0", "w1"]
+        key = (record.index, record.seed)
+        assert streams["w0"] == {key: record}
+        assert streams["w1"][key].status == "error"
+
+    def test_clear_corrupt_counts_and_drops_the_quarantine(self, transport):
+        plant_corrupt_task(transport)
+        quarantined = transport.claim_next("w0")
+        assert isinstance(quarantined, CorruptTask)
+        assert transport.corrupt_tasks() == [quarantined]
+        assert transport.clear_corrupt() == 1
+        assert transport.corrupt_tasks() == []
+        assert transport.clear_corrupt() == 0
+        assert transport.status() == {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 0}
+
+    def test_exists_only_once_a_spec_is_pinned(self, tmp_path):
+        assert not SqliteTransport(str(tmp_path / "missing.sqlite")).exists()
+        text = tmp_path / "text.sqlite"
+        text.write_text("just some text")
+        assert not SqliteTransport(str(text)).exists()
+        empty = str(tmp_path / "empty.sqlite")
+        sqlite3.connect(empty).close()
+        assert not SqliteTransport(empty).exists()
+        transport = SqliteTransport(empty)
+        transport.initialise(tiny_spec())
+        assert transport.exists()
+        transport.close()
+
+    def test_initialise_keeps_the_first_pinned_spec(self, transport):
+        spec = transport.load_spec()
+        transport.initialise(spec.with_overrides(seed=7))
+        assert transport.load_spec() == spec
+
+    def test_a_non_sqlite_failure_rolls_back_and_frees_the_lock(self, transport, monkeypatch):
+        # an exception that is not a sqlite3.Error, raised mid-claim, must
+        # still roll the claim back: the flip to running is undone and the
+        # write lock is free for the next writer, on any connection
+        from repro.experiments.transports import sqlite as sqlite_mod
+
+        def broken_clock():
+            raise RuntimeError("clock failed")
+
+        monkeypatch.setattr(sqlite_mod, "_now", broken_clock)
+        with pytest.raises(RuntimeError, match="clock failed"):
+            transport.claim_next("w0")
+        assert not transport._connect().in_transaction
+        other = sqlite3.connect(transport.location, isolation_level=None)
+        try:
+            other.execute("PRAGMA busy_timeout=0")
+            other.execute("BEGIN IMMEDIATE")
+            other.execute("ROLLBACK")
+        finally:
+            other.close()
+        monkeypatch.undo()
+        assert transport.status() == {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0}
+        assert transport.claim_next("w0").task_id == "task #0"
 
 
 class TestTransportClose:
