@@ -70,8 +70,8 @@ def scaling_points(smoke: bool = False) -> List[Tuple[str, str, Dict[str, object
 def _solve_cold(family: str, params: Dict[str, object]):
     """One cold run: fresh instance (fresh group/engine/caches), then solve."""
     instance = build_instance(family, params, np.random.default_rng(derive_seed(SEED, 0)))
-    sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED), batch=True)
-    solution = solve_hsp(instance, sampler=sampler, use_engine=True)
+    sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED))
+    solution = solve_hsp(instance, sampler=sampler)
     solved = instance.verify(solution.generators or [instance.group.identity()])
     assert solved, f"{family} {params} returned a wrong subgroup"
     order = instance.group.group.order()

@@ -41,9 +41,9 @@ the bulk oracle APIs (``BlackBoxGroup.multiply_many``,
 ``HidingOracle.evaluate_many``) when a usable dense encoding exists, and
 fall back to the original per-element code otherwise.  Query accounting is
 bulk-equivalent by construction: batch operations report exactly the totals
-of the scalar loops they replace (``tests/test_groups_engine.py``), and
-``benchmarks/bench_engine.py`` measures the resulting speedup (>= 3x on the
-Fourier-sampling-dominated workloads).
+of the scalar loops they replace (``tests/test_groups_engine.py``).
+``benchmarks/bench_scaling.py`` times the dense kernels against sparse
+engines on scalar arithmetic (:func:`repro.groups.engine.kernel_disabled`).
 
 Quick start
 -----------

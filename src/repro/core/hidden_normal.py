@@ -63,7 +63,6 @@ def find_hidden_normal_subgroup(
     counter: Optional[QueryCounter] = None,
     quotient_bound: Optional[int] = None,
     max_enumeration: int = 1 << 18,
-    use_engine: bool = True,
     confidence: Optional[int] = None,
 ) -> HiddenNormalResult:
     """Find generators of the normal subgroup hidden by ``oracle`` (Theorem 8).
@@ -77,10 +76,6 @@ def find_hidden_normal_subgroup(
     quotient_bound:
         Optional promise that ``|G/N|`` does not exceed this bound; enables
         the transversal/Schreier path when ``G/N`` is not Abelian.
-    use_engine:
-        Install a Cayley engine on the (unwrapped) ambient group so the
-        batched coset-enumeration products are memoized and vectorised;
-        groups without a usable dense encoding keep the per-element path.
     confidence:
         Stopping-rule override for the Abelian-presentation Fourier sampling
         (Theorem 7): the number of consecutive non-enlarging samples required
@@ -89,7 +84,7 @@ def find_hidden_normal_subgroup(
     """
     sampler = sampler if sampler is not None else FourierSampler()
     counter = counter if counter is not None else oracle.counter
-    engine = maybe_engine(group) if use_engine else None
+    engine = maybe_engine(group)
     quotient = HiddenQuotient(group, oracle, counter=counter)
 
     if quotient.is_abelian():

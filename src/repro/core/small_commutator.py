@@ -66,7 +66,6 @@ def solve_hsp_small_commutator(
     commutator_bound: int = 1 << 14,
     max_enumeration: int = 1 << 18,
     max_retries: int = 3,
-    use_engine: bool = True,
 ) -> SmallCommutatorResult:
     """Solve the HSP hidden by ``oracle`` in a group with small ``G'`` (Theorem 11).
 
@@ -84,22 +83,17 @@ def solve_hsp_small_commutator(
         check (every generator of ``HG'`` meets ``H`` in its ``G'``-coset)
         fails.  The failure is always *detected*, and the run is repeated up
         to ``max_retries`` times before giving up.
-    use_engine:
-        Install a Cayley engine on the (unwrapped) ambient group so batch
-        products in the coset-bundle hot path are memoized and vectorised.
-        Groups without a usable dense encoding silently keep the per-element
-        path; query accounting is identical either way.
     """
     sampler = sampler if sampler is not None else FourierSampler()
     counter = counter if counter is not None else oracle.counter
-    engine = maybe_engine(group) if use_engine else None
+    engine = maybe_engine(group)
 
     # Step 1: enumerate G' and read off H ∩ G'.
     with obs_span("small_commutator.enumerate") as enumerate_span:
         if commutator_elements is None:
             # The engine shortcut is only taken on uncounted groups: a counted
             # black-box wrapper must keep the scalar enumeration so its query
-            # report stays identical to the use_engine=False run.
+            # report stays identical to the engine-less run.
             if engine is not None and not isinstance(group, BlackBoxGroup):
                 commutator_elements = engine.commutator_subgroup_elements(limit=commutator_bound)
             else:

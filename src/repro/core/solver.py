@@ -137,7 +137,6 @@ def solve_hsp(
     strategy: str = "auto",
     sampler: Optional[FourierSampler] = None,
     rng: Optional[np.random.Generator] = None,
-    use_engine: bool = True,
     confidence: Optional[int] = None,
     noise=None,
 ) -> HSPSolution:
@@ -146,12 +145,10 @@ def solve_hsp(
     ``strategy`` may be ``"auto"`` (promise-driven dispatch), or one of
     ``"abelian"``, ``"elementary_abelian_two"``, ``"small_commutator"``,
     ``"hidden_normal"``, ``"classical"``, ``"classical_adaptive"``.
-    ``use_engine=False`` stops the supporting strategies from *installing* a
-    Cayley engine; an engine already installed on the group (e.g. during
-    instance construction) keeps accelerating the batch APIs regardless.
-    The true scalar baseline — instance construction included — is
-    :func:`repro.groups.engine.engine_disabled`, which the experiment
-    harness uses.  Query accounting is identical either way.
+    The supporting strategies install a Cayley engine through
+    :func:`repro.groups.engine.maybe_engine` wherever the group admits one
+    and keep the per-element paths otherwise; query accounting is identical
+    either way.
 
     ``confidence`` overrides the Fourier-sampling stopping rule of the
     Abelian HSP core (the number of consecutive non-enlarging samples
@@ -195,9 +192,7 @@ def solve_hsp(
 
     with obs_span(f"solver.strategy.{chosen}", noisy=noise is not None) as strategy_span:
         try:
-            generators, result = _dispatch(
-                chosen, instance, sampler, use_engine, confidence_kwargs
-            )
+            generators, result = _dispatch(chosen, instance, sampler, confidence_kwargs)
             if noise is not None and not getattr(result, "converged", True):
                 generators, result, status = [], result, "no_convergence"
         except Exception:
@@ -226,7 +221,7 @@ def solve_hsp(
     )
 
 
-def _dispatch(chosen, instance, sampler, use_engine, confidence_kwargs):
+def _dispatch(chosen, instance, sampler, confidence_kwargs):
     """Run the chosen strategy; returns ``(generators, core_result)``."""
     group = instance.group
     base = _base_group(instance)
@@ -255,7 +250,6 @@ def _dispatch(chosen, instance, sampler, use_engine, confidence_kwargs):
             sampler=sampler,
             commutator_elements=promises.get("commutator_elements"),
             commutator_bound=promises.get("commutator_bound", 1 << 14),
-            use_engine=use_engine,
         )
         generators = result.generators
     elif chosen == "hidden_normal":
@@ -264,7 +258,6 @@ def _dispatch(chosen, instance, sampler, use_engine, confidence_kwargs):
             oracle,
             sampler=sampler,
             quotient_bound=promises.get("quotient_bound"),
-            use_engine=use_engine,
             **confidence_kwargs,
         )
         generators = result.generators

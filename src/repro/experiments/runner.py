@@ -56,7 +56,6 @@ from repro.experiments.results import (
     write_journal_header,
 )
 from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
-from repro.groups.engine import engine_disabled
 from repro.obs import metrics as obs_metrics
 from repro import obs
 from repro.quantum.sampling import FourierSampler
@@ -115,7 +114,6 @@ def make_sampler(spec: SamplerSpec, rng: np.random.Generator, pool=None) -> Four
         backend=spec.backend,
         rng=rng,
         statevector_limit=spec.statevector_limit,
-        batch=spec.batch,
         shards=spec.shards,
         shard_pool=pool,
     )
@@ -160,36 +158,33 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
         )
     confidence = options.pop("confidence", None)
     noise = NoiseSpec.parse(options.pop("noise", "none"))
-    # The scalar baseline: no engines anywhere.
-    with engine_disabled() if not run.engine else nullcontext():
-        instance = build_instance(run.family, run.instance_params(), rng)
-        base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
-        sampler = make_sampler(run.sampler, rng, pool=shard_pool)
-        if noise is not None:
-            # Channel randomness derives from the run seed through its own
-            # domain-separated SeedSequence stream — the main ``rng`` above
-            # is never consumed, so the ε=0 (uninstalled) rows are
-            # byte-identical to a no-noise sweep by construction.
-            install_noise(noise, instance, sampler, run.seed)
-            obs.gauge("noise.epsilon", noise.epsilon)
-        start = time.perf_counter()
-        solution = solve_hsp(
-            instance,
-            strategy=run.strategy,
-            sampler=sampler,
-            use_engine=run.engine,
-            confidence=confidence,
-            noise=noise,
-        )
-        wall = time.perf_counter() - start
-        if solution.status == "no_convergence":
-            # The strategy failed gracefully under the corruption channel —
-            # there is no candidate to verify.
-            success = False
-        else:
-            # Verification runs against the ground truth (concrete group
-            # arithmetic), never the corrupted oracle.
-            success = instance.verify(solution.generators or [base.identity()])
+    instance = build_instance(run.family, run.instance_params(), rng)
+    base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
+    sampler = make_sampler(run.sampler, rng, pool=shard_pool)
+    if noise is not None:
+        # Channel randomness derives from the run seed through its own
+        # domain-separated SeedSequence stream — the main ``rng`` above
+        # is never consumed, so the ε=0 (uninstalled) rows are
+        # byte-identical to a no-noise sweep by construction.
+        install_noise(noise, instance, sampler, run.seed)
+        obs.gauge("noise.epsilon", noise.epsilon)
+    start = time.perf_counter()
+    solution = solve_hsp(
+        instance,
+        strategy=run.strategy,
+        sampler=sampler,
+        confidence=confidence,
+        noise=noise,
+    )
+    wall = time.perf_counter() - start
+    if solution.status == "no_convergence":
+        # The strategy failed gracefully under the corruption channel —
+        # there is no candidate to verify.
+        success = False
+    else:
+        # Verification runs against the ground truth (concrete group
+        # arithmetic), never the corrupted oracle.
+        success = instance.verify(solution.generators or [base.identity()])
     serialized = solution.to_json_dict(include_timing=False)
     return RunRecord(
         sweep=run.sweep,

@@ -43,6 +43,22 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1, np.uint64)[0])
 
 
+def _require_true(data: Mapping, key: str, owner: str) -> None:
+    """Refuse a retired configuration switch in serialised spec ``data``.
+
+    ``key`` (``"engine"`` or ``"batch"``) is written as the constant ``true``
+    so committed headers keep their bytes; it may only be absent or JSON
+    ``true``.  Anything else — ``false``, ``"false"``, ``0`` — describes a
+    configuration this build cannot run, so it raises instead of coercing.
+    """
+    value = data.get(key, True)
+    if value is not True:
+        raise ValueError(
+            f"{owner} field {key!r} must be true (the only supported "
+            f"configuration), got {value!r}"
+        )
+
+
 def _freeze(value):
     """Recursively convert lists/tuples to tuples (hashable, picklable)."""
     if isinstance(value, (list, tuple)):
@@ -62,14 +78,13 @@ class SamplerSpec:
     """Configuration of the :class:`~repro.quantum.sampling.FourierSampler`."""
 
     backend: str = "auto"
-    batch: bool = True
     shards: Optional[int] = None
     statevector_limit: int = 1 << 14
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "backend": self.backend,
-            "batch": self.batch,
+            "batch": True,
             "shards": self.shards,
             "statevector_limit": self.statevector_limit,
         }
@@ -77,10 +92,10 @@ class SamplerSpec:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SamplerSpec":
         """Rebuild a sampler spec from :meth:`to_json_dict` output."""
+        _require_true(data, "batch", "sampler")
         shards = data.get("shards")
         return cls(
             backend=str(data.get("backend", "auto")),
-            batch=bool(data.get("batch", True)),
             shards=None if shards is None else int(shards),
             statevector_limit=int(data.get("statevector_limit", 1 << 14)),
         )
@@ -104,7 +119,6 @@ class RunSpec:
     strategy: str = "auto"
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     solver_options: Tuple[Tuple[str, object], ...] = ()
-    engine: bool = True
 
     def params_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -135,7 +149,7 @@ class RunSpec:
             "strategy": self.strategy,
             "sampler": self.sampler.to_json_dict(),
             "solver_options": {key: _thaw(value) for key, value in self.solver_options},
-            "engine": self.engine,
+            "engine": True,
         }
 
     @classmethod
@@ -145,6 +159,7 @@ class RunSpec:
         The JSON round-trip turns tuples into lists; re-freezing restores
         the exact original dataclass (asserted by equality in the tests).
         """
+        _require_true(data, "engine", "run")
         return cls(
             sweep=str(data["sweep"]),
             index=int(data["index"]),
@@ -157,7 +172,6 @@ class RunSpec:
             solver_options=tuple(
                 sorted((str(k), _freeze(v)) for k, v in dict(data.get("solver_options", {})).items())
             ),
-            engine=bool(data.get("engine", True)),
         )
 
 
@@ -168,9 +182,10 @@ class SweepSpec:
     ``grid`` maps parameter names to value tuples; expansion walks the
     cartesian product with the keys in sorted order, then the repeats, so
     run indices (and hence seeds) are a pure function of the spec.
-    ``engine=False`` declares the scalar baseline configuration: instances
-    are built and solved with the Cayley engine disabled
-    (:func:`repro.groups.engine.engine_disabled`).
+    Every run builds and solves its instance the one way the library runs
+    (a Cayley engine wherever the group admits one, batched Fourier
+    sampling); the serialised spec records that as the constants
+    ``"engine": true`` and ``"sampler": {"batch": true, ...}``.
     """
 
     name: str
@@ -181,7 +196,6 @@ class SweepSpec:
     strategy: str = "auto"
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     solver_options: Tuple[Tuple[str, object], ...] = ()
-    engine: bool = True
     description: str = ""
 
     @classmethod
@@ -259,7 +273,6 @@ class SweepSpec:
                         strategy=strategy,
                         sampler=self.sampler,
                         solver_options=options,
-                        engine=self.engine,
                     )
                 )
                 index += 1
@@ -276,7 +289,7 @@ class SweepSpec:
             "strategy": self.strategy,
             "sampler": self.sampler.to_json_dict(),
             "solver_options": {key: _thaw(value) for key, value in self.solver_options},
-            "engine": self.engine,
+            "engine": True,
             "description": self.description,
         }
 
@@ -288,6 +301,7 @@ class SweepSpec:
         another machine reconstructs it to execute the sweep's runs and
         (in ``collect``) to recompute the expected run list.  Round-trips exactly: ``from_json_dict(to_json_dict(s)) == s``.
         """
+        _require_true(data, "engine", "sweep")
         return cls.from_grid(
             name=str(data["name"]),
             family=str(data["family"]),
@@ -297,6 +311,5 @@ class SweepSpec:
             strategy=str(data.get("strategy", "auto")),
             sampler=SamplerSpec.from_json_dict(dict(data.get("sampler", {}))),
             solver_options=dict(data.get("solver_options", {})),
-            engine=bool(data.get("engine", True)),
             description=str(data.get("description", "")),
         )

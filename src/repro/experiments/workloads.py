@@ -1,8 +1,8 @@
 """The declared sweeps of the experiment suite.
 
 These are the migrated workloads of ``benchmarks/bench_hidden_normal.py``
-(E4), ``benchmarks/bench_extraspecial.py`` (E6) and
-``benchmarks/bench_engine.py``, plus a fast ``smoke`` sweep for CI.  The
+(E4) and ``benchmarks/bench_extraspecial.py`` (E6), the scaling axes of
+``benchmarks/bench_scaling.py``, plus a fast ``smoke`` sweep for CI.  The
 benchmark scripts are thin wrappers over these specs; ``python -m
 repro.experiments list`` prints the catalogue and ``run <name>`` executes a
 sweep reproducibly from the command line.
@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.specs import RESERVED_GRID_KEYS, SamplerSpec, SweepSpec
+from repro.experiments.specs import RESERVED_GRID_KEYS, SweepSpec
 
 __all__ = [
     "WORKLOADS",
     "ANALYSES",
-    "ENGINE_COMPARISONS",
     "AnalysisDirective",
     "axis_roles",
     "declare",
@@ -328,44 +327,6 @@ declare(
         description="Z_2^k wr Z_2 with the Theorem 13 cyclic-quotient path",
     )
 )
-
-# -- engine-vs-scalar comparison pairs (bench_engine.py) ---------------------
-
-#: Pairs of (engine configuration, scalar configuration) sweeps used by the
-#: engine benchmark.  The scalar member disables the Cayley engine and the
-#: batch sampler — the pre-engine execution profile — on identical instances
-#: and seeds, so aggregate wall-clock ratios measure the engine alone.
-ENGINE_COMPARISONS: List[Dict[str, str]] = []
-
-
-def _declare_comparison(label: str, family: str, grid, repeats: int) -> None:
-    engine_name = f"engine-{label}"
-    scalar_name = f"scalar-{label}"
-    declare(
-        SweepSpec.from_grid(
-            engine_name,
-            family,
-            grid,
-            repeats=repeats,
-            description=f"engine configuration of the {label} comparison",
-        )
-    )
-    declare(
-        SweepSpec.from_grid(
-            scalar_name,
-            family,
-            grid,
-            repeats=repeats,
-            engine=False,
-            sampler=SamplerSpec(batch=False),
-            description=f"scalar (pre-engine) configuration of the {label} comparison",
-        )
-    )
-    ENGINE_COMPARISONS.append({"label": label, "engine": engine_name, "scalar": scalar_name})
-
-
-_declare_comparison("extraspecial", "extraspecial_random", {"p": [7]}, repeats=3)
-_declare_comparison("hidden-normal", "dihedral_rotation", {"n": [128]}, repeats=3)
 
 # -- scaling trajectory (bench_scaling.py, BENCH_scaling.json) ----------------
 

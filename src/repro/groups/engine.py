@@ -50,7 +50,6 @@ __all__ = [
     "CayleyBackend",
     "get_engine",
     "maybe_engine",
-    "engine_disabled",
     "kernel_disabled",
 ]
 
@@ -895,10 +894,6 @@ def get_engine(group: FiniteGroup) -> CayleyBackend:
     return engine
 
 
-#: When true, :func:`maybe_engine` declines to build or return engines; set
-#: through :func:`engine_disabled` to force the scalar per-element paths.
-_ENGINE_DISABLED = False
-
 #: When true, newly built engines ignore dense kernels entirely: every engine
 #: is a sparse engine on the group's scalar ``multiply``/``inverse``.  Set
 #: through :func:`kernel_disabled`; it is the baseline configuration of the
@@ -910,11 +905,11 @@ _KERNEL_DISABLED = False
 def kernel_disabled():
     """Context manager building sparse engines on scalar arithmetic.
 
-    Unlike :func:`engine_disabled` the Cayley engine itself stays on — ids
-    and per-pair memoisation work as usual — but no
-    :class:`~repro.groups.base.DenseKernel` is consulted, so every engine
-    built inside it is ``mode == "sparse"`` and every product and inverse
-    goes through the group's scalar ``multiply``/``inverse``.
+    The Cayley engine itself stays on — ids and per-pair memoisation work
+    as usual — but no :class:`~repro.groups.base.DenseKernel` is consulted,
+    so every engine built inside it is ``mode == "sparse"`` and every
+    product and inverse goes through the group's scalar
+    ``multiply``/``inverse``.
     Query accounting is unaffected (the engine never counts).  Engines
     *already installed* on a group keep their kernels; the context only
     affects constructions inside it.
@@ -928,25 +923,6 @@ def kernel_disabled():
         _KERNEL_DISABLED = previous
 
 
-@contextmanager
-def engine_disabled():
-    """Context manager forcing the engine-less scalar configuration.
-
-    While active, :func:`maybe_engine` returns ``None`` everywhere — instance
-    construction falls back to min-encoding coset labels and the solvers'
-    batch APIs run as plain scalar loops.  This is how the experiment
-    harness realises its pre-engine baseline configuration without threading
-    a flag through every construction site.  Query accounting is unaffected.
-    """
-    global _ENGINE_DISABLED
-    previous = _ENGINE_DISABLED
-    _ENGINE_DISABLED = True
-    try:
-        yield
-    finally:
-        _ENGINE_DISABLED = previous
-
-
 def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
     """A guarded :func:`get_engine`: ``None`` when no usable encoding exists.
 
@@ -957,8 +933,6 @@ def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
     the engine memoizes the *uncounted* arithmetic — the wrapper keeps doing
     the (bulk) accounting.
     """
-    if _ENGINE_DISABLED:
-        return None
     inner = getattr(group, "group", None)
     if isinstance(inner, FiniteGroup):
         group = inner

@@ -202,6 +202,12 @@ class SubgroupStructureOracle(AbelianHSPOracle):
 class FourierSampler:
     """Samples dual-group elements from the Fourier-sampling distribution.
 
+    Both backends amortise work across the rounds of a request: the
+    statevector backend scans the domain *once per oracle* and caches the
+    coset's Fourier distribution, and the analytic backend caches the dual
+    decomposition and draws whole coefficient blocks with vectorised
+    lattice arithmetic.
+
     Parameters
     ----------
     backend:
@@ -211,15 +217,6 @@ class FourierSampler:
         NumPy random generator (reproducibility of every experiment).
     statevector_limit:
         Largest domain size simulated with the dense backend under ``auto``.
-    batch:
-        When true (the default) the backends amortise work across rounds:
-        the statevector backend partitions the domain into cosets *once per
-        oracle* and caches the per-coset Fourier distributions, and the
-        analytic backend caches the dual decomposition and draws whole
-        coefficient blocks with vectorised lattice arithmetic.  ``False``
-        reproduces the original per-round scalar simulation (the comparison
-        baseline of ``benchmarks/bench_engine.py``).  The sampling
-        distribution and the query accounting are identical either way.
     shards:
         Default shard count for batch requests.  A sharded request draws all
         randomness up front on the sampler's own generator — in exactly the
@@ -241,7 +238,6 @@ class FourierSampler:
         backend: str = "auto",
         rng: Optional[np.random.Generator] = None,
         statevector_limit: int = 1 << 14,
-        batch: bool = True,
         shards: Optional[int] = None,
         shard_pool=None,
     ):
@@ -249,12 +245,9 @@ class FourierSampler:
             raise ValueError(f"unknown backend {backend!r}")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be a positive integer, got {shards}")
-        if shards is not None and not batch:
-            raise ValueError("sharded sampling requires the batch path (batch=True)")
         self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng()
         self.statevector_limit = statevector_limit
-        self.batch = batch
         self.shards = shards
         self.shard_pool = shard_pool
         self.noise = None
@@ -285,9 +278,9 @@ class FourierSampler:
 
         Each sample accounts for one quantum query regardless of backend, of
         batching and of sharding, so a batched request for ``count`` rounds
-        reports the same totals as ``count`` scalar requests.  ``shards`` and
-        ``pool`` override the sampler-level defaults for this request; see
-        the class docstring for the sharding contract.
+        reports the same totals as ``count`` single-round requests.
+        ``shards`` and ``pool`` override the sampler-level defaults for this
+        request; see the class docstring for the sharding contract.
         """
         if count <= 0:
             raise ValueError(f"sample requires a positive count, got {count}")
@@ -295,23 +288,16 @@ class FourierSampler:
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be a positive integer, got {shards}")
         pool = pool if pool is not None else self.shard_pool
-        if not self.batch and shards is not None:
-            raise ValueError("sharded sampling requires the batch path (batch=True)")
         backend = self._resolve_backend(oracle)
         oracle.counter.quantum_queries += count
-        with obs_span("sampler.batch", backend=backend, batch=self.batch) as sampler_span:
+        with obs_span("sampler.batch", backend=backend) as sampler_span:
             sampler_span.add("samples", count)
             if shards is not None:
                 sampler_span.set(shards=shards)
-            if not self.batch:
-                if backend == "statevector":
-                    samples = [self._sample_statevector(oracle) for _ in range(count)]
-                else:
-                    samples = [self._sample_analytic(oracle) for _ in range(count)]
-            elif backend == "statevector":
-                samples = self._sample_statevector_batch(oracle, count, shards=shards, pool=pool)
+            if backend == "statevector":
+                samples = self._sample_statevector(oracle, count, shards=shards, pool=pool)
             else:
-                samples = self._sample_analytic_batch(oracle, count, shards=shards, pool=pool)
+                samples = self._sample_analytic(oracle, count, shards=shards, pool=pool)
         if self.noise is not None:
             samples = self.noise.corrupt(samples, oracle.module.moduli)
         return samples
@@ -322,27 +308,7 @@ class FourierSampler:
         return "statevector" if oracle.domain_size() <= self.statevector_limit else "analytic"
 
     # -- statevector backend ---------------------------------------------------------
-    def _sample_statevector(self, oracle: AbelianHSPOracle) -> Vector:
-        module = oracle.module
-        moduli = module.moduli
-        # Evaluate the oracle over the whole domain (the superposition query).
-        labels: Dict[object, List[Vector]] = {}
-        for x in module.elements():
-            labels.setdefault(oracle.evaluate(x), []).append(x)
-        # Measuring the value register selects a coset uniformly (all cosets
-        # have |H| elements).
-        keys = sorted(labels.keys(), key=repr)
-        chosen = keys[int(self.rng.integers(0, len(keys)))]
-        indicator = np.zeros(moduli, dtype=np.float64)
-        for x in labels[chosen]:
-            indicator[x] = 1.0
-        probabilities = qft_probabilities_of_coset(indicator)
-        flat = probabilities.reshape(-1)
-        outcome = int(self.rng.choice(len(flat), p=flat))
-        return tuple(int(v) for v in np.unravel_index(outcome, tuple(moduli)))
-
-    # -- batched statevector backend ---------------------------------------------
-    def _sample_statevector_batch(
+    def _sample_statevector(
         self,
         oracle: AbelianHSPOracle,
         count: int,
@@ -366,8 +332,8 @@ class FourierSampler:
         if flat is None:
             identity_label = oracle.evaluate(module.identity())
             # One batched oracle scan over the domain (iteration order is the
-            # C order of the moduli shape, so flat indexing lines up with the
-            # per-tuple assignment of the scalar path).
+            # C order of the moduli shape, so flat index i is the i-th
+            # domain element).
             labels = oracle.evaluate_many(list(module.elements()))
             indicator = np.zeros(shape, dtype=np.float64)
             indicator.reshape(-1)[
@@ -397,7 +363,7 @@ class FourierSampler:
             oracle._dual_structure_cache = cached
         return cached
 
-    def _sample_analytic_batch(
+    def _sample_analytic(
         self,
         oracle: AbelianHSPOracle,
         count: int,
@@ -460,19 +426,6 @@ class FourierSampler:
             value >>= chunks * 62 - bits
             if value < bound:
                 return value
-
-    def _sample_analytic(self, oracle: AbelianHSPOracle) -> Vector:
-        module = oracle.module
-        kernel = oracle.kernel_generators()
-        dual_generators = annihilator(kernel, module.moduli)
-        if not dual_generators:
-            return module.identity()
-        decomposition = cyclic_decomposition(dual_generators, module.moduli)
-        sample = module.identity()
-        for generator, order in decomposition:
-            coefficient = int(self.rng.integers(0, order))
-            sample = module.add(sample, module.scalar(coefficient, generator))
-        return sample
 
     # -- diagnostics -----------------------------------------------------------------------
     def exact_distribution(self, oracle: AbelianHSPOracle) -> np.ndarray:

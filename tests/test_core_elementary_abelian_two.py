@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import no_engine
 from repro.blackbox.instances import HSPInstance
 from repro.core.elementary_abelian_two import solve_hsp_elementary_abelian_two
 from repro.groups.base import GroupError
@@ -149,9 +150,9 @@ class TestEngineRouting:
     """The batched transversal/validation scans preserve results and counts.
 
     Theorem 13 now routes its coset scans through ``multiply_many`` like
-    Theorems 8/11; with the engine disabled those batch calls degrade to the
-    scalar loops, so generators and the full query report must be identical
-    in both configurations.
+    Theorems 8/11; without an engine (``no_engine``) those batch calls
+    degrade to the scalar loops, so generators and the full query report
+    must be identical in both configurations.
     """
 
     def _solve(self, rng_seed=20010202):
@@ -168,21 +169,18 @@ class TestEngineRouting:
             quotient_bound=1 << 8,
         )
         assert instance.verify(result.generators or [group.identity()])
-        return result
+        return result, group
 
     def test_general_path_engine_vs_scalar_parity(self):
-        from repro.groups.engine import engine_disabled
-
-        engine_result = self._solve()
-        with engine_disabled():
-            scalar_result = self._solve()
+        engine_result, _ = self._solve()
+        with no_engine():
+            scalar_result, group = self._solve()
+        assert getattr(group, "_cayley_engine", None) is None
         assert engine_result.generators == scalar_result.generators
         assert engine_result.representatives_used == scalar_result.representatives_used
         assert engine_result.query_report == scalar_result.query_report
 
     def test_cyclic_path_engine_vs_scalar_parity(self):
-        from repro.groups.engine import engine_disabled
-
         def run():
             rng = np.random.default_rng(20010202)
             group, normal_gens = wreath_instance(2)
@@ -195,11 +193,12 @@ class TestEngineRouting:
                 cyclic_quotient=True,
             )
             assert instance.verify(result.generators or [group.identity()])
-            return result
+            return result, group
 
-        engine_result = run()
-        with engine_disabled():
-            scalar_result = run()
+        engine_result, _ = run()
+        with no_engine():
+            scalar_result, group = run()
+        assert getattr(group, "_cayley_engine", None) is None
         assert engine_result.generators == scalar_result.generators
         assert engine_result.query_report == scalar_result.query_report
 

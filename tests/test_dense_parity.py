@@ -2,15 +2,15 @@
 
 The dense-id refactor makes int64 ids the currency from the hiding oracle
 down to the linear algebra, but the accounting contract is that the route
-must be invisible: at a fixed seed, the dense path and the
-:func:`repro.groups.engine.engine_disabled` scalar path must return the
-same generators, the same strategy, the same query report, and — through
-the experiment runner — byte-identical journal rows.  These tests pin that
-contract for every family in the instance registry, and a counting test
-double asserts the stronger structural claim behind the BENCH_scaling
-speedups: batch-protocol groups never see a scalar ``multiply`` call
-inside a kernel-mode engine build, its batch products or the
-Fourier-sampling label loops.
+must be invisible: at a fixed seed, the dense path and the engine-less
+path (``no_engine``: the per-element fallback of groups too large for an
+engine) must return the same generators, the same strategy, the same query
+report, and — through the experiment runner — byte-identical journal rows.
+These tests pin that contract for every family in the instance registry,
+and a counting test double asserts the stronger structural claim behind
+the BENCH_scaling speedups: batch-protocol groups never see a scalar
+``multiply`` call inside a kernel-mode engine build, its batch products or
+the Fourier-sampling label loops.
 """
 
 from contextlib import nullcontext
@@ -18,12 +18,15 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
+from conftest import no_engine
+from repro.blackbox.oracle import BlackBoxGroup
 from repro.core.solver import solve_hsp
 from repro.experiments.registry import build_instance, families
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import CayleyBackend, engine_disabled, get_engine, kernel_disabled
+from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
 
@@ -48,16 +51,19 @@ def test_family_points_cover_registry():
     assert {family for family, _ in FAMILY_POINTS} == set(families())
 
 
+def _base_group(group):
+    return group.group if isinstance(group, BlackBoxGroup) else group
+
+
 def _solve(family, params, route=nullcontext):
-    """One cold solve inside ``route``; ``engine_disabled`` forces the scalar paths."""
+    """One cold solve inside ``route``; ``no_engine`` forces the scalar paths."""
     with route():
         instance = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0)))
-        # The sampler's batch flag is a declared option that changes how many
-        # rounds are drawn; the route comparison holds it fixed so any report
-        # difference is an accounting divergence, not a sampler-profile one.
-        sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED), batch=True)
-        solution = solve_hsp(instance, sampler=sampler, use_engine=route is not engine_disabled)
+        sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED))
+        solution = solve_hsp(instance, sampler=sampler)
         assert instance.verify(solution.generators or [instance.group.identity()])
+    if route is no_engine:
+        assert getattr(_base_group(instance.group), "_cayley_engine", None) is None
     return solution, instance.query_report()
 
 
@@ -77,7 +83,7 @@ def built_modes(monkeypatch):
 
 def _assert_route_matches_scalar(family, params, route=nullcontext):
     dense_solution, dense_report = _solve(family, params, route)
-    scalar_solution, scalar_report = _solve(family, params, engine_disabled)
+    scalar_solution, scalar_report = _solve(family, params, no_engine)
     assert dense_solution.strategy == scalar_solution.strategy
     assert dense_solution.generators == scalar_solution.generators
     assert dense_report == scalar_report
@@ -97,24 +103,23 @@ def test_sparse_mode_path_matches_scalar_path(family, params, built_modes):
     assert set(built_modes) <= {"sparse"}
 
 
-def test_journal_rows_identical_across_engine_configurations():
-    """The runner's journal rows must not depend on the execution route.
+def test_journal_rows_identical_across_engine_configurations(monkeypatch):
+    """The runner's journal rows must not depend on the execution route."""
+    spec = SweepSpec.from_grid("dense-parity", "dihedral_rotation", {"n": [8, 12]}, repeats=2)
+    _, default = run_sweep(spec, out_dir=None)
+    built = []
 
-    Both sweeps carry the same name on purpose: every deterministic row
-    field (sweep, seed, params, generators, query report) must coincide, so
-    the two payloads serialize to the same bytes.
-    """
-    payloads = {}
-    for engine in (True, False):
-        spec = SweepSpec.from_grid(
-            "dense-parity",
-            "dihedral_rotation",
-            {"n": [8, 12]},
-            repeats=2,
-            engine=engine,
-        )
-        _, payloads[engine] = run_sweep(spec, out_dir=None)
-    assert rows_bytes(payloads[True]) == rows_bytes(payloads[False])
+    def recording_build(*args):
+        instance = build_instance(*args)
+        built.append(_base_group(instance.group))
+        return instance
+
+    monkeypatch.setattr(runner_module, "build_instance", recording_build)
+    with no_engine():
+        _, scalar = run_sweep(spec, out_dir=None)
+    assert len(built) == 4
+    assert all(getattr(group, "_cayley_engine", None) is None for group in built)
+    assert rows_bytes(default) == rows_bytes(scalar)
 
 
 # ---------------------------------------------------------------------------

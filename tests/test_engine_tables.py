@@ -1,12 +1,13 @@
-"""The engine/kernel kill switches and the retired table keywords.
+"""The kernel kill switch and the retired table and engine-off keywords.
 
-:func:`~repro.groups.engine.engine_disabled` forces the scalar
-configuration everywhere ``maybe_engine`` is consulted;
-:func:`~repro.groups.engine.kernel_disabled` keeps the engine but builds it
-sparse, without a dense kernel, so every product goes through scalar
-``multiply``.  The keywords of the retired Cayley table — its persistent
-cache directory and its size knobs — are refused, and nothing is written
-to disk.
+:func:`~repro.groups.engine.kernel_disabled` — the one reference
+configuration — keeps the engine but builds it sparse, without a dense
+kernel, so every product goes through scalar ``multiply``.  The keywords of
+the retired Cayley table — its persistent cache directory and its size
+knobs — are refused, and nothing is written to disk.  So are the retired
+switches of the pre-engine scalar path: the engine-off context, the
+solvers' ``use_engine=``, the sampler's ``batch=`` and the spec fields
+``engine``/``batch``.
 """
 
 import os
@@ -14,14 +15,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.groups.engine import (
-    CayleyBackend,
-    engine_disabled,
-    get_engine,
-    kernel_disabled,
-    maybe_engine,
-)
+from repro.core.hidden_normal import find_hidden_normal_subgroup
+from repro.core.small_commutator import solve_hsp_small_commutator
+from repro.core.solver import solve_hsp
+from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
+from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
+from repro.quantum.sampling import FourierSampler
 
 #: The keyword the retired on-disk table cache took, assembled so the
 #: retired name has no literal use left in the tree.
@@ -56,28 +56,45 @@ class TestScalarEngine:
         assert os.listdir(tmp_path) == []
 
 
-class TestEngineDisabled:
-    def test_maybe_engine_returns_none_inside_context(self):
-        group = extraspecial_group(3)
-        with engine_disabled():
-            assert maybe_engine(group) is None
-        assert maybe_engine(group) is not None
+def _import_the_engine_off_context():
+    from repro.groups.engine import engine_disabled  # noqa: F401
 
-    def test_context_restores_previous_state_on_error(self):
-        group = extraspecial_group(5)
-        try:
-            with engine_disabled():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert maybe_engine(group) is not None
 
-    def test_get_engine_still_explicit(self):
-        # engine_disabled guards maybe_engine (the implicit install sites);
-        # an explicit get_engine call remains the caller's decision.
-        group = extraspecial_group(3)
-        with engine_disabled():
-            assert get_engine(group) is not None
+_RUN = dict(sweep="s", index=0, family="dihedral_rotation", params=(), repeat=0, seed=1)
+
+#: ``(call, error, message)`` for each retired switch of the pre-engine
+#: scalar path.
+RETIRED_SWITCHES = [
+    pytest.param(lambda: FourierSampler(batch=False), TypeError, "batch", id="FourierSampler-batch"),
+    pytest.param(lambda: SamplerSpec(batch=False), TypeError, "batch", id="SamplerSpec-batch"),
+    pytest.param(
+        lambda: SweepSpec.from_grid("s", "dihedral_rotation", {"n": [8]}, engine=False),
+        TypeError,
+        "engine",
+        id="SweepSpec-engine",
+    ),
+    pytest.param(lambda: RunSpec(**_RUN, engine=False), TypeError, "engine", id="RunSpec-engine"),
+    pytest.param(lambda: solve_hsp(None, use_engine=False), TypeError, "use_engine", id="solve_hsp"),
+    pytest.param(
+        lambda: find_hidden_normal_subgroup(None, None, use_engine=False),
+        TypeError,
+        "use_engine",
+        id="find_hidden_normal_subgroup",
+    ),
+    pytest.param(
+        lambda: solve_hsp_small_commutator(None, None, use_engine=False),
+        TypeError,
+        "use_engine",
+        id="solve_hsp_small_commutator",
+    ),
+    pytest.param(_import_the_engine_off_context, ImportError, "engine_disabled", id="engine_disabled"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", RETIRED_SWITCHES)
+def test_a_retired_scalar_path_switch_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestKernelDisabled:

@@ -13,6 +13,8 @@ import os
 import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
+from conftest import no_engine
 from repro.blackbox.oracle import QueryCounter
 from repro.experiments import (
     RunSpec,
@@ -174,24 +176,26 @@ class TestRunnerDeterminism:
         _, b = run_sweep(sharded, workers=1, out_dir=None)
         assert rows_bytes(a) == rows_bytes(b)
 
-    def test_engine_and_scalar_configs_report_identical_queries(self):
-        # Same sampling path (batch), engine on vs off: the PR 1 accounting
-        # contract — batch/scalar arithmetic report identical totals.
-        engine_spec = tiny_spec("cfg")
-        scalar_spec = tiny_spec("cfg", engine=False)
-        _, engine_payload = run_sweep(engine_spec, workers=1, out_dir=None)
-        _, scalar_payload = run_sweep(scalar_spec, workers=1, out_dir=None)
+    def test_engine_and_scalar_configs_report_identical_queries(self, monkeypatch):
+        # The accounting contract: the engine-less fallback path (the one
+        # groups too large for an engine take) reports identical totals.
+        spec = tiny_spec("cfg")
+        _, engine_payload = run_sweep(spec, workers=1, out_dir=None)
+        groups = []
+
+        def recording_build(*args):
+            instance = build_instance(*args)
+            groups.append(instance.group.group)
+            return instance
+
+        monkeypatch.setattr(runner_module, "build_instance", recording_build)
+        with no_engine():
+            _, scalar_payload = run_sweep(spec, workers=1, out_dir=None)
+        assert len(groups) == len(spec.expand())
+        assert all(getattr(group, "_cayley_engine", None) is None for group in groups)
         for engine_row, scalar_row in zip(engine_payload["rows"], scalar_payload["rows"]):
             assert engine_row["generators"] == scalar_row["generators"]
             assert engine_row["query_report"] == scalar_row["query_report"]
-
-    def test_pre_engine_baseline_configuration_solves(self):
-        # The full scalar profile (engine off AND per-round sampling) is the
-        # bench_engine baseline; its rng consumption differs, so only the
-        # recovered subgroups are compared.
-        scalar_spec = tiny_spec("baseline", engine=False, sampler=SamplerSpec(batch=False))
-        _, payload = run_sweep(scalar_spec, workers=1, out_dir=None)
-        assert payload["aggregate"]["successes"] == payload["aggregate"]["runs"]
 
 
 class TestWorkloads:
@@ -237,8 +241,8 @@ class TestCLI:
         assert cli_main(["report", "nothing-here", "--out", str(tmp_path)]) == 1
 
     def test_report_rejects_foreign_bench_schema(self, tmp_path, capsys):
-        foreign = tmp_path / "BENCH_engine.json"
-        foreign.write_text(json.dumps({"benchmark": "engine-vs-scalar", "aggregate": {}}))
+        foreign = tmp_path / "BENCH_scaling.json"
+        foreign.write_text(json.dumps({"benchmark": "scaling-dense-vs-prekernel", "aggregate": {}}))
         assert cli_main(["report", str(foreign)]) == 1
         assert "not a sweep BENCH file" in capsys.readouterr().err
 

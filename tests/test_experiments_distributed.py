@@ -166,6 +166,39 @@ def plant_corrupt_task(queue):
     )
 
 
+def rewrite_lowest_pending_task(queue, edit):
+    """Apply ``edit`` to the lowest-indexed pending task's parsed payload
+    (a well-formed task from another build)."""
+    con = resolve_transport(queue)._connect()
+    idx, run_json = con.execute(
+        "SELECT idx, run_json FROM tasks WHERE status = 'pending' ORDER BY idx LIMIT 1"
+    ).fetchone()
+    payload = json.loads(run_json)
+    edit(payload)
+    con.execute(
+        "UPDATE tasks SET run_json = ? WHERE idx = ?", (json.dumps(payload, sort_keys=True), idx)
+    )
+
+
+#: ``(reader, payload without the switch, switch)`` of every spec reader
+#: that still reads a retired configuration switch.
+SPEC_READERS = [
+    pytest.param(SamplerSpec.from_json_dict, {}, "batch", id="sampler"),
+    pytest.param(
+        RunSpec.from_json_dict,
+        {key: value for key, value in tiny_spec().expand()[0].to_json_dict().items() if key != "engine"},
+        "engine",
+        id="run",
+    ),
+    pytest.param(
+        SweepSpec.from_json_dict,
+        {key: value for key, value in tiny_spec().to_json_dict().items() if key != "engine"},
+        "engine",
+        id="sweep",
+    ),
+]
+
+
 @pytest.fixture(params=TRANSPORTS)
 def kind(request):
     yield request.param
@@ -183,10 +216,13 @@ class TestSpecSerialization:
             seed=7,
             sampler=SamplerSpec(backend="analytic", shards=2),
             solver_options={"confidence": 4},
-            engine=False,
         )
         for run in spec.expand():
-            round_tripped = RunSpec.from_json_dict(json.loads(json.dumps(run.to_json_dict())))
+            payload = run.to_json_dict()
+            # the retired switches serialise as constants, so every
+            # committed header and queue task keeps its bytes
+            assert payload["engine"] is True and payload["sampler"]["batch"] is True
+            round_tripped = RunSpec.from_json_dict(json.loads(json.dumps(payload)))
             assert round_tripped == run
 
     def test_sweep_spec_round_trips_through_json(self):
@@ -198,8 +234,20 @@ class TestSpecSerialization:
             assert round_tripped.expand() == spec.expand()
 
     def test_sampler_spec_round_trips(self):
-        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector", batch=False, shards=3)):
+        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector", shards=3)):
             assert SamplerSpec.from_json_dict(sampler.to_json_dict()) == sampler
+
+    @pytest.mark.parametrize("value", [False, "false", "true", 0, 1, None])
+    @pytest.mark.parametrize("reader,payload,field", SPEC_READERS)
+    def test_a_retired_switch_other_than_true_is_refused(self, reader, payload, field, value):
+        # bool("false") is True: a coercing reader would silently run the
+        # one configuration left while the payload asks for another
+        with pytest.raises(ValueError, match=f"'{field}' must be true"):
+            reader({**payload, field: value})
+
+    @pytest.mark.parametrize("reader,payload,field", SPEC_READERS)
+    def test_a_retired_switch_reads_when_true_or_absent(self, reader, payload, field):
+        assert reader({**payload, field: True}) == reader(payload)
 
 
 class TestTransportResolution:
@@ -390,6 +438,24 @@ class TestCorruptQuarantine:
         assert reclaim_stale(queue, stale_after=0.001) == 0
         nxt = claim_next(queue, "w0")
         assert isinstance(nxt, Claim)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda task: task.update(engine=False), id="engine"),
+            pytest.param(lambda task: task["sampler"].update(batch=False), id="batch"),
+        ],
+    )
+    def test_a_task_asking_for_a_retired_switch_is_quarantined(self, tmp_path, kind, edit):
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue)
+        rewrite_lowest_pending_task(queue, edit)
+        claim = claim_next(queue, "w0")
+        assert isinstance(claim, CorruptTask)
+        assert "must be true" in claim.reason
+        assert queue_status(queue)["leases"] == 0
+        assert isinstance(claim_next(queue, "w0"), Claim)
 
     def test_collect_refuses_a_quarantined_queue_naming_tasks(self, tmp_path, kind):
         spec = tiny_spec()
@@ -675,6 +741,21 @@ class TestSqliteSpecifics:
         )
         with pytest.raises(QueueCorrupt, match="layout version"):
             load_queue_spec(queue)
+
+    def test_a_queue_pinning_a_retired_switch_is_corrupt(self, tmp_path):
+        spec = tiny_spec()
+        queue = queue_db_path(str(tmp_path), spec.name)
+        enqueue_sweep(spec, queue)
+        con = resolve_transport(queue)._connect()
+        (pinned,) = con.execute("SELECT value FROM meta WHERE key = 'sweep'").fetchone()
+        con.execute(
+            "UPDATE meta SET value = ? WHERE key = 'sweep'",
+            (json.dumps({**json.loads(pinned), "engine": False}, sort_keys=True),),
+        )
+        with pytest.raises(QueueCorrupt, match="does not pin a sweep spec: .*'engine' must be true"):
+            load_queue_spec(queue)
+        with pytest.raises(QueueCorrupt, match="'engine' must be true"):
+            work_queue(queue, worker_id="w0")
 
     def test_unparseable_record_row_stops_that_shard_stream(self, tmp_path):
         # mirror of the journal torn-line contract: a hand-edited record row

@@ -359,6 +359,25 @@ class TestCLI:
         baseline = load_bench(os.path.join(baseline_dir, "BENCH_fault-smoke.json"))
         assert rows_bytes(resumed) == rows_bytes(baseline)
 
+    def test_resume_refuses_a_journal_of_the_retired_scalar_sampler(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert cli_main(["run", "fault-smoke", "--max-failures", "0", "--out", out]) == 1
+        capsys.readouterr()
+        journal = journal_path(out, "fault-smoke")
+        with open(journal, encoding="utf-8") as handle:
+            header, *records = handle.readlines()
+        header = json.loads(header)
+        header["sweep"]["sampler"]["batch"] = False
+        edited = [json.dumps(header, sort_keys=True) + "\n", *records]
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(edited)
+        # a journal of another configuration must not be resumed as this one
+        assert cli_main(["run", "fault-smoke", "--resume", "--out", out]) == 1
+        assert "different sweep configuration" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "BENCH_fault-smoke.json"))
+        with open(journal, encoding="utf-8") as handle:
+            assert handle.readlines() == edited
+
     def test_report_marks_error_rows(self, tmp_path, capsys):
         cli_main(["run", "fault-smoke", "--out", str(tmp_path)])
         capsys.readouterr()

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import no_engine
 from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
 from repro.groups.abelian import AbelianTupleGroup
@@ -265,8 +266,7 @@ class TestBatchCounterConsistency:
         from repro.core.small_commutator import solve_hsp_small_commutator
         from repro.quantum.sampling import FourierSampler
 
-        reports = {}
-        for use_engine in (False, True):
+        def solve():
             base = extraspecial_group(3)
             box = BlackBoxGroup(base, QueryCounter())
             oracle = hiding_oracle_from_subgroup(base, [((1,), (1,), 0)], counter=box.counter)
@@ -274,17 +274,22 @@ class TestBatchCounterConsistency:
                 box,
                 oracle,
                 sampler=FourierSampler(backend="statevector", rng=np.random.default_rng(20010202)),
-                use_engine=use_engine,
             )
-            reports[use_engine] = result.query_report
-        assert reports[True] == reports[False]
+            return result.query_report, base
+
+        engine_report, base = solve()
+        assert getattr(base, "_cayley_engine", None) is not None
+        with no_engine():
+            scalar_report, base = solve()
+        assert getattr(base, "_cayley_engine", None) is None
+        assert engine_report == scalar_report
 
     def test_analytic_batch_sampling_survives_int64_overflowing_moduli(self):
         """Moduli >= 2^63 must reach the exact big-integer fallback, not crash."""
         from repro.quantum.sampling import FourierSampler, SubgroupStructureOracle
 
         oracle = SubgroupStructureOracle([1 << 64], [(0,)])
-        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(5), batch=True)
+        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(5))
         samples = sampler.sample(oracle, 4)
         assert len(samples) == 4
         assert all(0 <= s[0] < (1 << 64) for s in samples)
@@ -295,18 +300,22 @@ class TestBatchCounterConsistency:
         from repro.core.small_commutator import solve_hsp_small_commutator
         from repro.quantum.sampling import FourierSampler
 
-        reports = {}
-        for use_engine in (False, True):
+        def solve():
             group = extraspecial_group(3)
             instance = HSPInstance.from_subgroup(group, [((1,), (1,), 0)])
             rng = np.random.default_rng(20010202)
             result = solve_hsp_small_commutator(
                 group,
                 instance.oracle.fresh_view(),
-                sampler=FourierSampler(backend="statevector", rng=rng, batch=use_engine),
+                sampler=FourierSampler(backend="statevector", rng=rng),
                 commutator_elements=group.commutator_subgroup_elements(),
-                use_engine=use_engine,
             )
             assert instance.verify(result.generators or [group.identity()])
-            reports[use_engine] = result.query_report
-        assert reports[True] == reports[False]
+            return result.query_report, group
+
+        engine_report, group = solve()
+        assert getattr(group, "_cayley_engine", None) is not None
+        with no_engine():
+            scalar_report, group = solve()
+        assert getattr(group, "_cayley_engine", None) is None
+        assert engine_report == scalar_report

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.hsp.oracles as oracles
+from conftest import no_engine
 from repro.blackbox.instances import HSPInstance, hiding_oracle_from_subgroup, subgroup_coset_label
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle
 from repro.core.constructive_membership import constructive_membership
@@ -31,7 +32,7 @@ from repro.core.solver import solve_hsp
 from repro.experiments.registry import build_instance
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import CayleyBackend, engine_disabled, kernel_disabled, maybe_engine
+from repro.groups.engine import CayleyBackend, kernel_disabled, maybe_engine
 from repro.groups.perm import alternating_group, symmetric_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
@@ -273,6 +274,8 @@ def _extraspecial_solve(p, build_context, solve_context):
     with solve_context():
         solution = solve_hsp(instance, sampler=FourierSampler(rng=np.random.default_rng(SEED)))
     assert instance.verify(solution.generators or [instance.group.identity()])
+    if solve_context is no_engine:
+        assert getattr(instance.group.group, "_cayley_engine", None) is None
     return solution.generators, instance.query_report()
 
 
@@ -282,7 +285,7 @@ def test_vectorised_coset_bundle_is_attached_on_the_shared_engine(bundle_attachm
     assert label_ids is not None
     ids = np.arange(engine.interned_count, dtype=np.int64)
     assert label_ids(ids) == [bundle._label(x) for x in engine.elements_of(ids)]
-    scalar = _extraspecial_solve(5, engine_disabled, engine_disabled)
+    scalar = _extraspecial_solve(5, no_engine, no_engine)
     assert dense == scalar
 
 
@@ -293,9 +296,9 @@ def test_foreign_engine_bundle_keeps_plain_id_keying(bundle_attachments):
     attachment) and solved with one, the situation of an instance that
     outlives the engine configuration it was built under.
     """
-    foreign = _extraspecial_solve(5, engine_disabled, nullcontext)
+    foreign = _extraspecial_solve(5, no_engine, nullcontext)
     assert [label_ids for _, _, label_ids in bundle_attachments] == [None]
-    scalar = _extraspecial_solve(5, engine_disabled, engine_disabled)
+    scalar = _extraspecial_solve(5, no_engine, no_engine)
     assert foreign == scalar
 
 
