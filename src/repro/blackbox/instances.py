@@ -24,7 +24,9 @@ from repro.groups.subgroup import (
     make_membership_tester,
     coset_representative_map,
 )
-from repro.linalg.zmodule import coset_representative
+# ``coset_representative`` is kept bound here: perfbench's alias test
+# (perfbench/tests/test_perfbench_trace.py) pins it as this module's name.
+from repro.linalg.zmodule import CosetReducer, coset_representative  # noqa: F401
 
 __all__ = [
     "HSPInstance",
@@ -37,17 +39,18 @@ __all__ = [
 def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> Callable[[Any], Any]:
     """A left-coset labelling function for the subgroup generated by ``subgroup_generators``.
 
-    For Abelian tuple groups the label is the canonical lattice representative
-    (polynomial time per query).  For other groups with a usable Cayley
-    engine the label is the minimum interned id over the coset ``x H``: a
-    fully enumerated engine (table or kernel mode) computes that minimum for
-    every element at once on the first query, ``k |G|`` products for ``k``
-    generators of ``H``, and then answers each query by a table lookup; a
-    sparse engine takes one batched row of ``|H|`` memoized products per
-    uncached query.  The engine-less fallback is the minimum encoding over
-    the enumerated subgroup.  Either way this is instance-construction cost,
-    not solver cost: the hiding oracle counts its queries, not the
-    simulation's group operations.
+    For Abelian tuple groups the label is the canonical lattice representative,
+    reduced against one Hermite normal form computed when the labeller is
+    built (polynomial time per query, no Hermite form per query).  For other
+    groups with a usable Cayley engine the label is the minimum interned id
+    over the coset ``x H``: a fully enumerated engine (table or kernel mode)
+    computes that minimum for every element at once on the first query,
+    ``k |G|`` products for ``k`` generators of ``H``, and then answers each
+    query by a table lookup; a sparse engine takes one batched row of
+    ``|H|`` memoized products per uncached query.  The engine-less fallback
+    is the minimum encoding over the enumerated subgroup.  Either way this
+    is instance-construction cost, not solver cost: the hiding oracle counts
+    its queries, not the simulation's group operations.
     """
     label, _engine, _label_ids = _coset_label_parts(group, subgroup_generators)
     return label
@@ -100,13 +103,9 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
     for :meth:`~repro.blackbox.oracle.HidingOracle.evaluate_ids`.
     """
     if isinstance(group, AbelianTupleGroup):
-        moduli = group.moduli
-        gens = [list(g) for g in subgroup_generators]
-
-        def label(x):
-            return coset_representative(x, gens, moduli)
-
-        return label, None, None
+        # One Hermite form per subgroup, shared by every oracle built from
+        # this labeller (including fresh counted views of the same instance).
+        return CosetReducer([list(g) for g in subgroup_generators], group.moduli), None, None
     engine = maybe_engine(group)
     if engine is not None and engine.mode == "kernel":
         generator_ids = engine.intern_many(list(subgroup_generators))

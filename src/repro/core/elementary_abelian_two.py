@@ -34,9 +34,11 @@ The algorithm (proof of Theorem 13), for a hidden subgroup ``H``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.blackbox.oracle import HidingOracle, QueryCounter
+import numpy as np
+
+from repro.blackbox.oracle import BlackBoxGroup, DenseBlackBoxGroup, HidingOracle, QueryCounter
 from repro.core.factor_group import GeneratedQuotient
 from repro.groups.base import FiniteGroup, GroupError
 from repro.hsp.abelian import solve_abelian_hsp
@@ -112,6 +114,14 @@ def solve_hsp_elementary_abelian_two(
     quotient_bound:
         Cap on ``|G/N|`` for the general path (the theorem's running time is
         polynomial in this quantity).
+
+    When ``group`` is a counted :class:`~repro.blackbox.oracle.BlackBoxGroup`
+    whose Cayley engine is the one ``oracle`` is keyed on, the domain scans
+    of the restriction to ``N`` and of every ``Z_2 x N`` probe run through
+    :func:`_bulk_embed_labeller` (uncounted engine products, one batched
+    call to ``f``, the scalar loop's multiplication count).  Otherwise each
+    point is labelled through the scalar ``embed`` loop; the query report
+    is the same on both routes.
     """
     sampler = sampler if sampler is not None else FourierSampler()
     counter = counter if counter is not None else oracle.counter
@@ -129,6 +139,14 @@ def solve_hsp_elementary_abelian_two(
                 element = group.multiply(element, generator)
         return element
 
+    # The domain scans of both oracles below stay in engine ids when the
+    # group is a counted black box keyed on the same engine as f.
+    dense = None
+    if oracle.dense_engine is not None and isinstance(group, BlackBoxGroup):
+        dense = group.dense_view()
+        if dense is not None and dense.engine is not oracle.dense_engine:
+            dense = None
+
     # -- step 1: H ∩ N (Simon-style run over Z_2^m) ---------------------------------
     with obs_span("elementary_abelian_two.intersection") as intersection_span:
         if m:
@@ -138,6 +156,7 @@ def solve_hsp_elementary_abelian_two(
                 counter=counter,
                 description="Theorem 13: restriction of f to N",
                 max_enumeration=max_enumeration,
+                label_many=None if dense is None else _bulk_embed_labeller(dense, oracle, normal_generators),
             )
             base_result = solve_abelian_hsp(base_oracle, sampler=sampler)
             intersection = [embed(alpha) for alpha in base_result.generators]
@@ -181,6 +200,7 @@ def solve_hsp_elementary_abelian_two(
                 counter=counter,
                 description="Theorem 13: Z_2 x N probe",
                 max_enumeration=max_enumeration,
+                label_many=None if dense is None else _bulk_embed_labeller(dense, oracle, normal_generators, z),
             )
             probe_result = solve_abelian_hsp(extended_oracle, sampler=sampler)
             for generator in probe_result.generators:
@@ -200,6 +220,45 @@ def solve_hsp_elementary_abelian_two(
         cyclic_path=cyclic_path,
         query_report=counter.snapshot(),
     )
+
+
+def _bulk_embed_labeller(
+    dense: DenseBlackBoxGroup,
+    oracle: HidingOracle,
+    normal_generators: Sequence,
+    z=None,
+) -> Callable[[Sequence[Vector]], List]:
+    """Batched twin of the per-point ``f(embed(alpha))`` labeller.
+
+    Without ``z`` a point is ``alpha`` in ``Z_2^m``; with ``z`` it is
+    ``(i, alpha)`` in ``Z_2 x Z_2^m`` and labels ``f(embed(alpha) z^i)``.
+    The normal generators of each point's set bits are folded left to right
+    in index order with uncounted engine products, ``z`` is multiplied on
+    the right of the points with odd ``i``, and ``f`` is asked once for the
+    whole batch.  The counter is charged one multiplication per set bit and
+    one per ``z`` factor, exactly what the scalar ``embed`` loop charges.
+    """
+    engine = dense.engine
+    generator_ids = [int(g) for g in dense.intern_many(list(normal_generators))]
+    z_id = None if z is None else dense.intern(z)
+    offset = 0 if z is None else 1
+    width = offset + len(generator_ids)
+
+    def fold(product: np.ndarray, mask: np.ndarray, element_id: int) -> None:
+        if mask.any():
+            product[mask] = engine.mul_many(product[mask], np.full(int(mask.sum()), element_id, dtype=np.int64))
+
+    def label_many(points: Sequence[Vector]) -> List:
+        bits = np.asarray(points, dtype=np.int64).reshape(len(points), width) % 2 == 1
+        product = np.full(len(points), engine.identity_id, dtype=np.int64)
+        for j, generator_id in enumerate(generator_ids):
+            fold(product, bits[:, offset + j], generator_id)
+        if z_id is not None:
+            fold(product, bits[:, 0], z_id)
+        dense.counter.group_multiplications += int(bits.sum())
+        return oracle.evaluate_ids(product)
+
+    return label_many
 
 
 def _quotient_is_cyclic(group: FiniteGroup, quotient: GeneratedQuotient, scan_limit: int = 1 << 12) -> bool:

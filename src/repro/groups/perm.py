@@ -45,11 +45,12 @@ Perm = Tuple[int, ...]
 
 
 def _compose_images(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """The one composition kernel: image rows of ``p * q`` (apply ``q`` first).
+    """The batch composition kernel: image rows of ``p * q`` (apply ``q`` first).
 
-    Works on single image vectors (1-D) and on ``(n, degree)`` batches alike
-    — ``axis=-1`` fancy-indexes each row of ``ps`` by the matching row of
-    ``qs``.  Both the scalar wrappers and the batch API call through here.
+    Fancy-indexes each row of an ``(n, degree)`` image matrix ``ps`` by the
+    matching row of ``qs`` (``axis=-1``).  :func:`compose_many` and the
+    Cayley engine's :class:`_PermKernel` call through here; the scalar
+    :func:`compose` computes the same images on tuples in plain Python.
     """
     return np.take_along_axis(ps, qs, axis=-1)
 
@@ -60,15 +61,16 @@ def _invert_images(ps: np.ndarray) -> np.ndarray:
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """``p * q``: apply ``q`` first, then ``p``."""
-    images = _compose_images(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
-    return tuple(int(v) for v in images)
+    """``p * q``: apply ``q`` first, then ``p`` (the entries are ``p``'s own)."""
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Perm) -> Perm:
-    """Inverse permutation."""
-    images = _invert_images(np.asarray(p, dtype=np.int64))
-    return tuple(int(v) for v in images)
+    """Inverse permutation (its entries are Python ints)."""
+    inverse = [0] * len(p)
+    for point, image in enumerate(p):
+        inverse[image] = point
+    return tuple(inverse)
 
 
 def compose_many(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ __all__ = [
     "subgroup_order",
     "canonical_generators",
     "cyclic_decomposition",
+    "CosetReducer",
     "coset_representative",
     "coset_representative_many",
 ]
@@ -218,6 +219,62 @@ def canonical_generators(generators: Sequence[Sequence[int]], moduli: Sequence[i
     return out
 
 
+class CosetReducer:
+    """Canonical coset representatives modulo one subgroup ``<generators>``.
+
+    The subgroup lattice (including the relations ``s_j e_j``) has full rank,
+    so reducing a point against the Hermite normal form of that lattice,
+    pivot by pivot, yields a unique representative per coset.  The pivoted
+    Hermite form is computed once, here; every later point costs one floor
+    division and one row update per pivot.  This gives a *polynomial-time*
+    coset labelling for Abelian groups — the hiding functions of the
+    Abelian HSP instances label their whole domain through one reducer, so
+    a single oracle query costs neither ``|H|`` group operations nor a
+    fresh Hermite form.
+    """
+
+    def __init__(self, generators: Sequence[Sequence[int]], moduli: Sequence[int]):
+        moduli = [int(s) for s in moduli]
+        hnf = hermite_normal_form(_stack_with_relations(generators, moduli))
+        self._pivoted = [(row, next(j for j, v in enumerate(row) if v != 0)) for row in hnf]
+        self._max_row = max((abs(v) for row in hnf for v in row), default=0)
+
+    def __call__(self, element: Sequence[int]) -> Vector:
+        """The canonical representative of ``element + <generators>``."""
+        x = [int(v) for v in element]
+        for row, pivot_col in self._pivoted:
+            q = x[pivot_col] // row[pivot_col]
+            if q:
+                x = [xi - q * ri for xi, ri in zip(x, row)]
+        return tuple(x)
+
+    def many(self, elements: Sequence[Sequence[int]]) -> List[Vector]:
+        """Batch reduction, a column of points at a time.
+
+        Performs the scalar call's floor divisions against the same rows, so
+        every output tuple is identical to ``self(element)``.  The int64
+        fast path bails out to the exact big-integer scalar call the moment
+        a reduction step could overflow.
+        """
+        elements = [[int(v) for v in e] for e in elements]
+        if not elements:
+            return []
+        max_elem = max((abs(v) for e in elements for v in e), default=0)
+        if max_elem < (1 << 31) and self._max_row < (1 << 31):
+            arr = np.asarray(elements, dtype=np.int64)
+            for row, pivot_col in self._pivoted:
+                row_arr = np.asarray(row, dtype=np.int64)
+                q = arr[:, pivot_col] // row[pivot_col]
+                row_bound = max(abs(v) for v in row)
+                if int(np.abs(q).max()) * row_bound + int(np.abs(arr).max()) >= (1 << 62):
+                    break  # a later step could overflow: finish exactly below
+                arr = arr - q[:, None] * row_arr
+            else:
+                return [tuple(int(v) for v in r) for r in arr]
+            elements = [[int(v) for v in r] for r in arr]
+        return [self(x) for x in elements]
+
+
 def coset_representative(
     element: Sequence[int],
     generators: Sequence[Sequence[int]],
@@ -225,23 +282,10 @@ def coset_representative(
 ) -> Vector:
     """Canonical representative of the coset ``element + <generators>``.
 
-    The subgroup lattice (including the relations ``s_j e_j``) has full rank,
-    so reducing the element against the Hermite normal form of that lattice,
-    pivot by pivot, yields a unique representative per coset.  This gives a
-    *polynomial-time* coset labelling for Abelian groups — the hiding
-    functions of the large-scale Abelian HSP benchmarks use it so that a
-    single oracle query does not cost ``|H|`` group operations.
+    A one-point :class:`CosetReducer`; callers labelling many points of one
+    subgroup should build the reducer once instead.
     """
-    moduli = [int(s) for s in moduli]
-    rows = _stack_with_relations(generators, moduli)
-    hnf = hermite_normal_form(rows)
-    x = [int(v) for v in element]
-    for row in hnf:
-        pivot_col = next(j for j, v in enumerate(row) if v != 0)
-        q = x[pivot_col] // row[pivot_col]
-        if q:
-            x = [xi - q * ri for xi, ri in zip(x, row)]
-    return tuple(x)
+    return CosetReducer(generators, moduli)(element)
 
 
 def coset_representative_many(
@@ -249,45 +293,11 @@ def coset_representative_many(
     generators: Sequence[Sequence[int]],
     moduli: Sequence[int],
 ) -> List[Vector]:
-    """Batch coset labelling (the Hermite form is computed once per batch).
+    """Batch coset labelling: :meth:`CosetReducer.many` on a one-batch reducer.
 
-    Mirrors :func:`coset_representative` operation for operation — the same
-    floor divisions against the same HNF rows, just a column of elements at
-    a time — so every output tuple is identical to the scalar call.  The
-    int64 fast path bails out to exact big-integer arithmetic the moment a
-    reduction step could overflow.
+    Every output tuple is identical to :func:`coset_representative`'s.
     """
-    moduli = [int(s) for s in moduli]
-    elements = [list(map(int, e)) for e in elements]
-    if not elements:
-        return []
-    rows = _stack_with_relations(generators, moduli)
-    hnf = hermite_normal_form(rows)
-    pivoted = [(row, next(j for j, v in enumerate(row) if v != 0)) for row in hnf]
-
-    max_elem = max((abs(v) for e in elements for v in e), default=0)
-    max_row = max((abs(v) for row in hnf for v in row), default=0)
-    if max_elem < (1 << 31) and max_row < (1 << 31):
-        arr = np.asarray(elements, dtype=np.int64)
-        for row, pivot_col in pivoted:
-            row_arr = np.asarray(row, dtype=np.int64)
-            q = arr[:, pivot_col] // row[pivot_col]
-            row_bound = max(abs(v) for v in row)
-            if q.size and int(np.abs(q).max()) * row_bound + int(np.abs(arr).max()) >= (1 << 62):
-                break  # a later step could overflow: finish exactly below
-            arr = arr - q[:, None] * row_arr
-        else:
-            return [tuple(int(v) for v in r) for r in arr]
-        elements = [[int(v) for v in r] for r in arr]
-
-    out: List[Vector] = []
-    for x in elements:
-        for row, pivot_col in pivoted:
-            q = x[pivot_col] // row[pivot_col]
-            if q:
-                x = [xi - q * ri for xi, ri in zip(x, row)]
-        out.append(tuple(x))
-    return out
+    return CosetReducer(generators, moduli).many(elements)
 
 
 def cyclic_decomposition(

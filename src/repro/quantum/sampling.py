@@ -38,7 +38,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blackbox.oracle import QueryCounter
-from repro.linalg.zmodule import ZModule, annihilator, canonical_generators, cyclic_decomposition
+from repro.linalg.zmodule import (
+    CosetReducer,
+    ZModule,
+    annihilator,
+    canonical_generators,
+    cyclic_decomposition,
+)
 from repro.obs import span as obs_span
 from repro.quantum.qft import qft_probabilities_of_coset
 
@@ -103,7 +109,10 @@ class TupleFunctionOracle(AbelianHSPOracle):
     ``label_many`` is an optional batched twin of ``func`` (a list of reduced
     points in, one label per point out, same values); :meth:`evaluate_many`
     hands it all uncached points at once, which is how the domain scans
-    above run.  Without it the scan calls ``func`` point by point.
+    above run.  Without it the scan calls ``func`` point by point.  The
+    engine-backed twins are ``_bulk_power_product_labeller`` (the exponent
+    maps of :mod:`repro.hsp.oracles`) and ``_bulk_embed_labeller`` (the
+    Theorem 13 oracles of :mod:`repro.core.elementary_abelian_two`).
     """
 
     def __init__(
@@ -169,10 +178,11 @@ class TupleFunctionOracle(AbelianHSPOracle):
 class SubgroupStructureOracle(AbelianHSPOracle):
     """An oracle whose hidden subgroup is known by construction.
 
-    Evaluation labels cosets through the canonical lattice representative
-    (polynomial time), so instances scale to groups of order ``2^60`` and
-    beyond; this is the oracle used for the large-scale Abelian HSP scaling
-    benchmarks (experiment E1).
+    Evaluation labels cosets through the canonical lattice representative,
+    reduced against the Hermite form of a :class:`CosetReducer` built once
+    per oracle (polynomial time per point), so instances scale to groups of
+    order ``2^60`` and beyond; this is the oracle used for the large-scale
+    Abelian HSP scaling benchmarks (experiment E1).
     """
 
     def __init__(
@@ -184,16 +194,13 @@ class SubgroupStructureOracle(AbelianHSPOracle):
     ):
         super().__init__(moduli, counter, description)
         self._generators = canonical_generators(subgroup_generators, self.moduli)
+        self._reducer = CosetReducer(self._generators, self.moduli)
 
     def evaluate(self, element: Vector):
-        from repro.linalg.zmodule import coset_representative
-
-        return coset_representative(element, self._generators, self.moduli)
+        return self._reducer(element)
 
     def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        from repro.linalg.zmodule import coset_representative_many
-
-        return coset_representative_many(list(elements), self._generators, self.moduli)
+        return self._reducer.many(elements)
 
     def kernel_generators(self) -> List[Vector]:
         return list(self._generators)

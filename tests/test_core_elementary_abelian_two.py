@@ -5,7 +5,10 @@ import pytest
 
 from conftest import no_engine
 from repro.blackbox.instances import HSPInstance
+from repro.blackbox.noise import NoiseSpec, install_noise
+from repro.blackbox.oracle import BlackBoxGroup
 from repro.core.elementary_abelian_two import solve_hsp_elementary_abelian_two
+from repro.core.solver import solve_hsp
 from repro.groups.base import GroupError
 from repro.groups.catalog import (
     affine_gf2_instance,
@@ -14,7 +17,7 @@ from repro.groups.catalog import (
 )
 from repro.groups.abelian import elementary_abelian_group
 from repro.groups.products import generalized_dihedral
-from repro.quantum.sampling import FourierSampler
+from repro.quantum.sampling import FourierSampler, TupleFunctionOracle
 
 
 def solve_and_verify(group, normal_gens, hidden_generators, rng, **kwargs):
@@ -223,3 +226,93 @@ class TestEngineRouting:
                 solve_hsp_elementary_abelian_two(
                     group, instance.oracle, gens, sampler=FourierSampler(rng=np.random.default_rng(0))
                 )
+
+
+class TestBulkEmbedLabeller:
+    """``solve_hsp`` runs Theorem 13's domain scans in engine ids.
+
+    The instance's group is a counted ``BlackBoxGroup`` keyed on the same
+    engine as the oracle, so both ``TupleFunctionOracle`` scans (the
+    restriction to N and the ``Z_2 x N`` probes) take the bulk labeller.
+    Generators and the full query report must equal the engine-less leg's,
+    whose scans run the scalar ``embed`` loop point by point.
+    """
+
+    @staticmethod
+    def _solve(build, noise=None, seed=20010202):
+        rng = np.random.default_rng(seed)
+        instance = build(rng)
+        sampler = FourierSampler(rng=rng)
+        spec = None
+        if noise is not None:
+            spec = NoiseSpec.parse(noise)
+            install_noise(spec, instance, sampler, run_seed=seed)
+        return instance, solve_hsp(instance, strategy="elementary_abelian_two", sampler=sampler, noise=spec)
+
+    @staticmethod
+    def _wreath(k):
+        def build(rng):
+            group, normal_gens = wreath_instance(k)
+            hidden = [group.uniform_random_element(rng)]
+            return HSPInstance.from_subgroup(
+                group, hidden, promises={"normal_generators": normal_gens, "cyclic_quotient": True}
+            )
+
+        return build
+
+    @staticmethod
+    def _semidirect(rng):
+        group, normal_gens = elementary_abelian_semidirect_instance(4, "S3")
+        hidden = [group.random_element(rng)]
+        return HSPInstance.from_subgroup(
+            group,
+            hidden,
+            promises={"normal_generators": normal_gens, "cyclic_quotient": False, "quotient_bound": 1 << 8},
+        )
+
+    def _compare(self, build, noise=None):
+        scan_multiplies = []
+        scanning = []
+        original_scan = TupleFunctionOracle.evaluate_many
+        original_multiply = BlackBoxGroup.multiply
+
+        def scan(self, elements):
+            scanning.append(True)
+            try:
+                return original_scan(self, elements)
+            finally:
+                scanning.pop()
+
+        def multiply(self, a, b):
+            if scanning:
+                scan_multiplies.append((a, b))
+            return original_multiply(self, a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TupleFunctionOracle, "evaluate_many", scan)
+            patch.setattr(BlackBoxGroup, "multiply", multiply)
+            instance, bulk = self._solve(build, noise)
+            assert instance.oracle.dense_engine is not None
+            assert scan_multiplies == [], "a domain scan fell back to the scalar embed loop"
+            with no_engine():
+                _, scalar = self._solve(build, noise)
+            assert scan_multiplies, "the engine-less leg should scan through scalar embeds"
+        assert bulk.status == scalar.status
+        assert bulk.generators == scalar.generators
+        assert bulk.query_report == scalar.query_report
+        if noise is None:
+            assert bulk.status == "ok"
+            assert instance.verify(bulk.generators or [instance.group.identity()])
+        return bulk
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cyclic_path_matches_scalar_loop(self, k):
+        solution = self._compare(self._wreath(k))
+        assert solution.details.cyclic_path
+
+    def test_general_path_matches_scalar_loop(self):
+        solution = self._compare(self._semidirect)
+        assert not solution.details.cyclic_path
+
+    def test_oracle_flip_matches_scalar_loop(self):
+        self._compare(self._wreath(2), noise="oracle-flip(0.3)")
