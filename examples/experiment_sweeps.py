@@ -49,13 +49,13 @@ def run_a_declared_sweep(out_dir: str) -> None:
 
 
 def declare_your_own(out_dir: str) -> None:
-    print("=== 3. Declare a custom sweep (grid x repeats, sharded sampling) ===")
+    print("=== 3. Declare a custom sweep (grid x repeats, analytic sampling) ===")
     spec = SweepSpec.from_grid(
         "custom-extraspecial",
         "extraspecial_random",
         {"p": [3, 5, 7]},
         repeats=2,
-        sampler=SamplerSpec(shards=2),
+        sampler=SamplerSpec(backend="analytic"),
         description="query scaling of Theorem 11 in the commutator order p",
     )
     _, payload = run_sweep(spec, workers=2, out_dir=out_dir)

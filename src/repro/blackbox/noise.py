@@ -26,9 +26,7 @@ Two channels are implemented:
     uniformly random element of the full dual group.  The channel owns a
     dedicated generator derived from the run's SeedSequence — the sampler's
     main stream is never touched, so an installed-but-zero channel (and the
-    uninstalled case) produce byte-identical rows — and corruption is drawn
-    in the parent in the same serial order as the sampling randomness, so
-    sharded requests corrupt identically to unsharded ones.
+    uninstalled case) produce byte-identical rows.
 
 Both channels sit *below* the query counters: corruption changes answers,
 never accounting.  Verification of solver output against the ground truth
@@ -166,9 +164,8 @@ class SampleDepolariseChannel:
     """Fourier-sample corruption: replace each sample with a uniform dual label.
 
     Owns its generator (derived from the run's SeedSequence, stream 1); the
-    sampler's main stream is untouched, and corruption is applied in the
-    parent after the batch is produced — the same serial order whether the
-    batch was sharded or not.
+    sampler's main stream is untouched, and corruption is applied after the
+    batch is produced.
     """
 
     def __init__(self, epsilon: float, run_seed: int):

@@ -92,7 +92,6 @@ from repro.experiments.results import (
 from repro.experiments.transports import SqliteTransport
 from repro.experiments.runner import (
     SweepAborted,
-    execute_batch,
     execute_run,
     execute_run_safe,
     run_sweep,
@@ -132,7 +131,6 @@ __all__ = [
     "check_journal_agreement",
     "collect_queue",
     "enqueue_sweep",
-    "execute_batch",
     "execute_run",
     "execute_run_safe",
     "families",

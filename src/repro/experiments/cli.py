@@ -94,7 +94,7 @@ def run_sweeps(names: List[str], argv: Optional[List[str]] = None, description: 
     if any sweep failed.
     """
     parser = argparse.ArgumentParser(description=description or f"run sweeps: {', '.join(names)}")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default 1)")
     parser.add_argument("--out", default=".", help="output directory for the BENCH files")
     parser.add_argument("--resume", action="store_true", help="resume each sweep from its journal")
     parser.add_argument(
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="execute a declared sweep and write BENCH_<name>.json")
     run_parser.add_argument("name", help="a workload name from `list`")
-    run_parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    run_parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default 1)")
     run_parser.add_argument("--out", default=".", help="output directory for the BENCH file")
     run_parser.add_argument("--seed", type=int, default=None, help="override the sweep master seed")
     run_parser.add_argument("--repeats", type=int, default=None, help="override the repeats per grid point")
@@ -282,6 +282,18 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="write a cProfile .pstats file per run into DIR",
     )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for ``--workers``: a count of at least 1 (``0`` is the
+    BENCH marker of an externally executed sweep, not a worker count)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _positive_seconds(text: str) -> float:

@@ -25,7 +25,7 @@ row content exactly.
 Determinism: a run's randomness comes only from ``RunSpec.seed`` (one
 generator drives instance construction and Fourier sampling, in that fixed
 order), so results are independent of worker count and scheduling.  Pool
-results are collected with ``Executor.map``, which preserves input order.
+records arrive in completion order and the payload sorts rows by index.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import re
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,17 +54,15 @@ from repro.experiments.results import (
     write_bench,
     write_journal_header,
 )
-from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
+from repro.experiments.specs import RunSpec, SweepSpec
 from repro.obs import metrics as obs_metrics
 from repro import obs
 from repro.quantum.sampling import FourierSampler
 
 __all__ = [
     "SweepAborted",
-    "execute_batch",
     "execute_run",
     "execute_run_safe",
-    "make_sampler",
     "run_sweep",
 ]
 
@@ -101,25 +98,7 @@ class SweepAborted(RuntimeError):
         )
 
 
-def make_sampler(spec: SamplerSpec, rng: np.random.Generator, pool=None) -> FourierSampler:
-    """The Fourier sampler described by ``spec``, seeded with ``rng``.
-
-    ``pool`` is the executor for shard tasks when ``spec.shards`` is set;
-    ``None`` runs the shard blocks inline with identical samples and
-    accounting.  Pool-executed runs always shard inline — a worker process
-    must not spawn a nested pool — so a pool only reaches the sampler on the
-    ``workers=1`` path (see :func:`run_sweep`).
-    """
-    return FourierSampler(
-        backend=spec.backend,
-        rng=rng,
-        statevector_limit=spec.statevector_limit,
-        shards=spec.shards,
-        shard_pool=pool,
-    )
-
-
-def execute_run(run: RunSpec, shard_pool=None) -> RunRecord:
+def execute_run(run: RunSpec) -> RunRecord:
     """Execute one run descriptor; raises on failure (see ``execute_run_safe``).
 
     Telemetry is sidecar-only: the ``run`` span, the per-run metrics delta
@@ -133,7 +112,7 @@ def execute_run(run: RunSpec, shard_pool=None) -> RunRecord:
         metrics_before = (
             obs.get_metrics().snapshot() if obs_metrics.collecting() else None
         )
-        record = _execute_run_impl(run, shard_pool=shard_pool)
+        record = _execute_run_impl(run)
         run_span.set(strategy=record.strategy, success=record.success)
         if metrics_before is not None:
             obs.event(
@@ -146,7 +125,7 @@ def execute_run(run: RunSpec, shard_pool=None) -> RunRecord:
     return record
 
 
-def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
+def _execute_run_impl(run: RunSpec) -> RunRecord:
     rng = np.random.default_rng(run.seed)
     options = run.options_dict()
     unknown = set(options) - SUPPORTED_SOLVER_OPTIONS
@@ -160,7 +139,7 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
     noise = NoiseSpec.parse(options.pop("noise", "none"))
     instance = build_instance(run.family, run.instance_params(), rng)
     base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
-    sampler = make_sampler(run.sampler, rng, pool=shard_pool)
+    sampler = FourierSampler(backend=run.sampler.backend, rng=rng)
     if noise is not None:
         # Channel randomness derives from the run seed through its own
         # domain-separated SeedSequence stream — the main ``rng`` above
@@ -212,7 +191,7 @@ def _normalize_traceback(text: str) -> str:
     return _TRACEBACK_PATH.sub(r"\1\3", text)
 
 
-def execute_run_safe(run: RunSpec, shard_pool=None) -> RunRecord:
+def execute_run_safe(run: RunSpec) -> RunRecord:
     """The pool-side entry point: a raising run becomes an ``"error"`` record.
 
     Only ``Exception`` is converted — ``KeyboardInterrupt`` and other
@@ -220,7 +199,7 @@ def execute_run_safe(run: RunSpec, shard_pool=None) -> RunRecord:
     a later ``--resume``.
     """
     try:
-        return execute_run(run, shard_pool=shard_pool)
+        return execute_run(run)
     except Exception:
         return RunRecord(
             sweep=run.sweep,
@@ -253,93 +232,6 @@ def _obs_pool_init(trace_path: Optional[str], profile_dir: Optional[str]) -> Non
     )
 
 
-def execute_batch(
-    pending: Sequence[RunSpec],
-    admit,
-    workers: int = 1,
-    sampler_shards: Optional[int] = None,
-    over_budget=None,
-    trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-) -> bool:
-    """The worker-agnostic task-execution core: run descriptors, sink records.
-
-    Executes every descriptor in ``pending`` through
-    :func:`execute_run_safe` — inline for ``workers <= 1``, on a bounded
-    process-pool window otherwise — calling ``admit(record)`` as each record
-    completes.  The caller owns everything else: journaling, BENCH
-    persistence, failure accounting.  That split is what lets the same core
-    drive both :func:`run_sweep` (admit = journal append + in-memory list)
-    and other execution topologies that sink records elsewhere (the
-    distributed queue runner journals to per-worker shards).
-
-    ``over_budget`` is consulted after each admitted record; once it returns
-    true, dispatching stops, already-executing pool runs are drained (and
-    admitted — their work is real and must reach the ledger), and the batch
-    reports incompletion by returning ``False``.  ``True`` means every
-    pending descriptor was executed and admitted.
-
-    ``sampler_shards`` is the inline path's sampler sharding: a single
-    executor shared by every run of the batch (a pooled batch must not spawn
-    nested pools, so it is ignored for ``workers > 1`` — see
-    :func:`make_sampler`).
-
-    ``trace``/``profile_dir`` configure observability inside pool worker
-    processes (the caller configures its own process); both default to off.
-    """
-    over = over_budget if over_budget is not None else (lambda: False)
-    if workers <= 1:
-        # Inline execution is where a SamplerSpec with shards= gets a real
-        # worker pool: one executor shared by every run of the batch.
-        pool_context = (
-            ProcessPoolExecutor(
-                max_workers=int(sampler_shards),
-                initializer=_obs_pool_init,
-                initargs=(trace, profile_dir),
-            )
-            if sampler_shards is not None and sampler_shards > 1
-            else nullcontext(None)
-        )
-        with pool_context as shard_pool:
-            for run in pending:
-                admit(execute_run_safe(run, shard_pool=shard_pool))
-                if over():
-                    return False
-        return True
-    # Bounded incremental submission: at most ~2x workers runs are ever
-    # in flight, so an over-budget abort stops dispatching almost
-    # immediately instead of waiting out an eagerly-submitted tail, and
-    # every record that did complete is admitted before the abort
-    # (records may arrive out of input order; rows are keyed and later
-    # sorted by index, so the payload is unaffected).
-    with ProcessPoolExecutor(
-        max_workers=int(workers),
-        initializer=_obs_pool_init,
-        initargs=(trace, profile_dir),
-    ) as pool:
-        queue = list(reversed(list(pending)))
-        in_flight = set()
-        window = 2 * int(workers)
-        while queue or in_flight:
-            while queue and len(in_flight) < window:
-                in_flight.add(pool.submit(execute_run_safe, queue.pop()))
-            finished, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in finished:
-                admit(future.result())
-            if over():
-                for future in in_flight:
-                    future.cancel()
-                # Runs already executing cannot be cancelled; wait them
-                # out and admit their records so the ledger does not lose
-                # work that in fact completed.
-                drained, _ = wait(in_flight)
-                for future in drained:
-                    if not future.cancelled():
-                        admit(future.result())
-                return False
-    return True
-
-
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
@@ -351,10 +243,12 @@ def run_sweep(
 ) -> Tuple[Optional[str], Dict[str, object]]:
     """Execute a sweep and persist its ``BENCH_<name>.json``.
 
-    ``workers > 1`` fans the expanded run list out over a process pool; the
-    rows of the resulting payload are byte-identical to a ``workers=1``
-    execution of the same spec.  ``out_dir=None`` skips persistence (no
-    BENCH file, no journal) and just returns the payload.
+    ``workers=1`` executes every run inline; ``workers > 1`` fans the
+    expanded run list out over a process pool; the rows of the resulting
+    payload are byte-identical either way.  ``workers < 1`` raises
+    ``ValueError`` (``0`` marks externally executed sweeps in BENCH
+    payloads).  ``out_dir=None`` skips persistence (no BENCH file, no
+    journal) and just returns the payload.
 
     ``max_failures=None`` (the default) captures every raising run as an
     ``status="error"`` row and finishes the sweep; an integer budget raises
@@ -375,6 +269,8 @@ def run_sweep(
     cProfile ``.pstats`` file per run.  Neither changes the journal or the
     BENCH payload in any byte.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     runs = spec.expand()
     jpath: Optional[str] = None
     done: Dict[Tuple[int, int], RunRecord] = {}
@@ -415,16 +311,44 @@ def run_sweep(
         with obs.span(
             "sweep", sweep=spec.name, runs=len(runs), pending=len(pending), workers=workers
         ):
-            completed = execute_batch(
-                pending,
-                admit,
-                workers=workers,
-                sampler_shards=spec.sampler.shards,
-                over_budget=over_budget,
-                trace=trace,
-                profile_dir=profile_dir,
-            )
-    if not completed:
+            if workers == 1:
+                for run in pending:
+                    admit(execute_run_safe(run))
+                    if over_budget():
+                        break
+            else:
+                # Bounded incremental submission: at most 2x workers runs are
+                # ever in flight, so an over-budget abort stops dispatching
+                # almost immediately instead of waiting out an
+                # eagerly-submitted tail.  Records may arrive out of input
+                # order; rows are keyed and later sorted by index, so the
+                # payload is unaffected.
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_obs_pool_init,
+                    initargs=(trace, profile_dir),
+                ) as pool:
+                    queue = list(reversed(pending))
+                    in_flight = set()
+                    while queue or in_flight:
+                        while queue and len(in_flight) < 2 * workers:
+                            in_flight.add(pool.submit(execute_run_safe, queue.pop()))
+                        finished, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                        for future in finished:
+                            admit(future.result())
+                        if over_budget():
+                            for future in in_flight:
+                                future.cancel()
+                            # Runs already executing cannot be cancelled; wait
+                            # them out and admit their records so the ledger
+                            # does not lose work that in fact completed.
+                            drained, _ = wait(in_flight)
+                            for future in drained:
+                                if not future.cancelled():
+                                    admit(future.result())
+                            break
+    # Failures only accumulate, so a budget exceeded mid-sweep still is.
+    if over_budget():
         raise SweepAborted(spec.name, failures, max_failures, jpath)
 
     payload = bench_payload(spec, workers, records)

@@ -16,10 +16,13 @@ byte-identity guarantee.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.quantum.sampling import BACKENDS, STATEVECTOR_LIMIT
 
 __all__ = ["DEFAULT_SEED", "RESERVED_GRID_KEYS", "SamplerSpec", "SweepSpec", "RunSpec", "derive_seed"]
 
@@ -38,24 +41,30 @@ DEFAULT_SEED = 20010202
 RESERVED_GRID_KEYS = ("strategy", "confidence", "noise")
 
 
+#: The retired sampler switches and the one value each still serialises as.
+_SAMPLER_CONSTANTS = {"batch": True, "shards": None, "statevector_limit": STATEVECTOR_LIMIT}
+
+
 def derive_seed(master: int, index: int) -> int:
     """The per-run seed: deterministic, well-mixed, platform independent."""
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1, np.uint64)[0])
 
 
-def _require_true(data: Mapping, key: str, owner: str) -> None:
+def _require_constant(data: Mapping, key: str, constant, owner: str) -> None:
     """Refuse a retired configuration switch in serialised spec ``data``.
 
-    ``key`` (``"engine"`` or ``"batch"``) is written as the constant ``true``
-    so committed headers keep their bytes; it may only be absent or JSON
-    ``true``.  Anything else — ``false``, ``"false"``, ``0`` — describes a
+    A retired switch (``engine``, ``batch``, ``shards``,
+    ``statevector_limit``) is written as its one constant so committed
+    headers and queue tasks keep their bytes; it may only be absent or equal
+    to that constant, of the same JSON type.  Anything else — ``false``,
+    ``"false"``, ``0`` for ``true``, a shard count for ``null`` — describes a
     configuration this build cannot run, so it raises instead of coercing.
     """
-    value = data.get(key, True)
-    if value is not True:
+    value = data.get(key, constant)
+    if type(value) is not type(constant) or value != constant:
         raise ValueError(
-            f"{owner} field {key!r} must be true (the only supported "
-            f"configuration), got {value!r}"
+            f"{owner} field {key!r} must be {json.dumps(constant)} (the only "
+            f"supported configuration), got {value!r}"
         )
 
 
@@ -75,30 +84,27 @@ def _thaw(value):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Configuration of the :class:`~repro.quantum.sampling.FourierSampler`."""
+    """Configuration of the :class:`~repro.quantum.sampling.FourierSampler`.
+
+    ``backend`` is validated here, so a misspelt backend fails the
+    declaration (or quarantines a queue task) instead of every run.
+    """
 
     backend: str = "auto"
-    shards: Optional[int] = None
-    statevector_limit: int = 1 << 14
+
+    def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
 
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "batch": True,
-            "shards": self.shards,
-            "statevector_limit": self.statevector_limit,
-        }
+        return {"backend": self.backend, **_SAMPLER_CONSTANTS}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SamplerSpec":
         """Rebuild a sampler spec from :meth:`to_json_dict` output."""
-        _require_true(data, "batch", "sampler")
-        shards = data.get("shards")
-        return cls(
-            backend=str(data.get("backend", "auto")),
-            shards=None if shards is None else int(shards),
-            statevector_limit=int(data.get("statevector_limit", 1 << 14)),
-        )
+        for key, constant in _SAMPLER_CONSTANTS.items():
+            _require_constant(data, key, constant, "sampler")
+        return cls(backend=str(data.get("backend", "auto")))
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class RunSpec:
         The JSON round-trip turns tuples into lists; re-freezing restores
         the exact original dataclass (asserted by equality in the tests).
         """
-        _require_true(data, "engine", "run")
+        _require_constant(data, "engine", True, "run")
         return cls(
             sweep=str(data["sweep"]),
             index=int(data["index"]),
@@ -183,9 +189,10 @@ class SweepSpec:
     cartesian product with the keys in sorted order, then the repeats, so
     run indices (and hence seeds) are a pure function of the spec.
     Every run builds and solves its instance the one way the library runs
-    (a Cayley engine wherever the group admits one, batched Fourier
-    sampling); the serialised spec records that as the constants
-    ``"engine": true`` and ``"sampler": {"batch": true, ...}``.
+    (a Cayley engine wherever the group admits one, batched and unsharded
+    Fourier sampling); the serialised spec records that as the constants
+    ``"engine": true`` and ``"sampler": {"batch": true, "shards": null,
+    "statevector_limit": 16384, ...}``.
     """
 
     name: str
@@ -301,7 +308,7 @@ class SweepSpec:
         another machine reconstructs it to execute the sweep's runs and
         (in ``collect``) to recompute the expected run list.  Round-trips exactly: ``from_json_dict(to_json_dict(s)) == s``.
         """
-        _require_true(data, "engine", "sweep")
+        _require_constant(data, "engine", True, "sweep")
         return cls.from_grid(
             name=str(data["name"]),
             family=str(data["family"]),

@@ -32,8 +32,7 @@ uses.
 from __future__ import annotations
 
 import abc
-import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +52,17 @@ __all__ = [
     "TupleFunctionOracle",
     "SubgroupStructureOracle",
     "FourierSampler",
+    "BACKENDS",
+    "STATEVECTOR_LIMIT",
 ]
 
 Vector = Tuple[int, ...]
+
+#: The sampler backends; ``"auto"`` picks per oracle by domain size.
+BACKENDS = ("auto", "analytic", "statevector")
+
+#: Largest domain the ``"auto"`` backend simulates with the dense statevector.
+STATEVECTOR_LIMIT = 1 << 14
 
 
 class AbelianHSPOracle(abc.ABC):
@@ -219,54 +226,24 @@ class FourierSampler:
     ----------
     backend:
         ``"analytic"``, ``"statevector"`` or ``"auto"`` (statevector when the
-        domain fits under ``statevector_limit``, analytic otherwise).
+        domain fits under :data:`STATEVECTOR_LIMIT`, analytic otherwise).
     rng:
         NumPy random generator (reproducibility of every experiment).
-    statevector_limit:
-        Largest domain size simulated with the dense backend under ``auto``.
-    shards:
-        Default shard count for batch requests.  A sharded request draws all
-        randomness up front on the sampler's own generator — in exactly the
-        order the unsharded batch path would — and splits only the
-        coefficient-to-sample lattice combination into per-block-of-rounds
-        tasks, so the returned samples and the query accounting are
-        byte-identical to the unsharded path at a fixed seed, whether the
-        blocks run inline or on a worker pool.
-    shard_pool:
-        Default executor for shard tasks (anything with an ``Executor.map``
-        interface).  ``None`` runs the shard blocks inline, which still
-        produces the same samples; the per-oracle caches shipped to workers
-        (coset-probability arrays, dual decompositions) are plain
-        NumPy/tuple data and pickle cheaply.
     """
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        rng: Optional[np.random.Generator] = None,
-        statevector_limit: int = 1 << 14,
-        shards: Optional[int] = None,
-        shard_pool=None,
-    ):
-        if backend not in ("auto", "analytic", "statevector"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be a positive integer, got {shards}")
+    def __init__(self, backend: str = "auto", rng: Optional[np.random.Generator] = None):
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.statevector_limit = statevector_limit
-        self.shards = shards
-        self.shard_pool = shard_pool
         self.noise = None
 
     def attach_noise(self, channel) -> None:
         """Install a sample-corruption channel (``sample-depolarise``).
 
         The channel owns its generator (derived from the run's SeedSequence)
-        and is applied to every batch *after* the samples are produced — in
-        the parent, after any shard combination — so corruption randomness
-        is drawn in the same serial order whatever the shard count, and the
-        sampler's main stream is never perturbed.  Query accounting is
+        and is applied to every batch *after* the samples are produced, so
+        the sampler's main stream is never perturbed.  Query accounting is
         untouched: a corrupted round still counts as one quantum query.
         """
         if self.noise is not None:
@@ -274,37 +251,23 @@ class FourierSampler:
         self.noise = channel
 
     # -- public API --------------------------------------------------------------
-    def sample(
-        self,
-        oracle: AbelianHSPOracle,
-        count: int = 1,
-        shards: Optional[int] = None,
-        pool=None,
-    ) -> List[Vector]:
+    def sample(self, oracle: AbelianHSPOracle, count: int = 1) -> List[Vector]:
         """Draw ``count`` independent Fourier samples (elements of ``H^perp``).
 
-        Each sample accounts for one quantum query regardless of backend, of
-        batching and of sharding, so a batched request for ``count`` rounds
-        reports the same totals as ``count`` single-round requests.
-        ``shards`` and ``pool`` override the sampler-level defaults for this
-        request; see the class docstring for the sharding contract.
+        Each sample accounts for one quantum query regardless of backend and
+        of batching, so a batched request for ``count`` rounds reports the
+        same totals as ``count`` single-round requests.
         """
         if count <= 0:
             raise ValueError(f"sample requires a positive count, got {count}")
-        shards = shards if shards is not None else self.shards
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be a positive integer, got {shards}")
-        pool = pool if pool is not None else self.shard_pool
         backend = self._resolve_backend(oracle)
         oracle.counter.quantum_queries += count
         with obs_span("sampler.batch", backend=backend) as sampler_span:
             sampler_span.add("samples", count)
-            if shards is not None:
-                sampler_span.set(shards=shards)
             if backend == "statevector":
-                samples = self._sample_statevector(oracle, count, shards=shards, pool=pool)
+                samples = self._sample_statevector(oracle, count)
             else:
-                samples = self._sample_analytic(oracle, count, shards=shards, pool=pool)
+                samples = self._sample_analytic(oracle, count)
         if self.noise is not None:
             samples = self.noise.corrupt(samples, oracle.module.moduli)
         return samples
@@ -312,16 +275,10 @@ class FourierSampler:
     def _resolve_backend(self, oracle: AbelianHSPOracle) -> str:
         if self.backend != "auto":
             return self.backend
-        return "statevector" if oracle.domain_size() <= self.statevector_limit else "analytic"
+        return "statevector" if oracle.domain_size() <= STATEVECTOR_LIMIT else "analytic"
 
     # -- statevector backend ---------------------------------------------------------
-    def _sample_statevector(
-        self,
-        oracle: AbelianHSPOracle,
-        count: int,
-        shards: Optional[int] = None,
-        pool=None,
-    ) -> List[Vector]:
+    def _sample_statevector(self, oracle: AbelianHSPOracle, count: int) -> List[Vector]:
         """Dense simulation with the per-oracle measurement distribution cached.
 
         The measurement distribution of the Fourier-transformed coset state
@@ -330,8 +287,6 @@ class FourierSampler:
         distribution of the identity coset — collected in one domain scan,
         the classical cost of simulating the superposition query — serves
         every round.  Only the probability array is retained on the oracle.
-        Sharding splits the outcome-to-tuple decoding per block of rounds;
-        the outcomes themselves are drawn here, on the sampler's generator.
         """
         module = oracle.module
         shape = tuple(module.moduli)
@@ -349,12 +304,7 @@ class FourierSampler:
             flat = qft_probabilities_of_coset(indicator).reshape(-1)
             oracle._coset_probability_cache = flat
         outcomes = self.rng.choice(flat.size, p=flat, size=count)
-        if shards is None or shards <= 1:
-            return _unravel_outcomes(shape, outcomes)
-        tasks = [
-            ("statevector", shape, block) for block in _split_rounds(outcomes, count, shards)
-        ]
-        return _run_shard_tasks(tasks, pool)
+        return _unravel_outcomes(shape, outcomes)
 
     # -- analytic backend ----------------------------------------------------------------
     def _dual_structure(self, oracle: AbelianHSPOracle):
@@ -370,22 +320,13 @@ class FourierSampler:
             oracle._dual_structure_cache = cached
         return cached
 
-    def _sample_analytic(
-        self,
-        oracle: AbelianHSPOracle,
-        count: int,
-        shards: Optional[int] = None,
-        pool=None,
-    ) -> List[Vector]:
+    def _sample_analytic(self, oracle: AbelianHSPOracle, count: int) -> List[Vector]:
         """Vectorised uniform sampling from ``H^perp`` (cached decomposition).
 
         Coefficient blocks are drawn in one generator call each and combined
         with modular NumPy arithmetic when every modulus fits comfortably in
         ``int64``; larger moduli fall back to exact per-sample big-integer
-        lattice arithmetic (still with the cached decomposition).  All
-        coefficients are drawn here, in the exact order the unsharded path
-        draws them; sharding distributes only the per-row lattice
-        combination, so the samples are identical either way.
+        lattice arithmetic (still with the cached decomposition).
         """
         module = oracle.module
         _, decomposition = self._dual_structure(oracle)
@@ -402,23 +343,11 @@ class FourierSampler:
             coefficients = np.empty((count, len(decomposition)), dtype=np.int64)
             for j, (_, order) in enumerate(decomposition):
                 coefficients[:, j] = self.rng.integers(0, int(order), size=count, dtype=np.int64)
-            if shards is None or shards <= 1:
-                return _combine_analytic_vectorised(module.moduli, generators, coefficients)
-            tasks = [
-                ("analytic-vectorised", module.moduli, generators, block)
-                for block in _split_rounds(coefficients, count, shards)
-            ]
-            return _run_shard_tasks(tasks, pool)
+            return _combine_analytic_vectorised(module.moduli, generators, coefficients)
         coefficient_rows = [
             [self._uniform_below(int(order)) for _, order in decomposition] for _ in range(count)
         ]
-        if shards is None or shards <= 1:
-            return _combine_analytic_exact(module.moduli, generators, coefficient_rows)
-        tasks = [
-            ("analytic-exact", module.moduli, generators, block)
-            for block in _split_rounds(coefficient_rows, count, shards)
-        ]
-        return _run_shard_tasks(tasks, pool)
+        return _combine_analytic_exact(module, generators, coefficient_rows)
 
     def _uniform_below(self, bound: int) -> int:
         """A uniform integer in ``[0, bound)`` supporting arbitrary-size bounds."""
@@ -450,27 +379,6 @@ class FourierSampler:
         return distribution
 
 
-# ---------------------------------------------------------------------------
-# Shard workers: pure module-level functions over picklable per-oracle data
-# (the coset-probability array / dual decomposition cached on the oracle),
-# so process pools can run blocks of rounds without touching oracles, rngs
-# or counters.  The parent draws every random coefficient beforehand.
-# ---------------------------------------------------------------------------
-
-
-def _split_rounds(rows, count: int, shards: int) -> List:
-    """Contiguous blocks of ``rows`` (len ``count``) for ``shards`` workers."""
-    shards = max(1, min(int(shards), count))
-    base, remainder = divmod(count, shards)
-    blocks = []
-    start = 0
-    for i in range(shards):
-        size = base + (1 if i < remainder else 0)
-        blocks.append(rows[start : start + size])
-        start += size
-    return blocks
-
-
 def _unravel_outcomes(shape: Tuple[int, ...], outcomes) -> List[Vector]:
     return [tuple(int(v) for v in np.unravel_index(int(outcome), shape)) for outcome in outcomes]
 
@@ -484,38 +392,11 @@ def _combine_analytic_vectorised(moduli, generators, coefficients) -> List[Vecto
     return [tuple(int(v) for v in row) for row in values]
 
 
-def _combine_analytic_exact(moduli, generators, coefficient_rows) -> List[Vector]:
-    module = ZModule(moduli)
+def _combine_analytic_exact(module: ZModule, generators, coefficient_rows) -> List[Vector]:
     samples = []
     for row in coefficient_rows:
         sample = module.identity()
         for generator, coefficient in zip(generators, row):
             sample = module.add(sample, module.scalar(int(coefficient), generator))
         samples.append(sample)
-    return samples
-
-
-def _sampler_shard_worker(task):
-    """Dispatch one shard task (kind, ...payload) to its combination routine."""
-    kind = task[0]
-    if kind == "statevector":
-        _, shape, outcomes = task
-        return _unravel_outcomes(shape, outcomes)
-    _, moduli, generators, coefficients = task
-    if kind == "analytic-vectorised":
-        return _combine_analytic_vectorised(moduli, generators, coefficients)
-    if kind == "analytic-exact":
-        return _combine_analytic_exact(moduli, generators, coefficients)
-    raise ValueError(f"unknown shard task kind {kind!r}")
-
-
-def _run_shard_tasks(tasks, pool) -> List[Vector]:
-    """Run shard tasks inline or on a pool; concatenation preserves order."""
-    if pool is None:
-        parts = [_sampler_shard_worker(task) for task in tasks]
-    else:
-        parts = list(pool.map(_sampler_shard_worker, tasks))
-    samples: List[Vector] = []
-    for part in parts:
-        samples.extend(part)
     return samples

@@ -23,6 +23,7 @@ from repro.experiments import (
     WORKLOADS,
     build_instance,
     execute_run,
+    execute_run_safe,
     families,
     get_workload,
     run_sweep,
@@ -30,6 +31,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.results import load_bench, rows_bytes
 from repro.experiments.specs import derive_seed
+from repro.quantum.sampling import BACKENDS
 
 SEED = 20010202
 
@@ -169,12 +171,12 @@ class TestRunnerDeterminism:
             key: int(value) for key, value in sorted(merged.snapshot().items())
         }
 
-    def test_sharded_sampler_spec_matches_unsharded(self):
-        plain = tiny_spec("plain")
-        sharded = tiny_spec("plain", sampler=SamplerSpec(shards=3))
-        _, a = run_sweep(plain, workers=1, out_dir=None)
-        _, b = run_sweep(sharded, workers=1, out_dir=None)
-        assert rows_bytes(a) == rows_bytes(b)
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, tmp_path, workers):
+        # 0 is the BENCH marker of an externally executed (queue) sweep
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_sweep(tiny_spec(), workers=workers, out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_engine_and_scalar_configs_report_identical_queries(self, monkeypatch):
         # The accounting contract: the engine-less fallback path (the one
@@ -196,6 +198,26 @@ class TestRunnerDeterminism:
         for engine_row, scalar_row in zip(engine_payload["rows"], scalar_payload["rows"]):
             assert engine_row["generators"] == scalar_row["generators"]
             assert engine_row["query_report"] == scalar_row["query_report"]
+
+
+class TestSamplerSpec:
+    def test_an_unknown_backend_is_refused_at_declaration(self):
+        with pytest.raises(ValueError, match="unknown backend 'statevectr'"):
+            tiny_spec(sampler=SamplerSpec(backend="statevectr"))
+        with pytest.raises(ValueError, match="unknown backend 'statevectr'"):
+            SamplerSpec.from_json_dict({"backend": "statevectr"})
+        for backend in BACKENDS:
+            assert tiny_spec(sampler=SamplerSpec(backend=backend)).sampler.backend == backend
+
+    @pytest.mark.parametrize("keyword", ["shards", "statevector_limit"])
+    def test_retired_sampler_spec_keywords_raise_type_error(self, keyword):
+        with pytest.raises(TypeError):
+            SamplerSpec(**{keyword: 2})
+
+    @pytest.mark.parametrize("entry", [execute_run, execute_run_safe], ids=lambda f: f.__name__)
+    def test_the_retired_shard_pool_keyword_raises_type_error(self, entry):
+        with pytest.raises(TypeError):
+            entry(tiny_spec().expand()[0], shard_pool=None)
 
 
 class TestWorkloads:
@@ -245,6 +267,13 @@ class TestCLI:
         foreign.write_text(json.dumps({"benchmark": "scaling-dense-vs-prekernel", "aggregate": {}}))
         assert cli_main(["report", str(foreign)]) == 1
         assert "not a sweep BENCH file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_run_rejects_a_worker_count_below_one_at_parse_time(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit):
+            cli_main(["run", "smoke", "--workers", value, "--out", str(tmp_path)])
+        assert "positive integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_rejects_bad_overrides_cleanly(self, tmp_path, capsys):
         assert cli_main(["run", "smoke", "--repeats", "0", "--out", str(tmp_path)]) == 1

@@ -24,6 +24,7 @@ default ``.sqlite`` path, at an extensionless one, and as a caller-owned
   loudly, naming the divergent ``(index, seed)`` pairs.
 """
 
+import copy
 import itertools
 import json
 import os
@@ -180,22 +181,61 @@ def rewrite_lowest_pending_task(queue, edit):
     )
 
 
-#: ``(reader, payload without the switch, switch)`` of every spec reader
-#: that still reads a retired configuration switch.
-SPEC_READERS = [
-    pytest.param(SamplerSpec.from_json_dict, {}, "batch", id="sampler"),
-    pytest.param(
-        RunSpec.from_json_dict,
-        {key: value for key, value in tiny_spec().expand()[0].to_json_dict().items() if key != "engine"},
-        "engine",
-        id="run",
-    ),
-    pytest.param(
-        SweepSpec.from_json_dict,
-        {key: value for key, value in tiny_spec().to_json_dict().items() if key != "engine"},
-        "engine",
-        id="sweep",
-    ),
+def _parent_of(payload, path):
+    """The mapping that holds the field at key ``path`` of ``payload``."""
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
+def with_field(payload, path, value):
+    """A deep copy of ``payload`` with the field at key ``path`` set to
+    ``value``."""
+    edited = copy.deepcopy(payload)
+    _parent_of(edited, path)[path[-1]] = value
+    return edited
+
+
+def without_field(payload, path):
+    """A deep copy of ``payload`` with the field at key ``path`` removed."""
+    edited = copy.deepcopy(payload)
+    del _parent_of(edited, path)[path[-1]]
+    return edited
+
+
+def _spec_reader_legs():
+    """``(reader, payload, path, constant)`` for every retired configuration
+    switch each spec reader still reads: the switch at key ``path`` of the
+    well-formed ``payload`` serialises as ``constant`` and may only be
+    absent or equal to it."""
+    sampler_switches = {"batch": True, "shards": None, "statevector_limit": 16384}
+    readers = [
+        ("sampler", SamplerSpec.from_json_dict, SamplerSpec().to_json_dict(), ()),
+        ("run", RunSpec.from_json_dict, tiny_spec().expand()[0].to_json_dict(), ("sampler",)),
+        ("sweep", SweepSpec.from_json_dict, tiny_spec().to_json_dict(), ("sampler",)),
+    ]
+    legs = []
+    for owner, reader, payload, sampler_path in readers:
+        switches = [(sampler_path + (key,), value) for key, value in sampler_switches.items()]
+        if owner != "sampler":
+            switches.insert(0, (("engine",), True))
+        for path, constant in switches:
+            legs.append(pytest.param(reader, payload, path, constant, id=f"{owner}-{path[-1]}"))
+    return legs
+
+
+SPEC_READERS = _spec_reader_legs()
+
+#: Values a hand-edited or foreign spec might carry for a retired switch.
+#: Each is refused unless it is the switch's constant, of the same JSON type
+#: (``1`` is not ``true`` and ``16384.0`` is not ``16384``).
+RETIRED_SWITCH_VALUES = [False, "false", "true", 0, 1, None, 2, 16384.0, "16384", "null"]
+
+REFUSED_SWITCH_VALUES = [
+    pytest.param(*leg.values, value, id=f"{leg.id}-{value!r}")
+    for leg in SPEC_READERS
+    for value in RETIRED_SWITCH_VALUES
+    if not (type(value) is type(leg.values[3]) and value == leg.values[3])
 ]
 
 
@@ -214,14 +254,17 @@ class TestSpecSerialization:
             {"moduli": [(16, 9, 5)], "confidence": [4]},
             repeats=3,
             seed=7,
-            sampler=SamplerSpec(backend="analytic", shards=2),
+            sampler=SamplerSpec(backend="analytic"),
             solver_options={"confidence": 4},
         )
         for run in spec.expand():
             payload = run.to_json_dict()
             # the retired switches serialise as constants, so every
             # committed header and queue task keeps its bytes
-            assert payload["engine"] is True and payload["sampler"]["batch"] is True
+            assert payload["engine"] is True
+            assert payload["sampler"] == {
+                "backend": "analytic", "batch": True, "shards": None, "statevector_limit": 16384
+            }
             round_tripped = RunSpec.from_json_dict(json.loads(json.dumps(payload)))
             assert round_tripped == run
 
@@ -234,20 +277,23 @@ class TestSpecSerialization:
             assert round_tripped.expand() == spec.expand()
 
     def test_sampler_spec_round_trips(self):
-        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector", shards=3)):
+        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector")):
             assert SamplerSpec.from_json_dict(sampler.to_json_dict()) == sampler
 
-    @pytest.mark.parametrize("value", [False, "false", "true", 0, 1, None])
-    @pytest.mark.parametrize("reader,payload,field", SPEC_READERS)
-    def test_a_retired_switch_other_than_true_is_refused(self, reader, payload, field, value):
-        # bool("false") is True: a coercing reader would silently run the
-        # one configuration left while the payload asks for another
-        with pytest.raises(ValueError, match=f"'{field}' must be true"):
-            reader({**payload, field: value})
+    @pytest.mark.parametrize("reader,payload,path,constant,value", REFUSED_SWITCH_VALUES)
+    def test_a_retired_switch_other_than_its_constant_is_refused(
+        self, reader, payload, path, constant, value
+    ):
+        # bool("false") is True and 1 == True: a coercing reader would
+        # silently run the one configuration left while the payload asks
+        # for another
+        with pytest.raises(ValueError, match=f"'{path[-1]}' must be {json.dumps(constant)} "):
+            reader(with_field(payload, path, value))
 
-    @pytest.mark.parametrize("reader,payload,field", SPEC_READERS)
-    def test_a_retired_switch_reads_when_true_or_absent(self, reader, payload, field):
-        assert reader({**payload, field: True}) == reader(payload)
+    @pytest.mark.parametrize("reader,payload,path,constant", SPEC_READERS)
+    def test_a_retired_switch_reads_when_constant_or_absent(self, reader, payload, path, constant):
+        absent = without_field(payload, path)
+        assert reader(with_field(absent, path, constant)) == reader(absent) == reader(payload)
 
 
 class TestTransportResolution:
@@ -440,20 +486,31 @@ class TestCorruptQuarantine:
         assert isinstance(nxt, Claim)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,reason",
         [
-            pytest.param(lambda task: task.update(engine=False), id="engine"),
-            pytest.param(lambda task: task["sampler"].update(batch=False), id="batch"),
+            pytest.param(lambda task: task.update(engine=False), "'engine' must be true", id="engine"),
+            pytest.param(
+                lambda task: task["sampler"].update(batch=False), "'batch' must be true", id="batch"
+            ),
+            pytest.param(
+                lambda task: task["sampler"].update(shards=2), "'shards' must be null", id="shards"
+            ),
+            # a misspelt backend from another build is refused the same way
+            pytest.param(
+                lambda task: task["sampler"].update(backend="statevectr"),
+                "unknown backend 'statevectr'",
+                id="unknown-backend",
+            ),
         ],
     )
-    def test_a_task_asking_for_a_retired_switch_is_quarantined(self, tmp_path, kind, edit):
+    def test_a_task_asking_for_a_retired_switch_is_quarantined(self, tmp_path, kind, edit, reason):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
         enqueue_sweep(spec, queue)
         rewrite_lowest_pending_task(queue, edit)
         claim = claim_next(queue, "w0")
         assert isinstance(claim, CorruptTask)
-        assert "must be true" in claim.reason
+        assert reason in claim.reason
         assert queue_status(queue)["leases"] == 0
         assert isinstance(claim_next(queue, "w0"), Claim)
 
@@ -742,7 +799,14 @@ class TestSqliteSpecifics:
         with pytest.raises(QueueCorrupt, match="layout version"):
             load_queue_spec(queue)
 
-    def test_a_queue_pinning_a_retired_switch_is_corrupt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "path,value,reason",
+        [
+            pytest.param(("engine",), False, "'engine' must be true", id="engine"),
+            pytest.param(("sampler", "shards"), 2, "'shards' must be null", id="shards"),
+        ],
+    )
+    def test_a_queue_pinning_a_retired_switch_is_corrupt(self, tmp_path, path, value, reason):
         spec = tiny_spec()
         queue = queue_db_path(str(tmp_path), spec.name)
         enqueue_sweep(spec, queue)
@@ -750,11 +814,11 @@ class TestSqliteSpecifics:
         (pinned,) = con.execute("SELECT value FROM meta WHERE key = 'sweep'").fetchone()
         con.execute(
             "UPDATE meta SET value = ? WHERE key = 'sweep'",
-            (json.dumps({**json.loads(pinned), "engine": False}, sort_keys=True),),
+            (json.dumps(with_field(json.loads(pinned), path, value), sort_keys=True),),
         )
-        with pytest.raises(QueueCorrupt, match="does not pin a sweep spec: .*'engine' must be true"):
+        with pytest.raises(QueueCorrupt, match=f"does not pin a sweep spec: .*{reason}"):
             load_queue_spec(queue)
-        with pytest.raises(QueueCorrupt, match="'engine' must be true"):
+        with pytest.raises(QueueCorrupt, match=reason):
             work_queue(queue, worker_id="w0")
 
     def test_unparseable_record_row_stops_that_shard_stream(self, tmp_path):

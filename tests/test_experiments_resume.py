@@ -105,10 +105,10 @@ class TestResume:
         spec = tiny_spec("interrupted")
         real_execute = runner_module.execute_run
 
-        def dying_execute(run, shard_pool=None):
+        def dying_execute(run):
             if run.index == 2:
                 raise KeyboardInterrupt
-            return real_execute(run, shard_pool=shard_pool)
+            return real_execute(run)
 
         monkeypatch.setattr(runner_module, "execute_run", dying_execute)
         with pytest.raises(KeyboardInterrupt):
@@ -137,10 +137,10 @@ class TestResume:
         spec = tiny_spec("transient")
         real_execute = runner_module.execute_run
 
-        def flaky_execute(run, shard_pool=None):
+        def flaky_execute(run):
             if run.index == 1:
                 raise RuntimeError("transient outage")
-            return real_execute(run, shard_pool=shard_pool)
+            return real_execute(run)
 
         monkeypatch.setattr(runner_module, "execute_run", flaky_execute)
         with pytest.raises(SweepAborted):
@@ -164,10 +164,10 @@ class TestResume:
         spec = tiny_spec("pinned")
         real_execute = runner_module.execute_run
 
-        def dying_execute(run, shard_pool=None):
+        def dying_execute(run):
             if run.index == 1:
                 raise KeyboardInterrupt
-            return real_execute(run, shard_pool=shard_pool)
+            return real_execute(run)
 
         monkeypatch.setattr(runner_module, "execute_run", dying_execute)
         with pytest.raises(KeyboardInterrupt):
@@ -186,10 +186,10 @@ class TestResume:
         spec = tiny_spec("torn")
         real_execute = runner_module.execute_run
 
-        def dying_execute(run, shard_pool=None):
+        def dying_execute(run):
             if run.index == 2:
                 raise KeyboardInterrupt
-            return real_execute(run, shard_pool=shard_pool)
+            return real_execute(run)
 
         monkeypatch.setattr(runner_module, "execute_run", dying_execute)
         with pytest.raises(KeyboardInterrupt):
@@ -212,10 +212,10 @@ class TestResume:
         real_execute = runner_module.execute_run
 
         def die_at(index):
-            def dying(run, shard_pool=None):
+            def dying(run):
                 if run.index == index:
                     raise KeyboardInterrupt
-                return real_execute(run, shard_pool=shard_pool)
+                return real_execute(run)
 
             return dying
 
@@ -359,7 +359,8 @@ class TestCLI:
         baseline = load_bench(os.path.join(baseline_dir, "BENCH_fault-smoke.json"))
         assert rows_bytes(resumed) == rows_bytes(baseline)
 
-    def test_resume_refuses_a_journal_of_the_retired_scalar_sampler(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value", [("batch", False), ("shards", 2)], ids=["batch", "shards"])
+    def test_resume_refuses_a_journal_of_a_retired_sampler_switch(self, tmp_path, capsys, field, value):
         out = str(tmp_path)
         assert cli_main(["run", "fault-smoke", "--max-failures", "0", "--out", out]) == 1
         capsys.readouterr()
@@ -367,7 +368,7 @@ class TestCLI:
         with open(journal, encoding="utf-8") as handle:
             header, *records = handle.readlines()
         header = json.loads(header)
-        header["sweep"]["sampler"]["batch"] = False
+        header["sweep"]["sampler"][field] = value
         edited = [json.dumps(header, sort_keys=True) + "\n", *records]
         with open(journal, "w", encoding="utf-8") as handle:
             handle.writelines(edited)
@@ -385,6 +386,13 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "ERR" in output
         assert "errors=2" in output
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_run_sweeps_rejects_a_worker_count_below_one(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit):
+            run_sweeps(["smoke"], ["--workers", value, "--out", str(tmp_path)])
+        assert "positive integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_sweeps_runs_every_sweep_and_combines_status(self, tmp_path, capsys):
         status = run_sweeps(["fault-smoke", "smoke"], ["--out", str(tmp_path)])

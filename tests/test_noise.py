@@ -8,8 +8,8 @@ The load-bearing guarantees:
 * ``oracle-flip`` corruption is a pure function of ``(run seed, element)`` —
   identical across the scalar, batch and dense-id query paths, across fresh
   oracle views, and across repeated queries.
-* ``sample-depolarise`` corruption is identical whether the sampler shards a
-  batch or not.
+* ``sample-depolarise`` corruption is applied to the batch the sampler's
+  own stream produced, so noisy solves and sweep rows repeat exactly.
 * ε=0 is byte-identical to no noise at all (the channel is never installed);
   ε=1 terminates with failure rows instead of hanging.
 * A noisy solve either verifies against the uncorrupted ground truth or
@@ -34,11 +34,11 @@ from repro.blackbox.noise import (
 from repro.blackbox.oracle import BlackBoxGroup
 from repro.core.solver import solve_hsp
 from repro.experiments.runner import run_sweep
-from repro.experiments.specs import SamplerSpec, SweepSpec
+from repro.experiments.specs import SweepSpec
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.products import dihedral_semidirect
 from repro.hsp.baseline_classical import classical_adaptive_hsp
-from repro.quantum.sampling import FourierSampler
+from repro.quantum.sampling import FourierSampler, SubgroupStructureOracle
 
 
 def dihedral_instance(n=8, promises=None):
@@ -157,22 +157,37 @@ class TestOracleFlipChannel:
 
 
 class TestSampleDepolariseChannel:
-    def test_shard_counts_do_not_change_corruption(self, rng):
+    def test_depolarised_solve_repeats_exactly(self):
         group = AbelianTupleGroup([16, 9, 5])
-        instance = HSPInstance.from_subgroup(group, [(4, 3, 0)])
+        spec = NoiseSpec("sample-depolarise", 0.3)
         results = []
-        for shards in (None, 4):
-            sampler = FourierSampler(rng=np.random.default_rng(99), shards=shards)
+        for _ in range(2):
+            sampler = FourierSampler(rng=np.random.default_rng(99))
             local = HSPInstance.from_subgroup(group, [(4, 3, 0)])
-            install_noise(NoiseSpec("sample-depolarise", 0.3), local, sampler, run_seed=21)
-            solution = solve_hsp(
-                local,
-                strategy="abelian",
-                sampler=sampler,
-                noise=NoiseSpec("sample-depolarise", 0.3),
+            install_noise(spec, local, sampler, run_seed=21)
+            solution = solve_hsp(local, strategy="abelian", sampler=sampler, noise=spec)
+            results.append(
+                (sorted(repr(g) for g in solution.generators), solution.query_report)
             )
-            results.append(sorted(repr(g) for g in solution.generators))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_corruption_applies_to_the_uncorrupted_batch(self, backend):
+        # The channel draws from its own stream after the batch exists: a
+        # noisy sampler returns the corrupted image of exactly the batch an
+        # equally seeded clean sampler returns, request after request.
+        moduli = (16, 9, 5)
+        noisy = FourierSampler(backend=backend, rng=np.random.default_rng(99))
+        noisy.attach_noise(SampleDepolariseChannel(0.3, run_seed=21))
+        clean = FourierSampler(backend=backend, rng=np.random.default_rng(99))
+        channel = SampleDepolariseChannel(0.3, run_seed=21)
+        noisy_oracle = SubgroupStructureOracle(moduli, [(4, 3, 0)])
+        clean_oracle = SubgroupStructureOracle(moduli, [(4, 3, 0)])
+        for count in (5, 17, 1):
+            expected = channel.corrupt(clean.sample(clean_oracle, count), moduli)
+            assert noisy.sample(noisy_oracle, count) == expected
+        assert noisy.noise.flips == channel.flips > 0
+        assert noisy_oracle.counter.quantum_queries == clean_oracle.counter.quantum_queries == 23
 
     def test_flip_rate_tracks_epsilon(self):
         channel = SampleDepolariseChannel(0.25, run_seed=13)
@@ -319,19 +334,18 @@ class TestSweepIntegration:
         _, two = run_sweep(spec, workers=2, out_dir=None)
         assert rows_bytes(one) == rows_bytes(two)
 
-    def test_depolarise_rows_identical_across_shard_counts(self):
-        rows = []
-        for shards in (1, 4):
-            spec = SweepSpec.from_grid(
-                "noise-shards",
-                "abelian_random",
-                {"moduli": [(16, 9, 5)], "noise": ["sample-depolarise(0.1)"]},
-                repeats=3,
-                sampler=SamplerSpec(shards=shards),
-            )
-            _, payload = run_sweep(spec, workers=1, out_dir=None)
-            rows.append(json.dumps(payload["rows"], sort_keys=True))
-        assert rows[0] == rows[1]
+    def test_depolarise_rows_identical_across_worker_counts(self):
+        spec = SweepSpec.from_grid(
+            "noise-depolarise",
+            "abelian_random",
+            {"moduli": [(16, 9, 5)], "noise": ["sample-depolarise(0.1)"]},
+            repeats=3,
+        )
+        rows = [
+            json.dumps(run_sweep(spec, workers=workers, out_dir=None)[1]["rows"], sort_keys=True)
+            for workers in (1, 1, 2)
+        ]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_noise_axis_is_reserved_and_recorded(self):
         spec = SweepSpec.from_grid(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.linalg.zmodule import ZModule, annihilator, subgroup_contains
 from repro.quantum.sampling import (
+    STATEVECTOR_LIMIT,
     FourierSampler,
     SubgroupStructureOracle,
     TupleFunctionOracle,
@@ -66,9 +67,15 @@ class TestSamplerBackends:
     def test_auto_backend_selects_by_domain_size(self, rng):
         small = SubgroupStructureOracle([4], [(2,)])
         large = SubgroupStructureOracle([1 << 10, 1 << 10], [(2, 0)])
-        sampler = FourierSampler(backend="auto", rng=rng, statevector_limit=16)
+        sampler = FourierSampler(backend="auto", rng=rng)
         assert sampler._resolve_backend(small) == "statevector"
         assert sampler._resolve_backend(large) == "analytic"
+        # the committed sweep headers record this limit as 16384
+        assert STATEVECTOR_LIMIT == 1 << 14
+        at_limit = SubgroupStructureOracle([STATEVECTOR_LIMIT], [(0,)])
+        past_limit = SubgroupStructureOracle([STATEVECTOR_LIMIT + 1], [(0,)])
+        assert sampler._resolve_backend(at_limit) == "statevector"
+        assert sampler._resolve_backend(past_limit) == "analytic"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -135,75 +142,24 @@ class TestCountValidation:
             sampler.sample(oracle, 0)
         assert oracle.counter.quantum_queries == 0
 
-    def test_invalid_shards_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"shards": 2}, id="shards"),
+            pytest.param({"shard_pool": None}, id="shard_pool"),
+            pytest.param({"statevector_limit": 16}, id="statevector_limit"),
+        ],
+    )
+    def test_retired_constructor_keywords_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            FourierSampler(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [pytest.param({"shards": 2}, id="shards"), pytest.param({"pool": None}, id="pool")],
+    )
+    def test_retired_sample_keywords_raise_type_error(self, kwargs):
         oracle = SubgroupStructureOracle([8], [(2,)])
-        with pytest.raises(ValueError, match="shards"):
-            FourierSampler(shards=0)
-        with pytest.raises(ValueError, match="shards"):
-            FourierSampler().sample(oracle, 4, shards=-2)
-
-
-class TestShardedSampling:
-    """Sharded batch requests are byte-identical to the unsharded path."""
-
-    MODULI = [8, 9, 5]
-    HIDDEN = [(2, 3, 0)]
-
-    def _oracle(self):
-        return SubgroupStructureOracle(self.MODULI, self.HIDDEN)
-
-    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7, 50])
-    def test_sharded_equals_unsharded_at_fixed_seed(self, backend, shards):
-        plain_oracle, sharded_oracle = self._oracle(), self._oracle()
-        plain = FourierSampler(backend=backend, rng=np.random.default_rng(20010202))
-        sharded = FourierSampler(backend=backend, rng=np.random.default_rng(20010202))
-        a = plain.sample(plain_oracle, 23)
-        b = sharded.sample(sharded_oracle, 23, shards=shards)
-        assert a == b
-        assert plain_oracle.counter.quantum_queries == sharded_oracle.counter.quantum_queries == 23
-
-    def test_bigint_fallback_shards_identically(self):
-        plain_oracle = SubgroupStructureOracle([1 << 70], [])
-        sharded_oracle = SubgroupStructureOracle([1 << 70], [])
-        a = FourierSampler(backend="analytic", rng=np.random.default_rng(3)).sample(plain_oracle, 9)
-        b = FourierSampler(backend="analytic", rng=np.random.default_rng(3)).sample(
-            sharded_oracle, 9, shards=4
-        )
-        assert a == b
-
-    def test_process_pool_matches_inline_shards(self):
-        from concurrent.futures import ProcessPoolExecutor
-
-        inline_oracle, pooled_oracle = self._oracle(), self._oracle()
-        inline = FourierSampler(backend="analytic", rng=np.random.default_rng(5)).sample(
-            inline_oracle, 17, shards=4
-        )
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = FourierSampler(
-                backend="analytic", rng=np.random.default_rng(5), shards=4, shard_pool=pool
-            ).sample(pooled_oracle, 17)
-        assert inline == pooled
-
-    def test_sampler_level_shard_default_applies(self):
-        plain_oracle, sharded_oracle = self._oracle(), self._oracle()
-        a = FourierSampler(backend="analytic", rng=np.random.default_rng(11)).sample(plain_oracle, 12)
-        b = FourierSampler(backend="analytic", rng=np.random.default_rng(11), shards=5).sample(
-            sharded_oracle, 12
-        )
-        assert a == b
-
-    def test_more_shards_than_rounds_is_fine(self):
-        oracle = self._oracle()
-        samples = FourierSampler(backend="analytic", rng=np.random.default_rng(2)).sample(
-            oracle, 3, shards=16
-        )
-        assert len(samples) == 3
-
-    def test_sharded_distribution_stays_in_dual(self):
-        oracle = self._oracle()
-        module = oracle.module
-        dual = annihilator(self.HIDDEN, module.moduli)
-        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(8), shards=3)
-        for sample in sampler.sample(oracle, 40):
-            assert subgroup_contains(dual, sample, module.moduli)
+        with pytest.raises(TypeError):
+            FourierSampler(rng=np.random.default_rng(0)).sample(oracle, 4, **kwargs)
+        assert oracle.counter.quantum_queries == 0
