@@ -123,7 +123,7 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
             return int(labels()[engine.intern(x)])
 
         def label_ids(ids):
-            return labels()[ids].tolist()
+            return labels()[ids]
 
         return label, engine, label_ids
     if engine is not None:
@@ -143,13 +143,13 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
 
         def label_ids(ids):
             # Same min-id values as `label`, one chunked products block at a
-            # time; plain ints so label objects are identical either way.
+            # time.
             block = max(1, _LABEL_BLOCK_ENTRIES // max(1, int(subgroup_ids.size)))
-            values: List[int] = []
-            for start in range(0, len(ids), block):
-                chunk = ids[start : start + block]
-                values.extend(int(v) for v in engine.coset_label_many(chunk, subgroup_ids))
-            return values
+            blocks = [
+                engine.coset_label_many(ids[start : start + block], subgroup_ids)
+                for start in range(0, len(ids), block)
+            ]
+            return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
         return label, engine, label_ids
     subgroup_elements = generate_subgroup_elements(group, subgroup_generators)

@@ -294,6 +294,19 @@ class DenseBlackBoxGroup:
         return member
 
 
+def _label_array(values) -> np.ndarray:
+    """Labels as an int64 array when every label is an integer, else object."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "i":
+            return values.astype(np.int64, copy=False)
+        if values.dtype == object:
+            return values
+    values = list(values)
+    if all(isinstance(v, (int, np.integer)) for v in values):
+        return np.asarray(values, dtype=np.int64)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 class HidingOracle:
     """The hiding function ``f : G -> X`` with query accounting.
 
@@ -304,6 +317,10 @@ class HidingOracle:
     experiment harness uses them to check solver output and the analytic
     sampling backend may use them as the declared coset structure of
     top-level instances.
+
+    The query cache is keyed by element until :meth:`attach_dense`; a
+    dense-attached oracle caches in a label array plus a boolean ``seen``
+    mask, both indexed by engine id.
     """
 
     def __init__(
@@ -320,6 +337,8 @@ class HidingOracle:
         self._cache: Dict[Any, Any] = {}
         self._engine = None
         self._label_ids: Optional[Callable[[np.ndarray], Sequence]] = None
+        self._seen: Optional[np.ndarray] = None
+        self._labels: Optional[np.ndarray] = None
         self.noise = None
 
     @property
@@ -332,20 +351,57 @@ class HidingOracle:
 
         ``label_ids`` is an optional vectorized labeller (an int64 id array
         in, one label per id out) used for uncached ids; without it the
-        scalar ``label`` runs per fresh id.  Interning is a bijection, so the
-        set of counted (uncached) queries is identical to the element-keyed
-        cache — accounting is unchanged.  Existing cache entries are migrated.
+        scalar ``label`` runs per fresh id.  The cache becomes a label array
+        plus a boolean ``seen`` mask, both sized by ``engine.interned_count``
+        and grown by doubling as a sparse engine interns more elements.  The
+        label array is int64 while every label is an integer (both coset-min
+        labellers) and object otherwise (e.g. Theorem 11's frozenset
+        bundles).  Interning is a bijection, so the set of counted (uncached)
+        queries is identical to the element-keyed cache — accounting is
+        unchanged.  Existing cache entries are migrated.
         """
-        migrated = {engine.intern(element): value for element, value in self._cache.items()}
+        migrated = self._cache
+        ids = engine.intern_many(list(migrated))
         self._engine = engine
         self._label_ids = label_ids
-        self._cache = migrated
+        self._cache = {}
+        self._seen = np.zeros(engine.interned_count, dtype=bool)
+        self._labels = None
+        if migrated:
+            self._store(ids, list(migrated.values()))
         if (
             self.noise is not None
             and label_ids is not None
             and not getattr(label_ids, "_noise_wrapped", False)
         ):
             self._label_ids = self._wrap_label_ids(label_ids)
+
+    def _reserve(self, size: int) -> None:
+        """Grow the dense cache arrays, by doubling, to cover ids below ``size``."""
+        capacity = self._seen.size
+        if size <= capacity:
+            return
+        capacity = max(size, 2 * capacity)
+        seen = np.zeros(capacity, dtype=bool)
+        seen[: self._seen.size] = self._seen
+        self._seen = seen
+        if self._labels is not None:
+            labels = np.zeros(capacity, dtype=self._labels.dtype)
+            labels[: self._labels.size] = self._labels
+            self._labels = labels
+
+    def _store(self, ids: np.ndarray, values) -> None:
+        """Cache ``values`` under ``ids`` (all below the reserved size)."""
+        values = _label_array(values)
+        if self._labels is None:
+            self._labels = np.zeros(self._seen.size, dtype=values.dtype)
+        elif values.dtype != self._labels.dtype:
+            if values.dtype == object:
+                self._labels = self._labels.astype(object)
+            else:
+                values = values.astype(object)
+        self._labels[ids] = values
+        self._seen[ids] = True
 
     def apply_noise(self, channel) -> None:
         """Install an oracle corruption channel *below* the cache and counter.
@@ -384,7 +440,7 @@ class HidingOracle:
         honest_label = self._honest_label
 
         def noisy_label_ids(ids):
-            values = list(base_label_ids(ids))
+            values = _label_array(base_label_ids(ids)).copy()
             for position, element in enumerate(engine.elements_of(ids)):
                 replacement = channel.replacement(element)
                 if replacement is not None:
@@ -396,12 +452,27 @@ class HidingOracle:
 
     def __call__(self, element) -> Any:
         """A classical query to ``f`` (cached; the first evaluation counts)."""
-        key = self._engine.intern(element) if self._engine is not None else element
-        if key in self._cache:
-            return self._cache[key]
+        if self._engine is None:
+            if element in self._cache:
+                return self._cache[element]
+            self.counter.classical_queries += 1
+            value = self._label(element)
+            self._cache[element] = value
+            return value
+        i = self._engine.intern(element)
+        if i < self._seen.size and self._seen[i]:
+            return self._labels.item(i)
         self.counter.classical_queries += 1
         value = self._label(element)
-        self._cache[key] = value
+        self._reserve(i + 1)
+        # One scalar write when the label fits the array; _store allocates
+        # the array on first use and widens it to object when needed.
+        labels = self._labels
+        if labels is not None and (labels.dtype == object or isinstance(value, (int, np.integer))):
+            labels[i] = value
+            self._seen[i] = True
+        else:
+            self._store(np.asarray([i], dtype=np.int64), [value])
         return value
 
     def evaluate_many(self, elements: Sequence) -> List:
@@ -413,7 +484,7 @@ class HidingOracle:
         including when the input contains duplicates.
         """
         if self._engine is not None:
-            return list(self.evaluate_ids(self._engine.intern_many(list(elements))))
+            return self.evaluate_ids(self._engine.intern_many(list(elements))).tolist()
         values = []
         for element in elements:
             if element in self._cache:
@@ -425,39 +496,41 @@ class HidingOracle:
             values.append(value)
         return values
 
-    def evaluate_ids(self, ids: Sequence[int]) -> List:
+    def evaluate_ids(self, ids: Sequence[int]) -> np.ndarray:
         """Batch classical queries addressed by dense engine ids.
 
-        Counts exactly the distinct uncached ids — interning is a bijection,
-        so this equals the scalar loop's total over the decoded elements
-        (duplicates and all).  Uncached labels come from the vectorized
-        ``label_ids`` when attached, else from the scalar labeller per id.
-        Requires a prior :meth:`attach_dense`.
+        Returns one label per id as an ndarray: int64 when the labels are
+        integers (both coset-min labellers), object otherwise.  A fully
+        cached call is one ``seen`` mask read.  Otherwise the distinct
+        uncached ids are labelled once each, in first-occurrence input
+        order, and counted — interning is a bijection, so this equals the
+        scalar loop's total over the decoded elements (duplicates and all).
+        Uncached labels come from the vectorized ``label_ids`` when
+        attached, else from the scalar labeller per id.  Requires a prior
+        :meth:`attach_dense`.
         """
         if self._engine is None:
             raise ValueError("evaluate_ids requires attach_dense")
         ids = np.asarray(ids, dtype=np.int64)
-        cache = self._cache
-        fresh: List[int] = []
-        seen_fresh = set()
-        for i in ids.tolist():
-            if i not in cache and i not in seen_fresh:
-                seen_fresh.add(i)
-                fresh.append(i)
-        if fresh:
-            self.counter.classical_queries += len(fresh)
+        self._reserve(self._engine.interned_count)
+        pending = ids[~self._seen[ids]]
+        if pending.size:
+            _, first = np.unique(pending, return_index=True)
+            fresh = pending[np.sort(first)]
+            self.counter.classical_queries += int(fresh.size)
             if self._label_ids is not None:
-                values = self._label_ids(np.asarray(fresh, dtype=np.int64))
-                if len(values) != len(fresh):
+                values = self._label_ids(fresh)
+                if len(values) != fresh.size:
                     raise ValueError(
                         f"{self.description}: vectorized labeller returned {len(values)} "
-                        f"labels for {len(fresh)} ids"
+                        f"labels for {fresh.size} ids"
                     )
-                cache.update(zip(fresh, values))
             else:
-                for i in fresh:
-                    cache[i] = self._label(self._engine.element_of(i))
-        return [cache[i] for i in ids.tolist()]
+                values = [self._label(element) for element in self._engine.elements_of(fresh)]
+            self._store(fresh, values)
+        if self._labels is None:
+            return np.empty(0, dtype=np.int64)
+        return self._labels[ids]
 
     def quantum_query(self, count: int = 1) -> None:
         """Account for ``count`` superposition queries (Fourier-sampling rounds)."""

@@ -256,7 +256,7 @@ def _bulk_embed_labeller(
         if z_id is not None:
             fold(product, bits[:, 0], z_id)
         dense.counter.group_multiplications += int(bits.sum())
-        return oracle.evaluate_ids(product)
+        return oracle.evaluate_ids(product).tolist()
 
     return label_many
 

@@ -235,7 +235,7 @@ def _bounded_quotient_path_ids(
     """
     gen_ids = dense.intern_many(group.generators())
     rep_ids: List[int] = [dense.identity_id]
-    labels: Dict[object, int] = {oracle.evaluate_ids([dense.identity_id])[0]: 0}
+    labels: Dict[object, int] = {oracle.evaluate_ids([dense.identity_id]).item(0): 0}
     frontier = np.asarray([dense.identity_id], dtype=np.int64)
     with obs_span("hidden_normal.transversal") as transversal_span:
         while frontier.size:
@@ -244,7 +244,7 @@ def _bounded_quotient_path_ids(
             )
             candidate_labels = oracle.evaluate_ids(candidates)
             next_ids: List[int] = []
-            for candidate, label in zip(candidates.tolist(), candidate_labels):
+            for candidate, label in zip(candidates.tolist(), candidate_labels.tolist()):
                 if label not in labels:
                     labels[label] = len(rep_ids)
                     rep_ids.append(candidate)
@@ -262,7 +262,7 @@ def _bounded_quotient_path_ids(
             np.repeat(rep_arr, gen_ids.size), np.tile(gen_ids, rep_arr.size)
         )
         chosen = rep_arr[
-            np.asarray([labels[label] for label in oracle.evaluate_ids(products)], dtype=np.int64)
+            np.asarray([labels[label] for label in oracle.evaluate_ids(products).tolist()], dtype=np.int64)
         ]
         element_ids = dense.multiply_ids(products, dense.inverse_ids(chosen))
         keep = ~dense.is_identity_ids(element_ids)

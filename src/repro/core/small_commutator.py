@@ -132,8 +132,8 @@ def solve_hsp_small_commutator(
             for start in range(0, len(x_ids), rows):
                 block = x_ids[start : start + rows]
                 products = dense.multiply_ids(np.repeat(block, width), np.tile(commutator_ids, len(block)))
-                labels = oracle.evaluate_ids(products)
-                bundles.extend(frozenset(labels[i : i + width]) for i in range(0, len(labels), width))
+                labels = oracle.evaluate_ids(products).reshape(len(block), width)
+                bundles.extend(frozenset(row) for row in labels.tolist())
             return bundles
 
         def bundled_label(x):

@@ -789,16 +789,16 @@ class CayleyBackend:
                     commutators.append(c)
         closure = self.subgroup_ids(np.asarray(commutators, dtype=np.int64), limit=limit)
         while True:
-            members = set(int(i) for i in closure)
             pairs_g = np.repeat(gen_ids, closure.size)
             pairs_h = np.tile(closure, gen_ids.size)
             conjugates = self.conj_many(pairs_g, pairs_h)
-            fresh = [int(c) for c in np.unique(conjugates) if int(c) not in members]
-            if not fresh:
+            # Sized after conj_many, which may intern on a sparse engine.
+            member = np.zeros(self.interned_count, dtype=bool)
+            member[closure] = True
+            fresh = np.unique(conjugates[~member[conjugates]])
+            if not fresh.size:
                 break
-            closure = self.subgroup_ids(
-                np.concatenate([closure, np.asarray(fresh, dtype=np.int64)]), limit=limit
-            )
+            closure = self.subgroup_ids(np.concatenate([closure, fresh]), limit=limit)
         self._commutator_ids = closure
         return closure
 

@@ -115,15 +115,39 @@ def subgroup_order(group: FiniteGroup, generators: Sequence) -> int:
     return len(generate_subgroup_elements(group, generators))
 
 
+def _id_mask(ids: np.ndarray, size: int) -> np.ndarray:
+    """A boolean mask of length ``size`` that is True exactly at ``ids``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
+def _mask_tester(mask: np.ndarray, intern: Callable[[object], int]) -> Callable[[object], bool]:
+    """Membership through an id mask; ids past its end (interned later) are outside."""
+
+    def contains(x) -> bool:
+        i = intern(x)
+        return i < mask.size and bool(mask[i])
+
+    return contains
+
+
 def make_membership_tester(group: FiniteGroup, generators: Sequence) -> Callable[[object], bool]:
     """A membership test for the subgroup generated by ``generators``.
 
     The returned callable decides membership of arbitrary group elements.
-    Structure-aware fast paths:
+    Structure-aware fast paths, tried in this order:
 
     * permutation groups: sifting through a Schreier--Sims chain,
     * Abelian tuple groups: exact integer-lattice membership,
+    * groups carrying a Cayley engine: one vectorised id closure, then a
+      boolean mask over engine ids,
+    * counted black-box groups with a ``dense_view``: the same mask, built
+      from the counted :meth:`~repro.blackbox.oracle.DenseBlackBoxGroup.closure_ids`,
     * anything else: enumeration of the subgroup (small subgroups only).
+
+    A mask answers False for an id at or past its end: a sparse engine
+    interns such an element after the closure, so it is not a member.
     """
     gens = [g for g in generators if not group.is_identity(g)]
     if isinstance(group, PermutationGroup):
@@ -139,11 +163,11 @@ def make_membership_tester(group: FiniteGroup, generators: Sequence) -> Callable
     engine = getattr(group, "_cayley_engine", None)
     if engine is not None:
         # Installed Cayley engine: one vectorised subgroup closure over ids,
-        # then O(1) set membership per test.  Only engaged on groups that
+        # then O(1) mask membership per test.  Only engaged on groups that
         # carry an engine themselves — counted black-box wrappers keep the
         # counted path so their query accounting is undisturbed.
-        member_ids = set(int(i) for i in engine.subgroup_ids(engine.intern_many(gens)))
-        return lambda x: engine.intern(x) in member_ids
+        member_ids = engine.subgroup_ids(engine.intern_many(gens))
+        return _mask_tester(_id_mask(member_ids, engine.interned_count), engine.intern)
     dense_factory = getattr(group, "dense_view", None)
     dense = dense_factory() if dense_factory is not None else None
     if dense is not None:
@@ -152,8 +176,8 @@ def make_membership_tester(group: FiniteGroup, generators: Sequence) -> Callable
         # test and one inverse per generator, one multiplication per
         # member-generator pair) and computes the member set through the
         # engine's vectorised closure.
-        member_ids = set(int(i) for i in dense.closure_ids(dense.intern_many(gens)))
-        return lambda x: int(dense.intern(x)) in member_ids
+        member_ids = dense.closure_ids(dense.intern_many(gens))
+        return _mask_tester(_id_mask(member_ids, dense.engine.interned_count), dense.intern)
     elements = set(generate_subgroup_elements(group, gens))
     return lambda x: x in elements
 
@@ -210,12 +234,13 @@ def _normal_closure_engine(group, engine, closure, ambient, max_generators: int)
     Membership is tested against the subgroup generated by the *current*
     closure list, exactly as the scalar path does by rebuilding its tester
     after every addition; here the subgroup recomputation is one vectorised
-    id-closure per added generator.
+    id-closure per added generator and membership is a boolean id mask.
+    Members only accumulate, so a conjugate already inside when its batch
+    is formed is skipped without a re-test.
     """
     ambient_ids = engine.intern_many(ambient)
     closure_ids = [int(i) for i in engine.intern_many(closure)]
     member_arr = engine.subgroup_ids(np.asarray(closure_ids, dtype=np.int64))
-    member_ids = set(int(i) for i in member_arr)
     frontier = list(closure_ids)
     while frontier:
         new_ids: List[int] = []
@@ -223,17 +248,20 @@ def _normal_closure_engine(group, engine, closure, ambient, max_generators: int)
         conjugates = engine.conj_many(
             np.tile(ambient_ids, frontier_arr.size), np.repeat(frontier_arr, ambient_ids.size)
         )
-        for conjugate in (int(c) for c in conjugates):
-            if conjugate not in member_ids:
-                closure_ids.append(conjugate)
-                if len(closure_ids) > max_generators:
-                    raise GroupError("normal closure generator count exceeded limit")
-                # Incremental re-closure: seeding with the current members
-                # makes the orbit converge in O(1) vectorised levels instead
-                # of re-walking the subgroup from the identity.
-                member_arr = engine.subgroup_ids(np.append(member_arr, conjugate), memoize=False)
-                member_ids = set(int(i) for i in member_arr)
-                new_ids.append(conjugate)
+        # Sized after conj_many, which may intern on a sparse engine.
+        member = _id_mask(member_arr, engine.interned_count)
+        for conjugate in conjugates[~member[conjugates]].tolist():
+            if member[conjugate]:
+                continue
+            closure_ids.append(conjugate)
+            if len(closure_ids) > max_generators:
+                raise GroupError("normal closure generator count exceeded limit")
+            # Incremental re-closure: seeding with the current members
+            # makes the orbit converge in O(1) vectorised levels instead
+            # of re-walking the subgroup from the identity.
+            member_arr = engine.subgroup_ids(np.append(member_arr, conjugate), memoize=False)
+            member = _id_mask(member_arr, engine.interned_count)
+            new_ids.append(conjugate)
         frontier = new_ids
     return engine.elements_of(closure_ids)
 

@@ -204,6 +204,6 @@ def _bulk_power_product_labeller(
             product = table[column] if j == 0 else engine.mul_many(product, table[column])
             charged += int(charge[column].sum())
         dense.counter.group_multiplications += charged
-        return hiding.evaluate_ids(product)
+        return hiding.evaluate_ids(product).tolist()
 
     return label_many

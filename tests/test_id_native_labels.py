@@ -109,7 +109,7 @@ def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode)
         oracle = hiding_oracle_from_subgroup(group, generators)
         vectorised = oracle.evaluate_ids(np.arange(engine.interned_count, dtype=np.int64))
         assert scalar == expected, name
-        assert vectorised == expected, name
+        assert vectorised.tolist() == expected, name
         assert oracle.counter.classical_queries == engine.interned_count
 
 
