@@ -27,9 +27,9 @@ Ten subcommands make sweeps reproducible (and analysable) from a shell:
     progress, and every outstanding lease with its heartbeat age
     (leases older than ``--stale-after`` are flagged STALE);
 ``trace summarise PATH...``
-    per-phase time/query breakdown of the JSONL trace files written by
-    ``run``/``work`` ``--trace`` (telemetry is sidecar-only — BENCH rows
-    are byte-identical with tracing on or off);
+    per-phase exclusive-time/counter breakdown of the JSONL trace files
+    written by ``run``/``work`` ``--trace`` (telemetry is sidecar-only —
+    BENCH rows are byte-identical with tracing on or off);
 ``report NAME-or-PATH``
     print the per-run rows and the aggregate of a produced BENCH file;
 ``summarise NAME-or-PATH``
@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_summarise = trace_sub.add_parser(
         "summarise",
         aliases=["summarize"],
-        help="per-phase time/query breakdown aggregated over trace file(s)",
+        help="per-phase exclusive time and counters aggregated over trace file(s)",
     )
     trace_summarise.add_argument("paths", nargs="+", help="trace JSONL file(s) to aggregate")
 
@@ -263,11 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_observability_options(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--trace``/``--profile`` sidecar-telemetry options.
+    """The shared ``--trace`` sidecar-telemetry option.
 
-    Both are strictly additive: traces and profiles land only in their own
-    files, and the BENCH rows / journal lines a traced invocation produces
-    are byte-identical to an untraced one.
+    It is strictly additive: traces land only in their own file, and the
+    BENCH rows / journal lines a traced invocation produces are
+    byte-identical to an untraced one.
     """
     parser.add_argument(
         "--trace",
@@ -275,12 +275,6 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="append JSONL span/metric trace events to PATH (sidecar only; "
         "BENCH output is byte-identical with or without it)",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="DIR",
-        help="write a cProfile .pstats file per run into DIR",
     )
 
 
@@ -407,7 +401,6 @@ def _command_run(args) -> int:
             max_failures=args.max_failures,
             resume=args.resume,
             trace=args.trace,
-            profile_dir=args.profile,
         )
     except (SweepAborted, ValueError) as error:
         # SweepAborted: the --max-failures budget ran out (journal kept for
@@ -514,7 +507,6 @@ def _command_work(args) -> int:
             heartbeat=args.heartbeat,
             max_tasks=args.max_tasks,
             trace=args.trace,
-            profile_dir=args.profile,
         )
     except (distributed.QueueCorrupt, ValueError) as error:
         print(str(error), file=sys.stderr)

@@ -321,7 +321,6 @@ def work_queue(
     heartbeat: Optional[float] = None,
     max_tasks: Optional[int] = None,
     trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
 ) -> Dict[str, int]:
     """Claim and execute tasks until the queue drains (or ``max_tasks``).
 
@@ -339,15 +338,12 @@ def work_queue(
 
     ``trace`` appends this worker's JSONL span/metrics events to the given
     sidecar path (workers sharing one path interleave whole lines, each
-    tagged with its worker id); ``profile_dir`` dumps one cProfile
-    ``.pstats`` file per executed task.  Neither changes shard records or
-    the collected BENCH payload in any byte.
+    tagged with its worker id).  It changes neither shard records nor the
+    collected BENCH payload in any byte.
     """
     validate_lease_timings(stale_after, poll, heartbeat)
     with _opened(queue) as transport:
-        return _work_loop(
-            transport, stale_after, poll, heartbeat, max_tasks, trace, profile_dir, worker_id
-        )
+        return _work_loop(transport, stale_after, poll, heartbeat, max_tasks, trace, worker_id)
 
 
 def _work_loop(
@@ -357,14 +353,13 @@ def _work_loop(
     heartbeat: Optional[float],
     max_tasks: Optional[int],
     trace: Optional[str],
-    profile_dir: Optional[str],
     worker_id: Optional[str],
 ) -> Dict[str, int]:
     spec = transport.load_spec()
     worker = _sanitize_worker_id(worker_id) if worker_id else default_worker_id()
     interval = heartbeat if heartbeat is not None else default_heartbeat(stale_after)
     executed = errors = reclaimed = corrupt = 0
-    with obs.observed(trace_path=trace, profile_dir=profile_dir, worker=worker):
+    with obs.observed(trace_path=trace, worker=worker):
         # Delta-snapshot the registry so two worker loops in one process
         # (tests, sequential drains) never double-report shared metrics.
         metrics_before = obs.get_metrics().snapshot()

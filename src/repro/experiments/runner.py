@@ -101,14 +101,13 @@ class SweepAborted(RuntimeError):
 def execute_run(run: RunSpec) -> RunRecord:
     """Execute one run descriptor; raises on failure (see ``execute_run_safe``).
 
-    Telemetry is sidecar-only: the ``run`` span, the per-run metrics delta
-    event and the optional cProfile dump land in their own files and never
-    touch the returned record, so rows are byte-identical with observability
-    on or off.
+    Telemetry is sidecar-only: the ``run`` span and the per-run counter
+    delta event land in the trace file and never touch the returned record,
+    so rows are byte-identical with observability on or off.
     """
     with obs.span(
         "run", sweep=run.sweep, index=run.index, seed=run.seed, family=run.family
-    ) as run_span, obs.profiled(f"run-{run.sweep}-{run.index:04d}-{run.seed}"):
+    ) as run_span:
         metrics_before = (
             obs.get_metrics().snapshot() if obs_metrics.collecting() else None
         )
@@ -146,7 +145,6 @@ def _execute_run_impl(run: RunSpec) -> RunRecord:
         # is never consumed, so the ε=0 (uninstalled) rows are
         # byte-identical to a no-noise sweep by construction.
         install_noise(noise, instance, sampler, run.seed)
-        obs.gauge("noise.epsilon", noise.epsilon)
     start = time.perf_counter()
     solution = solve_hsp(
         instance,
@@ -218,18 +216,14 @@ def execute_run_safe(run: RunSpec) -> RunRecord:
         )
 
 
-def _obs_pool_init(trace_path: Optional[str], profile_dir: Optional[str]) -> None:
-    """Pool-worker initializer: install the sweep's observability sinks.
+def _obs_pool_init(trace_path: Optional[str]) -> None:
+    """Pool-worker initializer: install the sweep's trace sink.
 
     Runs once per worker process; the worker exits with the pool, so nothing
-    is restored.  With both arguments ``None`` this is a no-op, which keeps a
-    single code path for traced and untraced pools.
+    is restored.  With ``None`` this is a no-op, which keeps a single code
+    path for traced and untraced pools.
     """
-    obs.configure(
-        trace_path=trace_path,
-        profile_dir=profile_dir,
-        worker=f"pool-{os.getpid()}",
-    )
+    obs.configure(trace_path=trace_path, worker=f"pool-{os.getpid()}")
 
 
 def run_sweep(
@@ -239,7 +233,6 @@ def run_sweep(
     max_failures: Optional[int] = None,
     resume: bool = False,
     trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
 ) -> Tuple[Optional[str], Dict[str, object]]:
     """Execute a sweep and persist its ``BENCH_<name>.json``.
 
@@ -265,9 +258,8 @@ def run_sweep(
     completes and the BENCH file is written.
 
     ``trace`` appends JSONL span/metrics events (from this process and every
-    pool worker) to the given sidecar path; ``profile_dir`` dumps one
-    cProfile ``.pstats`` file per run.  Neither changes the journal or the
-    BENCH payload in any byte.
+    pool worker) to the given sidecar path.  It changes neither the journal
+    nor the BENCH payload in any byte.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -307,7 +299,7 @@ def run_sweep(
     def over_budget() -> bool:
         return max_failures is not None and failures > max_failures
 
-    with obs.observed(trace_path=trace, profile_dir=profile_dir):
+    with obs.observed(trace_path=trace):
         with obs.span(
             "sweep", sweep=spec.name, runs=len(runs), pending=len(pending), workers=workers
         ):
@@ -326,7 +318,7 @@ def run_sweep(
                 with ProcessPoolExecutor(
                     max_workers=workers,
                     initializer=_obs_pool_init,
-                    initargs=(trace, profile_dir),
+                    initargs=(trace,),
                 ) as pool:
                     queue = list(reversed(pending))
                     in_flight = set()

@@ -35,7 +35,6 @@ which keeps the per-element code path as the fallback.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,7 +42,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.groups.base import FiniteGroup, GroupError
-from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
 
 __all__ = [
@@ -501,42 +499,25 @@ class CayleyBackend:
     # -- bulk kernel primitives ------------------------------------------------
     def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         """Products of id arrays through the dense kernel (no scalar multiply)."""
-        start = time.perf_counter() if obs_metrics.collecting() else None
         rows = self.kernel.compose_many(self._kernel_rows[ids_a], self._kernel_rows[ids_b])
-        ids = self._row_index.lookup(rows)
-        if start is not None:
-            obs_metrics.observe("engine.bulk.mul", time.perf_counter() - start)
-        return ids
+        return self._row_index.lookup(rows)
 
     def _bulk_inverses(self, ids: np.ndarray) -> np.ndarray:
-        start = time.perf_counter() if obs_metrics.collecting() else None
-        out = self._row_index.lookup(self.kernel.inverse_many(self._kernel_rows[ids]))
-        if start is not None:
-            obs_metrics.observe("engine.bulk.inv", time.perf_counter() - start)
-        return out
+        return self._row_index.lookup(self.kernel.inverse_many(self._kernel_rows[ids]))
 
     # -- scalar primitives ----------------------------------------------------
     def _fill_product(self, a: int, b: int) -> int:
-        """Compute one uncached product; the miss path, timed when observed."""
-        start = time.perf_counter() if obs_metrics.collecting() else None
+        """Compute one uncached product (the miss path of :meth:`mul`)."""
         if self.mode == "kernel":
-            value = int(
+            return int(
                 self._bulk_products(
                     np.asarray([a], dtype=np.int64), np.asarray([b], dtype=np.int64)
                 )[0]
             )
-        else:
-            value = self.intern(self.group.multiply(self._elements[a], self._elements[b]))
-        if start is not None:
-            obs_metrics.observe("engine.fill.mul", time.perf_counter() - start)
-        return value
+        return self.intern(self.group.multiply(self._elements[a], self._elements[b]))
 
     def _fill_inverse(self, a: int) -> int:
-        start = time.perf_counter() if obs_metrics.collecting() else None
-        value = self.intern(self.group.inverse(self._elements[a]))
-        if start is not None:
-            obs_metrics.observe("engine.fill.inv", time.perf_counter() - start)
-        return value
+        return self.intern(self.group.inverse(self._elements[a]))
 
     def mul(self, a: int, b: int) -> int:
         """Product of two interned elements, memoized."""

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import timed_call
-
 import numpy as np
 
 __all__ = ["GF2Matrix", "gf2_rank", "gf2_nullspace", "gf2_solve", "gf2_rref", "gf2_span_contains"]
@@ -28,7 +26,6 @@ def _as_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return mat & 1
 
 
-@timed_call("linalg.gf2_rref")
 def gf2_rref(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form over GF(2).
 
@@ -64,7 +61,6 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-@timed_call("linalg.gf2_nullspace")
 def gf2_nullspace(rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Basis of the right nullspace ``{x : A x = 0}`` over GF(2).
 
@@ -88,7 +84,6 @@ def gf2_nullspace(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return basis
 
 
-@timed_call("linalg.gf2_solve")
 def gf2_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[np.ndarray]:
     """Solve ``A x = b`` over GF(2); return one solution or ``None``."""
     mat = _as_matrix(rows)

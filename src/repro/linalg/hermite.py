@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.obs.metrics import timed_call
-
 from repro.linalg.smith import smith_normal_form
 
 __all__ = ["hermite_normal_form", "integer_kernel", "lattice_index", "row_space_contains"]
@@ -24,7 +22,6 @@ __all__ = ["hermite_normal_form", "integer_kernel", "lattice_index", "row_space_
 Matrix = List[List[int]]
 
 
-@timed_call("linalg.hermite")
 def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     """Row-style Hermite normal form of the lattice spanned by ``matrix`` rows.
 
@@ -76,7 +73,6 @@ def hermite_normal_form(matrix: Sequence[Sequence[int]]) -> Matrix:
     return [r for r in a[:row] if any(r)]
 
 
-@timed_call("linalg.integer_kernel")
 def integer_kernel(matrix: Sequence[Sequence[int]]) -> Matrix:
     """Basis of the integer (right) kernel ``{x in Z^n : A x = 0}``.
 

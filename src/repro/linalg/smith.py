@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.obs.metrics import timed_call
-
 __all__ = ["smith_normal_form", "diagonal_of_snf", "unimodular_inverse"]
 
 Matrix = List[List[int]]
@@ -81,7 +79,6 @@ def _find_pivot(a: Matrix, start: int) -> Tuple[int, int] | None:
     return best
 
 
-@timed_call("linalg.smith")
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
     """Compute the Smith normal form ``D = U @ A @ V``.
 
@@ -165,7 +162,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, 
     return a, u, v
 
 
-@timed_call("linalg.smith_inverse")
 def unimodular_inverse(matrix: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of a unimodular integer matrix (determinant ``+-1``).
 

@@ -1,9 +1,10 @@
-"""Sidecar observability: span tracing, metrics, and opt-in profiling.
+"""Sidecar observability: span tracing and counters.
 
-Everything here is stdlib-only and off by default.  The hard invariant is
+Everything here is stdlib-only and off by default.  Spans are the one timing
+channel; the metrics registry holds counters only.  The hard invariant is
 that telemetry never changes experiment outputs — BENCH rows and journal
-lines are byte-identical with tracing on or off; traces, metrics, and
-profiles only ever land in their own sidecar files.
+lines are byte-identical with tracing on or off; traces and their embedded
+counter snapshots only ever land in their own sidecar files.
 """
 
 from __future__ import annotations
@@ -12,19 +13,8 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
 from repro.obs import metrics as _metrics_mod
-from repro.obs import profile as _profile_mod
 from repro.obs import trace as _trace_mod
-from repro.obs.metrics import (
-    Metrics,
-    count,
-    gauge,
-    get_metrics,
-    observe,
-    reset_metrics,
-    timed,
-    timed_call,
-)
-from repro.obs.profile import profiled
+from repro.obs.metrics import Metrics, count, get_metrics, reset_metrics
 from repro.obs.summary import format_trace_summary, load_trace_events, summarise_trace
 from repro.obs.trace import NULL_SPAN, Span, Tracer, event, span, tracing
 
@@ -37,31 +27,22 @@ __all__ = [
     "count",
     "event",
     "format_trace_summary",
-    "gauge",
     "get_metrics",
     "load_trace_events",
-    "observe",
     "observed",
-    "profiled",
     "reset_metrics",
     "restore",
     "span",
     "summarise_trace",
-    "timed",
-    "timed_call",
     "tracing",
 ]
 
 
-def configure(
-    trace_path: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    worker: Optional[str] = None,
-) -> Dict[str, Any]:
+def configure(trace_path: Optional[str] = None, *, worker: Optional[str] = None) -> Dict[str, Any]:
     """Install observability sinks process-wide; returns state for :func:`restore`.
 
-    A trace path turns on both span emission and metrics collection (metrics
-    ride along inside trace events).  Used directly by pool-worker
+    A trace path turns on both span emission and metrics collection (counter
+    snapshots ride along inside trace events).  Used directly by pool-worker
     initializers, where the process exits with the pool and nothing needs
     restoring.
     """
@@ -69,13 +50,10 @@ def configure(
     previous = {
         "tracer": _trace_mod.current_tracer(),
         "collecting": _metrics_mod.collecting(),
-        "profile_dir": _profile_mod.get_profile_dir(),
     }
     if trace_path is not None:
         _trace_mod.install_tracer(Tracer(trace_path, worker=worker))
         _metrics_mod.set_collecting(True)
-    if profile_dir is not None:
-        _profile_mod.set_profile_dir(profile_dir)
     return previous
 
 
@@ -84,21 +62,18 @@ def restore(previous: Dict[str, Any]) -> None:
 
     _trace_mod.install_tracer(previous["tracer"])
     _metrics_mod.set_collecting(previous["collecting"])
-    _profile_mod.set_profile_dir(previous["profile_dir"])
 
 
 @contextmanager
 def observed(
-    trace_path: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    worker: Optional[str] = None,
+    trace_path: Optional[str] = None, *, worker: Optional[str] = None
 ) -> Iterator[Optional[Tracer]]:
     """Scoped :func:`configure`; yields the installed tracer (or None)."""
 
-    if trace_path is None and profile_dir is None:
+    if trace_path is None:
         yield _trace_mod.current_tracer()
         return
-    previous = configure(trace_path, profile_dir=profile_dir, worker=worker)
+    previous = configure(trace_path, worker=worker)
     try:
         yield _trace_mod.current_tracer()
     finally:

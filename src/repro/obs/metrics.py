@@ -1,31 +1,25 @@
-"""Process-local metrics registry: counters, gauges, and timing histograms.
+"""Process-local metrics registry: named counters.
 
 The registry mirrors the ``QueryCounter`` discipline used by the black-box
 oracle layer: cheap in-process accumulation, a ``snapshot()`` that is plain
 JSON data, ``from_snapshot`` to rehydrate, and ``+`` to merge snapshots taken
-in different worker processes.  Collection is off by default; every helper is
-a no-op until :func:`set_collecting` (normally via ``repro.obs.configure``)
+in different worker processes.  Collection is off by default; :func:`count`
+is a no-op until :func:`set_collecting` (normally via ``repro.obs.configure``)
 turns it on, so instrumented hot paths cost one boolean check when disabled.
+Time is measured by spans only (see :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
-import functools
-import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict
 
 __all__ = [
     "Metrics",
     "collecting",
     "count",
-    "gauge",
     "get_metrics",
-    "observe",
     "reset_metrics",
     "set_collecting",
-    "timed",
-    "timed_call",
 ]
 
 _COLLECTING = False
@@ -47,82 +41,33 @@ def set_collecting(on: bool) -> bool:
 
 
 class Metrics:
-    """Counters, gauges, and timing histograms for one process."""
+    """Named counters for one process."""
 
-    __slots__ = ("counters", "gauges", "timings")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
-        self.timings: Dict[str, Dict[str, float]] = {}
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(amount)
 
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def observe(self, name: str, seconds: float) -> None:
-        seconds = float(seconds)
-        bucket = self.timings.get(name)
-        if bucket is None:
-            self.timings[name] = {
-                "count": 1,
-                "total": seconds,
-                "min": seconds,
-                "max": seconds,
-            }
-            return
-        bucket["count"] += 1
-        bucket["total"] += seconds
-        if seconds < bucket["min"]:
-            bucket["min"] = seconds
-        if seconds > bucket["max"]:
-            bucket["max"] = seconds
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready copy of the registry state."""
 
-        return {
-            "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
-            "timings": {
-                name: dict(self.timings[name]) for name in sorted(self.timings)
-            },
-        }
+        return {"counters": {name: self.counters[name] for name in sorted(self.counters)}}
 
     @classmethod
     def from_snapshot(cls, snapshot: Dict[str, Any]) -> "Metrics":
         metrics = cls()
         for name, value in snapshot.get("counters", {}).items():
             metrics.counters[name] = int(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            metrics.gauges[name] = float(value)
-        for name, bucket in snapshot.get("timings", {}).items():
-            metrics.timings[name] = {
-                "count": int(bucket["count"]),
-                "total": float(bucket["total"]),
-                "min": float(bucket["min"]),
-                "max": float(bucket["max"]),
-            }
         return metrics
 
     def merge(self, other: "Metrics") -> "Metrics":
-        """Fold ``other`` into this registry (counters add, gauges last-wins,
-        histogram buckets combine)."""
+        """Fold ``other`` into this registry (counters add)."""
 
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(other.gauges)
-        for name, bucket in other.timings.items():
-            mine = self.timings.get(name)
-            if mine is None:
-                self.timings[name] = dict(bucket)
-                continue
-            mine["count"] += bucket["count"]
-            mine["total"] += bucket["total"]
-            mine["min"] = min(mine["min"], bucket["min"])
-            mine["max"] = max(mine["max"], bucket["max"])
         return self
 
     def __add__(self, other: "Metrics") -> "Metrics":
@@ -135,12 +80,7 @@ class Metrics:
         return NotImplemented  # type: ignore[return-value]
 
     def diff(self, before: Dict[str, Any]) -> Dict[str, Any]:
-        """Delta snapshot relative to an earlier ``snapshot()``.
-
-        Counter and histogram count/total values subtract exactly; the
-        min/max of a delta window are not recoverable from two snapshots, so
-        the reported bounds are the registry-lifetime bounds.
-        """
+        """Delta snapshot relative to an earlier ``snapshot()`` (non-zero only)."""
 
         counters: Dict[str, int] = {}
         old_counters = before.get("counters", {})
@@ -148,25 +88,7 @@ class Metrics:
             delta = self.counters[name] - int(old_counters.get(name, 0))
             if delta:
                 counters[name] = delta
-        timings: Dict[str, Dict[str, float]] = {}
-        old_timings = before.get("timings", {})
-        for name in sorted(self.timings):
-            bucket = self.timings[name]
-            old = old_timings.get(name, {"count": 0, "total": 0.0})
-            delta_count = int(bucket["count"]) - int(old["count"])
-            if delta_count <= 0:
-                continue
-            timings[name] = {
-                "count": delta_count,
-                "total": float(bucket["total"]) - float(old["total"]),
-                "min": bucket["min"],
-                "max": bucket["max"],
-            }
-        return {
-            "counters": counters,
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
-            "timings": timings,
-        }
+        return {"counters": counters}
 
 
 _METRICS = Metrics()
@@ -189,51 +111,3 @@ def reset_metrics() -> Metrics:
 def count(name: str, amount: int = 1) -> None:
     if _COLLECTING:
         _METRICS.count(name, amount)
-
-
-def gauge(name: str, value: float) -> None:
-    if _COLLECTING:
-        _METRICS.gauge(name, value)
-
-
-def observe(name: str, seconds: float) -> None:
-    if _COLLECTING:
-        _METRICS.observe(name, seconds)
-
-
-@contextmanager
-def timed(name: str) -> Iterator[None]:
-    """Record the elapsed wall time of the block into histogram ``name``."""
-
-    if not _COLLECTING:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        _METRICS.observe(name, time.perf_counter() - start)
-
-
-def timed_call(name: Optional[str] = None) -> Callable[[Callable], Callable]:
-    """Decorator: record each call's duration into histogram ``name``.
-
-    When collection is off the wrapper costs a single boolean check.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        label = name if name is not None else func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _COLLECTING:
-                return func(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                _METRICS.observe(label, time.perf_counter() - start)
-
-        return wrapper
-
-    return decorate

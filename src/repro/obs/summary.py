@@ -1,4 +1,4 @@
-"""Summarise JSONL trace files into a per-phase time/counter breakdown."""
+"""Summarise JSONL trace files into a per-phase exclusive-time/counter breakdown."""
 
 from __future__ import annotations
 
@@ -34,30 +34,37 @@ def load_trace_events(paths: Sequence[str]) -> List[Dict[str, Any]]:
 
 
 def _phase_of(name: str) -> str:
-    """The phase bucket of a span/timer name: the prefix before the first dot.
+    """The phase bucket of a span name: the prefix before the first dot.
 
-    ``engine.build``, ``engine.fill.mul`` and ``engine.bulk.products`` all
-    land in the ``engine`` bucket; ``sampler.batch`` in ``sampler``;
-    ``noise.oracle_flip`` and ``noise.depolarise`` in ``noise`` (so a noisy
-    run's corruption cost shows up as its own phase); a name without a dot
-    is its own bucket.
+    ``engine.build`` lands in the ``engine`` bucket; ``sampler.batch`` in
+    ``sampler``; ``noise.oracle_flip`` and ``noise.depolarise`` in ``noise``
+    (so a noisy run's corruption cost shows up as its own phase); a name
+    without a dot is its own bucket.
     """
     return name.split(".", 1)[0]
 
 
 def summarise_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate span durations/counters and merge embedded metrics snapshots.
+    """Aggregate exclusive span time and counters, and merge counter snapshots.
 
-    Returns ``{"spans": {name: {count, total_s, mean_s, max_s, counters}},
-    "phases": {prefix: {span_count, span_s, timer_count, timer_s}},
-    "metrics": snapshot, "events": n, "workers": [...]}``.  Phases bucket
-    spans and metric timers by their name prefix (before the first dot), so
-    the engine's bulk-fill and batch-kernel work shows up as one ``engine``
-    line next to ``solver`` and ``sampler``.  Nested spans each count their
-    own wall time, so phase shares are of summed span time, not wall-clock.
+    A span's self time is its ``dur`` minus the ``dur`` of its direct
+    children, matched by ``parent`` id (ids carry the writer's pid, so equal
+    numeric suffixes from different processes never match).  A span whose
+    parent is absent from the loaded events — a top-level span, a torn
+    line, another writer's file — is a root.  Root self time is reported as
+    ``unattributed_s``; every other span counts, with its self time, in its
+    phase (the name prefix before the first dot).  Phase self times plus
+    ``unattributed_s`` therefore sum to ``root_s``, the total duration of
+    the ``roots`` root spans, and each phase's ``share`` is of ``root_s``.
+
+    Returns ``{"spans": {name: {count, total_s, self_s, max_s, errors,
+    counters}}, "phases": {prefix: {span_count, self_s, share}},
+    "roots": r, "root_s": t, "unattributed_s": u, "metrics": snapshot,
+    "events": n, "workers": [...]}``, where ``total_s`` is inclusive time
+    and the ``spans`` table covers roots too.
     """
 
-    spans: Dict[str, Dict[str, Any]] = {}
+    span_events: List[Dict[str, Any]] = []
     merged = Metrics()
     workers = set()
     total = 0
@@ -68,45 +75,55 @@ def summarise_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             worker = f"pid-{entry.get('pid', '?')}"
         workers.add(str(worker))
         if entry.get("event") == "span":
-            name = str(entry.get("name", "?"))
-            duration = float(entry.get("dur", 0.0))
-            bucket = spans.setdefault(
-                name,
-                {"count": 0, "total_s": 0.0, "max_s": 0.0, "errors": 0, "counters": {}},
-            )
-            bucket["count"] += 1
-            bucket["total_s"] += duration
-            if duration > bucket["max_s"]:
-                bucket["max_s"] = duration
-            if "error" in entry:
-                bucket["errors"] += 1
-            for key, value in (entry.get("counters") or {}).items():
-                bucket["counters"][key] = bucket["counters"].get(key, 0) + int(value)
+            span_events.append(entry)
         elif "metrics" in entry:
             merged.merge(Metrics.from_snapshot(entry["metrics"]))
-    for bucket in spans.values():
-        bucket["mean_s"] = bucket["total_s"] / bucket["count"]
-    snapshot = merged.snapshot()
+
+    ids = {entry["span"] for entry in span_events if entry.get("span") is not None}
+    child_s: Dict[str, float] = {}
+    for entry in span_events:
+        parent = entry.get("parent")
+        if parent in ids:
+            child_s[parent] = child_s.get(parent, 0.0) + float(entry.get("dur", 0.0))
+
+    spans: Dict[str, Dict[str, Any]] = {}
     phases: Dict[str, Dict[str, Any]] = {}
-
-    def phase_bucket(name: str) -> Dict[str, Any]:
-        return phases.setdefault(
-            _phase_of(name),
-            {"span_count": 0, "span_s": 0.0, "timer_count": 0, "timer_s": 0.0},
+    roots = 0
+    root_s = unattributed_s = 0.0
+    for entry in span_events:
+        name = str(entry.get("name", "?"))
+        duration = float(entry.get("dur", 0.0))
+        own = duration - child_s.get(entry.get("span"), 0.0)
+        bucket = spans.setdefault(
+            name,
+            {"count": 0, "total_s": 0.0, "self_s": 0.0, "max_s": 0.0, "errors": 0, "counters": {}},
         )
-
-    for name, bucket in spans.items():
-        phase = phase_bucket(name)
-        phase["span_count"] += bucket["count"]
-        phase["span_s"] += bucket["total_s"]
-    for name, timing in snapshot.get("timings", {}).items():
-        phase = phase_bucket(name)
-        phase["timer_count"] += int(timing["count"])
-        phase["timer_s"] += float(timing["total"])
+        bucket["count"] += 1
+        bucket["total_s"] += duration
+        bucket["self_s"] += own
+        if duration > bucket["max_s"]:
+            bucket["max_s"] = duration
+        if "error" in entry:
+            bucket["errors"] += 1
+        for key, value in (entry.get("counters") or {}).items():
+            bucket["counters"][key] = bucket["counters"].get(key, 0) + int(value)
+        if entry.get("parent") in ids:
+            phase = phases.setdefault(_phase_of(name), {"span_count": 0, "self_s": 0.0})
+            phase["span_count"] += 1
+            phase["self_s"] += own
+        else:
+            roots += 1
+            root_s += duration
+            unattributed_s += own
+    for phase in phases.values():
+        phase["share"] = phase["self_s"] / root_s if root_s else 0.0
     return {
         "spans": {name: spans[name] for name in sorted(spans)},
         "phases": {name: phases[name] for name in sorted(phases)},
-        "metrics": snapshot,
+        "roots": roots,
+        "root_s": root_s,
+        "unattributed_s": unattributed_s,
+        "metrics": merged.snapshot(),
         "events": total,
         "workers": sorted(workers),
     }
@@ -119,7 +136,7 @@ def _fmt_seconds(seconds: float) -> str:
 
 
 def format_trace_summary(summary: Dict[str, Any]) -> str:
-    """Render a summary as an ASCII table (per-phase time, then counters)."""
+    """Render a summary as ASCII tables: phase self time, spans, counters."""
 
     lines: List[str] = []
     workers = summary.get("workers", [])
@@ -127,33 +144,34 @@ def format_trace_summary(summary: Dict[str, Any]) -> str:
         f"{summary.get('events', 0)} trace event(s) from "
         f"{len(workers)} writer(s): {', '.join(workers) if workers else '-'}"
     )
-    phases = summary.get("phases", {})
-    if phases:
-        span_total = sum(bucket["span_s"] for bucket in phases.values())
-        ordered = sorted(
-            phases.items(), key=lambda item: (-item[1]["span_s"], -item[1]["timer_s"])
+    if summary.get("roots"):
+        root_s = summary["root_s"]
+        rows = sorted(
+            (
+                (name, phase["span_count"], phase["self_s"])
+                for name, phase in summary["phases"].items()
+            ),
+            key=lambda row: -row[2],
         )
-        name_width = max(len("phase"), max(len(name) for name, _ in ordered))
+        rows.append(("unattributed", summary["roots"], summary["unattributed_s"]))
+        name_width = max(len(row[0]) for row in rows)
         lines.append("")
-        lines.append(
-            f"  {'phase'.ljust(name_width)}  {'spans':>6}  {'span total':>10}  "
-            f"{'share':>6}  {'timers':>6}  {'timer total':>11}"
-        )
-        for name, bucket in ordered:
-            share = bucket["span_s"] / span_total if span_total else 0.0
+        lines.append(f"  exclusive time, shares of {_fmt_seconds(root_s).strip()} root wall time")
+        lines.append(f"  {'phase'.ljust(name_width)}  {'spans':>6}  {'self':>9}  {'share':>6}")
+        for name, span_count, self_s in rows:
+            share = self_s / root_s if root_s else 0.0
             lines.append(
-                f"  {name.ljust(name_width)}  {bucket['span_count']:>6}  "
-                f"{_fmt_seconds(bucket['span_s']):>10}  {share:>5.1%}  "
-                f"{bucket['timer_count']:>6}  {_fmt_seconds(bucket['timer_s']):>11}"
+                f"  {name.ljust(name_width)}  {span_count:>6}  "
+                f"{_fmt_seconds(self_s):>9}  {share:>6.1%}"
             )
     spans = summary.get("spans", {})
     if spans:
-        ordered = sorted(spans.items(), key=lambda item: -item[1]["total_s"])
-        name_width = max(len("phase"), max(len(name) for name, _ in ordered))
+        ordered = sorted(spans.items(), key=lambda item: -item[1]["self_s"])
+        name_width = max(len("span"), max(len(name) for name, _ in ordered))
         lines.append("")
         lines.append(
-            f"  {'phase'.ljust(name_width)}  {'calls':>6}  {'total':>9}  "
-            f"{'mean':>9}  {'max':>9}  counters"
+            f"  {'span'.ljust(name_width)}  {'calls':>6}  {'self':>9}  "
+            f"{'total':>9}  {'max':>9}  counters"
         )
         for name, bucket in ordered:
             counters = bucket.get("counters", {})
@@ -164,24 +182,10 @@ def format_trace_summary(summary: Dict[str, Any]) -> str:
                 counter_text = (f"errors={bucket['errors']} " + counter_text).strip()
             lines.append(
                 f"  {name.ljust(name_width)}  {bucket['count']:>6}  "
-                f"{_fmt_seconds(bucket['total_s'])}  {_fmt_seconds(bucket['mean_s'])}  "
+                f"{_fmt_seconds(bucket['self_s'])}  {_fmt_seconds(bucket['total_s'])}  "
                 f"{_fmt_seconds(bucket['max_s'])}  {counter_text}"
             )
-    metrics = summary.get("metrics", {})
-    timings = metrics.get("timings", {})
-    if timings:
-        name_width = max(len("timer"), max(len(name) for name in timings))
-        lines.append("")
-        lines.append(f"  {'timer'.ljust(name_width)}  {'calls':>6}  {'total':>9}  {'mean':>9}")
-        for name in sorted(timings, key=lambda key: -timings[key]["total"]):
-            bucket = timings[name]
-            calls = int(bucket["count"])
-            mean = bucket["total"] / calls if calls else 0.0
-            lines.append(
-                f"  {name.ljust(name_width)}  {calls:>6}  "
-                f"{_fmt_seconds(bucket['total'])}  {_fmt_seconds(mean)}"
-            )
-    counters = metrics.get("counters", {})
+    counters = summary.get("metrics", {}).get("counters", {})
     if counters:
         lines.append("")
         lines.append("  metric counters:")

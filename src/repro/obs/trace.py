@@ -11,14 +11,16 @@ Each completed span emits one line::
      "ts": 1700000000.0, "dur": 0.0123, "pid": 4242, "worker": "w1",
      "attrs": {...}, "counters": {...}}
 
-Span ids are ``"<pid>-<n>"`` so files appended to by several worker
-processes stay globally consistent.  Lines are written with a single
-``write()`` of a complete line in append mode, which keeps concurrent
-appends from interleaving on POSIX filesystems.
+Span ids are ``"<pid>-<n>"``, with ``n`` drawn from one process-wide
+counter, so ids stay unique across every tracer a process installs and
+across files appended to by several worker processes.  Lines are written
+with a single ``write()`` of a complete line in append mode, which keeps
+concurrent appends from interleaving on POSIX filesystems.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _EMIT_LOCK = threading.Lock()
+_SPAN_NUMBERS = itertools.count(1)
 
 
 class _NullSpan:
@@ -130,14 +133,12 @@ class Tracer:
         self.path = os.fspath(path)
         self.worker = worker
         self._pid = os.getpid()
-        self._counter = 0
         self._stack: List[Span] = []
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
 
     def _next_id(self) -> str:
-        self._counter += 1
-        return f"{self._pid}-{self._counter}"
+        return f"{self._pid}-{next(_SPAN_NUMBERS)}"
 
     def span(self, name: str, **attrs: Any) -> Span:
         return Span(self, name, attrs)

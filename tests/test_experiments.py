@@ -284,7 +284,7 @@ class TestCLI:
     def test_run_exits_nonzero_when_a_solve_fails(self, tmp_path, capsys, monkeypatch):
         import repro.experiments.cli as cli_module
 
-        def failing_run_sweep(spec, workers=1, out_dir=".", max_failures=None, resume=False, trace=None, profile_dir=None):
+        def failing_run_sweep(spec, workers=1, out_dir=".", max_failures=None, resume=False, trace=None):
             payload = {
                 "workers": workers,
                 "rows": [],

@@ -1006,13 +1006,22 @@ class TestQueueCLI:
         assert queue_status(queue)["tasks"] == 3
 
     @pytest.mark.parametrize(
-        "flag",
-        [["--transport", "sqlite"], ["--queue", "q"], ["--queue-url", "http://127.0.0.1:1"]],
+        "argv",
+        [
+            ["enqueue", "queue-smoke", "--out", ".", "--transport", "sqlite"],
+            ["enqueue", "queue-smoke", "--out", ".", "--queue", "q"],
+            ["enqueue", "queue-smoke", "--out", ".", "--queue-url", "http://127.0.0.1:1"],
+            ["run", "smoke", "--out", ".", "--profile", "d"],
+            ["work", "QUEUE_queue-smoke.sqlite", "--profile", "d"],
+        ],
+        ids=["enqueue-transport", "enqueue-queue", "enqueue-queue-url", "run-profile", "work-profile"],
     )
-    def test_enqueue_retired_backend_flags_are_rejected(self, tmp_path, flag, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)] + flag)
-        assert "usage" in capsys.readouterr().err
+    def test_retired_flags_are_rejected(self, tmp_path, argv, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
         assert not os.listdir(str(tmp_path))
 
     def test_enqueue_into_a_retired_directory_queue_exits_nonzero(self, tmp_path, capsys):

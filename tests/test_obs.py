@@ -1,22 +1,25 @@
-"""The sidecar observability layer (PR 7): tracing, metrics, profiling.
+"""The sidecar observability layer: span tracing and counters.
 
 The contract under test:
 
-* the :class:`Metrics` registry accumulates counters/gauges/timing
-  histograms, snapshots to plain JSON, rehydrates, merges across worker
-  processes (``sum()``-compatible like ``QueryCounter``), and produces
-  delta snapshots for per-run reporting;
-* the module-level helpers are no-ops until collection is switched on —
+* the :class:`Metrics` registry accumulates counters, snapshots to plain
+  JSON, rehydrates, merges across worker processes (``sum()``-compatible
+  like ``QueryCounter``), and produces delta snapshots for per-run
+  reporting;
+* :func:`repro.obs.count` is a no-op until collection is switched on —
   instrumented hot paths must cost one boolean check when disabled;
 * :func:`repro.obs.span` returns the shared null singleton when no tracer
   is installed (no allocation, nothing emitted) and a real nested span —
-  with parent ids, durations, attrs and counters — when one is;
-* **the sidecar invariant**: a traced/profiled sweep produces BENCH rows
+  with parent ids, durations, attrs and counters — when one is; span ids
+  are unique across every tracer a process installs;
+* **the sidecar invariant**: a traced sweep produces BENCH rows
   byte-identical to an untraced one, with the exact same row key sets —
   telemetry lands only in its own files;
-* ``trace summarise`` aggregates multi-writer JSONL traces into the
-  per-phase breakdown, covering solver phases, sampler batches, and
-  engine build/fill events.
+* ``trace summarise`` aggregates multi-writer JSONL traces into per-phase
+  *exclusive* time (a span's duration minus its direct children's), with
+  the roots' own time as ``unattributed``, so phase self times plus
+  ``unattributed`` add up to the roots' wall time; it covers solver
+  phases, sampler batches and engine builds.
 """
 
 import json
@@ -26,6 +29,7 @@ import pytest
 
 from repro import obs
 from repro.experiments.cli import main as cli_main
+from repro.experiments.distributed import work_queue
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import SweepSpec
@@ -33,7 +37,6 @@ from repro.groups.engine import CayleyBackend
 from repro.groups.perm import PermutationGroup, symmetric_group
 from repro.groups.products import dihedral_semidirect
 from repro.obs import metrics as metrics_mod
-from repro.obs import profile as profile_mod
 from repro.obs import trace as trace_mod
 from repro.obs.metrics import Metrics
 
@@ -43,12 +46,11 @@ SEED = 20010202
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     """Every test leaves the process as it found it: no tracer, collection
-    off, no profile dir, fresh registry — observability is process-global
+    off, fresh registry — observability is process-global
     state, and leakage here would poison unrelated tests."""
     yield
     trace_mod.install_tracer(None)
     metrics_mod.set_collecting(False)
-    profile_mod.set_profile_dir(None)
     metrics_mod.reset_metrics()
 
 
@@ -59,43 +61,29 @@ def tiny_spec(name="obs", **kwargs):
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_and_timings_accumulate(self):
+    def test_counters_accumulate(self):
         metrics = Metrics()
         metrics.count("hits")
         metrics.count("hits", 2)
-        metrics.gauge("depth", 3.5)
-        metrics.observe("fill", 0.25)
-        metrics.observe("fill", 0.75)
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"] == {"hits": 3}
-        assert snapshot["gauges"] == {"depth": 3.5}
-        assert snapshot["timings"]["fill"] == {
-            "count": 2,
-            "total": 1.0,
-            "min": 0.25,
-            "max": 0.75,
-        }
+        assert metrics.snapshot() == {"counters": {"hits": 3}}
 
     def test_snapshot_round_trips_and_is_json_safe(self):
         metrics = Metrics()
         metrics.count("a", 7)
-        metrics.gauge("g", 1.0)
-        metrics.observe("t", 0.5)
+        metrics.count("b")
         snapshot = json.loads(json.dumps(metrics.snapshot()))
         rehydrated = Metrics.from_snapshot(snapshot)
         assert rehydrated.snapshot() == metrics.snapshot()
 
-    def test_merge_adds_counters_and_combines_histograms(self):
+    def test_merge_adds_counters(self):
         a, b = Metrics(), Metrics()
         a.count("calls", 2)
         b.count("calls", 3)
-        a.observe("t", 0.1)
-        b.observe("t", 0.4)
+        b.count("only_b")
         merged = a + b
-        assert merged.counters["calls"] == 5
-        assert merged.timings["t"] == {"count": 2, "total": 0.5, "min": 0.1, "max": 0.4}
+        assert merged.counters == {"calls": 5, "only_b": 1}
         # the operands are untouched (merge into a fresh registry)
-        assert a.counters["calls"] == 2 and b.counters["calls"] == 3
+        assert a.counters == {"calls": 2} and b.counters == {"calls": 3, "only_b": 1}
 
     def test_sum_starts_from_zero_like_query_counter(self):
         parts = []
@@ -105,57 +93,38 @@ class TestMetricsRegistry:
             parts.append(m)
         assert sum(parts).counters["n"] == 6
 
-    def test_diff_subtracts_counts_and_totals(self):
+    def test_diff_subtracts_counts(self):
         metrics = Metrics()
         metrics.count("queries", 10)
-        metrics.observe("t", 1.0)
         before = metrics.snapshot()
         metrics.count("queries", 5)
-        metrics.observe("t", 0.5)
-        delta = metrics.diff(before)
-        assert delta["counters"] == {"queries": 5}
-        assert delta["timings"]["t"]["count"] == 1
-        assert delta["timings"]["t"]["total"] == pytest.approx(0.5)
+        metrics.count("fresh", 2)
+        assert metrics.diff(before) == {"counters": {"fresh": 2, "queries": 5}}
 
     def test_diff_drops_unchanged_keys(self):
         metrics = Metrics()
         metrics.count("stable", 4)
         before = metrics.snapshot()
-        delta = metrics.diff(before)
-        assert delta["counters"] == {}
-        assert delta["timings"] == {}
+        assert metrics.diff(before) == {"counters": {}}
 
-    def test_module_helpers_are_noops_when_collection_is_off(self):
+    def test_count_is_a_noop_when_collection_is_off(self):
         registry = metrics_mod.reset_metrics()
         assert not metrics_mod.collecting()
         metrics_mod.count("ignored")
-        metrics_mod.gauge("ignored", 1.0)
-        metrics_mod.observe("ignored", 1.0)
-        with metrics_mod.timed("ignored"):
-            pass
-        assert registry.snapshot() == {"counters": {}, "gauges": {}, "timings": {}}
+        assert registry.snapshot() == {"counters": {}}
 
-    def test_module_helpers_record_when_collection_is_on(self):
+    def test_count_records_when_collection_is_on(self):
         registry = metrics_mod.reset_metrics()
         metrics_mod.set_collecting(True)
         metrics_mod.count("hits")
-        with metrics_mod.timed("block"):
-            pass
         assert registry.counters == {"hits": 1}
-        assert registry.timings["block"]["count"] == 1
 
-    def test_timed_call_decorator_gates_on_collection(self):
-        @metrics_mod.timed_call("decorated")
-        def work(x):
-            return x * 2
-
-        registry = metrics_mod.reset_metrics()
-        assert work.__name__ == "work"  # functools.wraps preserved
-        assert work(3) == 6
-        assert "decorated" not in registry.timings
-        metrics_mod.set_collecting(True)
-        assert work(3) == 6
-        assert registry.timings["decorated"]["count"] == 1
+    @pytest.mark.parametrize("name", ["gauge", "observe", "timed", "timed_call"])
+    def test_timing_and_gauge_helpers_are_gone(self, name):
+        # spans are the one timing channel; the registry holds counters only
+        assert not hasattr(metrics_mod, name)
+        assert not hasattr(obs, name)
+        assert not hasattr(Metrics(), name)
 
 
 class TestTracer:
@@ -190,6 +159,18 @@ class TestTracer:
         assert outer["counters"] == {"touched": 2}
         assert all(entry["worker"] == "w-test" for entry in events)
         assert all(entry["span"].startswith(f"{os.getpid()}-") for entry in events)
+
+    def test_span_ids_stay_unique_across_tracers_in_one_process(self, tmp_path):
+        # a second tracer installed in the same process must not restart
+        # the numbering: the summary matches children to parents by id
+        path = str(tmp_path / "trace.jsonl")
+        for _ in range(2):
+            with trace_mod.tracing(path):
+                with obs.span("outer"):
+                    with obs.span("inner"):
+                        pass
+        ids = [json.loads(line)["span"] for line in open(path)]
+        assert len(ids) == 4 and len(set(ids)) == 4
 
     def test_span_records_the_exception_type(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -241,40 +222,29 @@ class TestTracer:
         assert entry["attrs"]["key_path"] == key_path
 
 
-class TestProfiled:
-    def test_noop_without_a_profile_dir(self, tmp_path):
-        with obs.profiled("label"):
-            pass
-        assert list(tmp_path.iterdir()) == []
-
-    def test_writes_a_pstats_file_per_label(self, tmp_path):
-        profile_mod.set_profile_dir(str(tmp_path))
-        with obs.profiled("run smoke/0001"):
-            sum(range(100))
-        names = os.listdir(tmp_path)
-        assert names == ["run-smoke-0001.pstats"]  # label sanitised
-        import pstats
-
-        pstats.Stats(str(tmp_path / names[0]))  # parseable profile data
-
-
 class TestSidecarInvariant:
     """Satellite 3b + the tentpole's hard invariant: telemetry never touches
     the BENCH ledger."""
 
-    def test_traced_and_profiled_sweep_rows_are_byte_identical(self, tmp_path):
+    def test_traced_sweep_rows_are_byte_identical(self, tmp_path):
         spec = tiny_spec()
         _, baseline = run_sweep(spec, out_dir=None)
         trace = str(tmp_path / "trace.jsonl")
-        _, traced = run_sweep(
-            spec, out_dir=None, trace=trace, profile_dir=str(tmp_path / "prof")
-        )
+        _, traced = run_sweep(spec, out_dir=None, trace=trace)
         assert rows_bytes(traced) == rows_bytes(baseline)
         assert [sorted(row) for row in traced["rows"]] == [
             sorted(row) for row in baseline["rows"]
         ]
         assert os.path.getsize(trace) > 0
-        assert any(name.endswith(".pstats") for name in os.listdir(tmp_path / "prof"))
+
+    @pytest.mark.parametrize("entry", ["run_sweep", "work_queue"])
+    def test_the_retired_profile_dir_raises_type_error(self, tmp_path, entry):
+        with pytest.raises(TypeError):
+            if entry == "run_sweep":
+                run_sweep(tiny_spec(), out_dir=None, profile_dir=str(tmp_path / "prof"))
+            else:
+                work_queue(str(tmp_path / "q.sqlite"), profile_dir=str(tmp_path / "prof"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_noop_tracer_adds_no_keys_to_bench_rows(self):
         # with observability completely off, rows carry exactly the
@@ -321,6 +291,7 @@ class TestTraceSummary:
             obs.load_trace_events([str(tmp_path / "missing.jsonl")])
 
     def test_summary_aggregates_spans_and_metrics(self):
+        # spans without a loaded parent are roots: their time is unattributed
         events = [
             {"event": "span", "name": "run", "dur": 1.0, "pid": 1, "worker": "w1"},
             {
@@ -335,24 +306,119 @@ class TestTraceSummary:
                 "event": "run_metrics",
                 "pid": 1,
                 "worker": "w1",
-                "metrics": {"counters": {"worker.executed": 2}, "timings": {}},
+                "metrics": {"counters": {"worker.executed": 2}},
             },
         ]
         summary = obs.summarise_trace(events)
         run = summary["spans"]["run"]
         assert run["count"] == 2
         assert run["total_s"] == pytest.approx(4.0)
-        assert run["mean_s"] == pytest.approx(2.0)
+        assert run["self_s"] == pytest.approx(4.0)
         assert run["max_s"] == pytest.approx(3.0)
         assert run["counters"] == {"samples": 5}
         assert summary["metrics"]["counters"] == {"worker.executed": 2}
         assert summary["workers"] == ["w1", "w2"]
-        # spans and metric timers bucket by name prefix into phases
-        assert summary["phases"]["run"]["span_count"] == 2
-        assert summary["phases"]["run"]["span_s"] == pytest.approx(4.0)
+        assert summary["phases"] == {}
+        assert summary["roots"] == 2
+        assert summary["root_s"] == pytest.approx(4.0)
+        assert summary["unattributed_s"] == pytest.approx(4.0)
         rendered = obs.format_trace_summary(summary)
         assert "run" in rendered and "worker.executed = 2" in rendered
+        assert "unattributed" in rendered
         assert "share" in rendered and "100.0%" in rendered
+
+    @staticmethod
+    def _span(span_id, parent, dur, name):
+        return {
+            "event": "span",
+            "name": name,
+            "span": span_id,
+            "parent": parent,
+            "dur": dur,
+            "pid": int(span_id.split("-")[0]),
+        }
+
+    def test_self_time_subtracts_direct_children(self):
+        summary = obs.summarise_trace(
+            [
+                self._span("1-1", None, 3.0, "root"),
+                self._span("1-2", "1-1", 1.0, "a.child"),
+                self._span("1-3", "1-1", 0.5, "b.child"),
+            ]
+        )
+        assert summary["spans"]["root"]["self_s"] == pytest.approx(1.5)
+        assert summary["unattributed_s"] == pytest.approx(1.5)
+        assert summary["phases"]["a"] == {
+            "span_count": 1,
+            "self_s": 1.0,
+            "share": pytest.approx(1 / 3),
+        }
+        assert summary["phases"]["b"]["self_s"] == pytest.approx(0.5)
+        assert summary["root_s"] == pytest.approx(3.0)
+
+    def test_grandchild_is_subtracted_only_from_its_direct_parent(self):
+        summary = obs.summarise_trace(
+            [
+                self._span("1-1", None, 3.0, "root"),
+                self._span("1-2", "1-1", 2.0, "mid.step"),
+                self._span("1-3", "1-2", 0.5, "leaf.step"),
+            ]
+        )
+        assert summary["unattributed_s"] == pytest.approx(1.0)
+        assert summary["phases"]["mid"]["self_s"] == pytest.approx(1.5)
+        assert summary["phases"]["leaf"]["self_s"] == pytest.approx(0.5)
+
+    def test_a_span_whose_parent_is_not_loaded_counts_as_a_root(self):
+        # the parent line was torn, or lives in another writer's file
+        summary = obs.summarise_trace(
+            [
+                self._span("1-2", "1-1", 2.0, "orphan.step"),
+                self._span("1-3", "1-2", 0.5, "leaf.step"),
+            ]
+        )
+        assert summary["roots"] == 1
+        assert summary["root_s"] == pytest.approx(2.0)
+        assert summary["unattributed_s"] == pytest.approx(1.5)
+        assert "orphan" not in summary["phases"]
+        assert summary["phases"]["leaf"]["self_s"] == pytest.approx(0.5)
+
+    def test_equal_suffixes_under_different_pids_do_not_match(self):
+        summary = obs.summarise_trace(
+            [
+                self._span("100-1", None, 2.0, "first"),
+                self._span("200-1", None, 1.0, "second"),
+                self._span("200-2", "200-1", 0.5, "leaf.step"),
+                self._span("100-2", "100-1", 0.25, "leaf.step"),
+            ]
+        )
+        assert summary["spans"]["first"]["self_s"] == pytest.approx(1.75)
+        assert summary["spans"]["second"]["self_s"] == pytest.approx(0.5)
+        assert summary["roots"] == 2
+        assert summary["phases"]["leaf"]["self_s"] == pytest.approx(0.75)
+
+    @staticmethod
+    def _assert_exclusive_split_adds_up(summary):
+        attributed = sum(phase["self_s"] for phase in summary["phases"].values())
+        assert abs(attributed + summary["unattributed_s"] - summary["root_s"]) < 1e-6
+        assert summary["root_s"] > 0.0
+
+    def test_exclusive_split_adds_up_to_root_wall_time(self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        run_sweep(tiny_spec(name="obs-split"), workers=1, out_dir=None, trace=trace)
+        events = obs.load_trace_events([trace])
+        summary = obs.summarise_trace(events)
+        (sweep,) = [e for e in events if e.get("event") == "span" and e["name"] == "sweep"]
+        assert summary["roots"] == 1
+        assert summary["root_s"] == pytest.approx(sweep["dur"], abs=1e-9)
+        self._assert_exclusive_split_adds_up(summary)
+        # a second sweep appended to the same file keeps every id distinct
+        run_sweep(tiny_spec(name="obs-split"), workers=1, out_dir=None, trace=trace)
+        events = obs.load_trace_events([trace])
+        ids = [e["span"] for e in events if e.get("event") == "span"]
+        assert len(ids) == len(set(ids))
+        summary = obs.summarise_trace(events)
+        assert summary["roots"] == 2
+        self._assert_exclusive_split_adds_up(summary)
 
     def test_solver_phases_sampler_batches_and_engine_events_covered(self, tmp_path):
         trace = str(tmp_path / "trace.jsonl")
@@ -364,14 +430,15 @@ class TestTraceSummary:
         assert "sampler.batch" in names
         assert "engine.build" in names
         assert summary["spans"]["sampler.batch"]["counters"]["samples"] > 0
-        # per-run metric deltas rode along as run_metrics events
-        assert summary["metrics"]["timings"]  # linalg/engine timers present
-        # the phase buckets surface the engine's bulk-fill/batch-kernel work
-        # (spans plus engine.fill.* metric timers) next to solver and sampler
+        # per-run counter deltas rode along as run_metrics events
+        events = obs.load_trace_events([trace])
+        assert sum(e["event"] == "run_metrics" for e in events) == 2
+        # the engine's build time shows as its own phase, exclusive of the
+        # solver and sampler spans around it
         phases = summary["phases"]
         assert {"solver", "sampler", "engine"} <= set(phases)
         assert phases["engine"]["span_count"] > 0
-        assert phases["engine"]["timer_count"] > 0
+        assert phases["engine"]["self_s"] > 0.0
 
 
 class TestTraceCLI:
