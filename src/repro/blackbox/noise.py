@@ -44,7 +44,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import count as obs_count
 from repro.obs import span as obs_span
 
 __all__ = [
@@ -132,13 +131,14 @@ def _channel_seed_bytes(run_seed: int, stream: int) -> bytes:
 class OracleFlipChannel:
     """Element-keyed oracle corruption: flip each answer with probability ε.
 
-    ``replacement(element)`` returns the group element whose true label
-    should be answered instead, or ``None`` for an honest answer.  The
-    decision and the replacement are a pure function of ``(key, element)``
-    — a keyed BLAKE2b digest of the element's canonical encoding supplies
-    both the flip coin and the seed of the replacement draw — so every
-    query path (scalar, batch, dense-id, fresh views, any worker) corrupts
-    identically.
+    ``replacements(elements)`` returns, per element, the group element
+    whose true label should be answered instead, or ``None`` for an honest
+    answer.  The decision and the replacement are a pure function of
+    ``(key, element)`` — a keyed BLAKE2b digest of the element's canonical
+    encoding supplies both the flip coin and the seed of the replacement
+    draw — so every query path (scalar, batch, dense-id, fresh views, any
+    worker) corrupts identically.  Each call is one ``noise.oracle_flip``
+    span whose ``flips`` counter is the call's share of :attr:`flips`.
     """
 
     def __init__(self, epsilon: float, group, run_seed: int):
@@ -147,15 +147,21 @@ class OracleFlipChannel:
         self._key = _channel_seed_bytes(run_seed, 0)
         self.flips = 0
 
-    def replacement(self, element):
+    def replacements(self, elements) -> list:
+        with obs_span("noise.oracle_flip", queries=len(elements)) as span:
+            chosen = [self._replacement(element) for element in elements]
+            flips = sum(choice is not None for choice in chosen)
+            span.add("flips", flips)
+        self.flips += flips
+        return chosen
+
+    def _replacement(self, element):
         digest = hashlib.blake2b(
             self._group.encode(element), key=self._key, digest_size=16
         ).digest()
         coin = int.from_bytes(digest[:8], "big") / float(1 << 64)
         if coin >= self.epsilon:
             return None
-        self.flips += 1
-        obs_count("noise.flips")
         replacement_rng = np.random.default_rng(int.from_bytes(digest[8:], "big"))
         return self._group.random_element(replacement_rng)
 
@@ -186,7 +192,6 @@ class SampleDepolariseChannel:
             if not flipped:
                 return samples
             self.flips += len(flipped)
-            obs_count("noise.flips", len(flipped))
             replacements = np.empty((len(flipped), len(moduli)), dtype=np.int64)
             for j, modulus in enumerate(moduli):
                 replacements[:, j] = self.rng.integers(

@@ -406,7 +406,7 @@ class HidingOracle:
     def apply_noise(self, channel) -> None:
         """Install an oracle corruption channel *below* the cache and counter.
 
-        ``channel.replacement(element)`` decides, deterministically per
+        ``channel.replacements(elements)`` decides, deterministically per
         element, whether the answer for ``element`` is replaced by the true
         label of another element (a uniformly random coset label for the
         ``oracle-flip`` channel).  The wrap sits below :meth:`__call__`'s
@@ -417,16 +417,12 @@ class HidingOracle:
         """
         if self.noise is not None:
             raise ValueError("a noise channel is already installed on this oracle")
-        from repro.obs import span as obs_span
-
         self.noise = channel
         honest_label = self._label
         self._honest_label = honest_label
 
         def noisy_label(element):
-            with obs_span("noise.oracle_flip") as noise_span:
-                replacement = channel.replacement(element)
-                noise_span.set(flipped=replacement is not None)
+            (replacement,) = channel.replacements([element])
             return honest_label(element if replacement is None else replacement)
 
         self._label = noisy_label
@@ -441,8 +437,8 @@ class HidingOracle:
 
         def noisy_label_ids(ids):
             values = _label_array(base_label_ids(ids)).copy()
-            for position, element in enumerate(engine.elements_of(ids)):
-                replacement = channel.replacement(element)
+            replacements = channel.replacements(engine.elements_of(ids))
+            for position, replacement in enumerate(replacements):
                 if replacement is not None:
                     values[position] = honest_label(replacement)
             return values

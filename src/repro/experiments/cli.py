@@ -273,7 +273,7 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="PATH",
-        help="append JSONL span/metric trace events to PATH (sidecar only; "
+        help="append JSONL trace spans to PATH (sidecar only; "
         "BENCH output is byte-identical with or without it)",
     )
 
@@ -713,6 +713,20 @@ def _command_plot(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe early (``trace summarise t.jsonl | head``).
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _command_run(args)

@@ -336,8 +336,7 @@ def work_queue(
 
     Returns ``{"executed": ..., "errors": ..., "reclaimed": ..., "corrupt": ...}``.
 
-    ``trace`` appends this worker's JSONL span/metrics events to the given
-    sidecar path (workers sharing one path interleave whole lines, each
+    ``trace`` appends this worker's JSONL spans to the given sidecar path (workers sharing one path interleave whole lines, each
     tagged with its worker id).  It changes neither shard records nor the
     collected BENCH payload in any byte.
     """
@@ -359,22 +358,17 @@ def _work_loop(
     worker = _sanitize_worker_id(worker_id) if worker_id else default_worker_id()
     interval = heartbeat if heartbeat is not None else default_heartbeat(stale_after)
     executed = errors = reclaimed = corrupt = 0
-    with obs.observed(trace_path=trace, worker=worker):
-        # Delta-snapshot the registry so two worker loops in one process
-        # (tests, sequential drains) never double-report shared metrics.
-        metrics_before = obs.get_metrics().snapshot()
+    with obs.tracing(trace, worker=worker):
         with obs.span("worker", queue=transport.describe(), sweep=spec.name) as worker_span:
             while max_tasks is None or executed < max_tasks:
                 claim = transport.claim_next(worker)
                 if isinstance(claim, CorruptTask):
                     corrupt += 1
-                    obs.count("worker.corrupt")
                     continue
                 if claim is None:
                     got_back = transport.reclaim_stale(stale_after)
                     if got_back:
                         reclaimed += got_back
-                        obs.count("worker.reclaimed", got_back)
                         continue
                     if transport.status()["leases"]:
                         time.sleep(poll)
@@ -386,24 +380,12 @@ def _work_loop(
                 transport.append_record(worker, record)
                 transport.release(claim)
                 executed += 1
-                obs.count("worker.executed")
                 if record.status == "error":
                     errors += 1
-                    obs.count("worker.errors")
             worker_span.add("executed", executed)
             worker_span.add("errors", errors)
             worker_span.add("reclaimed", reclaimed)
             worker_span.add("corrupt", corrupt)
-        obs.event(
-            "worker_summary",
-            queue=transport.describe(),
-            sweep=spec.name,
-            executed=executed,
-            errors=errors,
-            reclaimed=reclaimed,
-            corrupt=corrupt,
-            metrics=obs.get_metrics().diff(metrics_before),
-        )
     return {"executed": executed, "errors": errors, "reclaimed": reclaimed, "corrupt": corrupt}
 
 

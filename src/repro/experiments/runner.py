@@ -55,7 +55,6 @@ from repro.experiments.results import (
     write_journal_header,
 )
 from repro.experiments.specs import RunSpec, SweepSpec
-from repro.obs import metrics as obs_metrics
 from repro import obs
 from repro.quantum.sampling import FourierSampler
 
@@ -101,26 +100,15 @@ class SweepAborted(RuntimeError):
 def execute_run(run: RunSpec) -> RunRecord:
     """Execute one run descriptor; raises on failure (see ``execute_run_safe``).
 
-    Telemetry is sidecar-only: the ``run`` span and the per-run counter
-    delta event land in the trace file and never touch the returned record,
-    so rows are byte-identical with observability on or off.
+    Telemetry is sidecar-only: the ``run`` span lands in the trace file and
+    never touches the returned record, so rows are byte-identical with
+    tracing on or off.
     """
     with obs.span(
         "run", sweep=run.sweep, index=run.index, seed=run.seed, family=run.family
     ) as run_span:
-        metrics_before = (
-            obs.get_metrics().snapshot() if obs_metrics.collecting() else None
-        )
         record = _execute_run_impl(run)
         run_span.set(strategy=record.strategy, success=record.success)
-        if metrics_before is not None:
-            obs.event(
-                "run_metrics",
-                sweep=run.sweep,
-                index=run.index,
-                seed=run.seed,
-                metrics=obs.get_metrics().diff(metrics_before),
-            )
     return record
 
 
@@ -216,14 +204,19 @@ def execute_run_safe(run: RunSpec) -> RunRecord:
         )
 
 
-def _obs_pool_init(trace_path: Optional[str]) -> None:
+def _obs_pool_init(trace_path: Optional[str], parent: Optional[str]) -> None:
     """Pool-worker initializer: install the sweep's trace sink.
 
     Runs once per worker process; the worker exits with the pool, so nothing
-    is restored.  With ``None`` this is a no-op, which keeps a single code
-    path for traced and untraced pools.
+    is restored.  ``parent`` is the dispatching process's open ``sweep``
+    span, under which the worker's top-level ``run`` spans hang.  With a
+    ``None`` path this is a no-op, which keeps a single code path for
+    traced and untraced pools.
     """
-    obs.configure(trace_path=trace_path, worker=f"pool-{os.getpid()}")
+    if trace_path is not None:
+        tracer = obs.Tracer(trace_path, worker=f"pool-{os.getpid()}")
+        tracer.parent = parent
+        obs.install_tracer(tracer)
 
 
 def run_sweep(
@@ -257,9 +250,10 @@ def run_sweep(
     The journal is validated against ``spec`` and removed once the sweep
     completes and the BENCH file is written.
 
-    ``trace`` appends JSONL span/metrics events (from this process and every
-    pool worker) to the given sidecar path.  It changes neither the journal
-    nor the BENCH payload in any byte.
+    ``trace`` appends JSONL spans (from this process and every pool worker,
+    whose ``run`` spans name this process's ``sweep`` span as parent) to the
+    given sidecar path.  It changes neither the journal nor the BENCH
+    payload in any byte.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -299,10 +293,10 @@ def run_sweep(
     def over_budget() -> bool:
         return max_failures is not None and failures > max_failures
 
-    with obs.observed(trace_path=trace):
+    with obs.tracing(trace):
         with obs.span(
             "sweep", sweep=spec.name, runs=len(runs), pending=len(pending), workers=workers
-        ):
+        ) as sweep_span:
             if workers == 1:
                 for run in pending:
                     admit(execute_run_safe(run))
@@ -318,7 +312,7 @@ def run_sweep(
                 with ProcessPoolExecutor(
                     max_workers=workers,
                     initializer=_obs_pool_init,
-                    initargs=(trace,),
+                    initargs=(trace, sweep_span.span_id),
                 ) as pool:
                     queue = list(reversed(pending))
                     in_flight = set()

@@ -110,11 +110,6 @@ class AbelianTupleGroup(FiniteGroup):
     def subgroup_contains(self, generators: Sequence[Vector], element: Vector) -> bool:
         return member_coefficients(generators, element, self.moduli) is not None
 
-    def random_subgroup(self, rng: np.random.Generator, max_generators: int = 2) -> List[Vector]:
-        """Generators of a random subgroup (for instance generation in tests)."""
-        count = int(rng.integers(1, max_generators + 1))
-        return [self.module.random_element(rng) for _ in range(count)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianTupleGroup) and self.moduli == other.moduli
 

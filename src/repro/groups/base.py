@@ -280,15 +280,6 @@ class FiniteGroup(abc.ABC):
             self._pr_sampler = sampler
         return sampler(rng)
 
-    def random_word(self, rng: np.random.Generator, length: int = 20) -> Element:
-        """Product of ``length`` random generators/inverses (mixing helper)."""
-        gens = self.generators()
-        gens = gens + [self.inverse(g) for g in gens]
-        x = self.identity()
-        for _ in range(length):
-            x = self.multiply(x, gens[int(rng.integers(0, len(gens)))])
-        return x
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
 

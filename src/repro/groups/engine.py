@@ -816,9 +816,6 @@ class CayleyBackend:
         self._order_cache[element_id] = order
         return order
 
-    def orders_many(self, ids: Sequence[int]) -> np.ndarray:
-        return np.fromiter((self.element_order(i) for i in ids), dtype=np.int64)
-
     # -- coset helpers -----------------------------------------------------------
     def coset_label(self, element_id: int, subgroup_ids: np.ndarray) -> int:
         """A canonical label of the left coset ``g H``: the minimum id in it.

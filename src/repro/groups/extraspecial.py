@@ -152,10 +152,6 @@ class HeisenbergGroup(FiniteGroup):
         zero = tuple(0 for _ in range(self.n))
         return [(zero, zero, c) for c in range(self.p)]
 
-    def random_subgroup_generators(self, rng: np.random.Generator, count: int = 2) -> List[HeisElement]:
-        """Random elements generating a (random) subgroup, for HSP instances."""
-        return [self.uniform_random_element(rng) for _ in range(count)]
-
 
 def extraspecial_group(p: int, n: int = 1) -> HeisenbergGroup:
     """The extraspecial group of order ``p^{2n+1}`` and exponent ``p`` (odd ``p``)."""

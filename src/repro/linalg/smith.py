@@ -60,11 +60,6 @@ def _negate_row(mat: Matrix, i: int) -> None:
     mat[i] = [-x for x in mat[i]]
 
 
-def _negate_col(mat: Matrix, j: int) -> None:
-    for row in mat:
-        row[j] = -row[j]
-
-
 def _find_pivot(a: Matrix, start: int) -> Tuple[int, int] | None:
     """Locate the entry of smallest absolute value in the trailing block."""
     best = None

@@ -1,9 +1,11 @@
 """Span tracing to JSONL files.
 
-A :class:`Tracer` is installed per process (see ``repro.obs.configure``);
-instrumented code calls the module-level :func:`span` / :func:`event`
-helpers, which collapse to a shared no-op singleton when no tracer is
-installed so the disabled cost is one attribute load and a ``None`` check.
+A :class:`Tracer` is installed per process (:func:`tracing` for a scoped
+block, :func:`install_tracer` in a pool-worker initializer); instrumented
+code calls the module-level :func:`span` helper, which collapses to a shared
+no-op singleton when no tracer is installed so the disabled cost is one
+attribute load and a ``None`` check.  Spans are the only record a tracer
+writes.
 
 Each completed span emits one line::
 
@@ -13,9 +15,12 @@ Each completed span emits one line::
 
 Span ids are ``"<pid>-<n>"``, with ``n`` drawn from one process-wide
 counter, so ids stay unique across every tracer a process installs and
-across files appended to by several worker processes.  Lines are written
-with a single ``write()`` of a complete line in append mode, which keeps
-concurrent appends from interleaving on POSIX filesystems.
+across files appended to by several worker processes.  A tracer's
+``parent`` (``None`` by default) is the parent id of its top-level spans: a
+pool worker's tracer sets it to the dispatching process's open ``sweep``
+span, so the worker's ``run`` spans hang under it across processes.  Lines
+are written with a single ``write()`` of a complete line in append mode,
+which keeps concurrent appends from interleaving on POSIX filesystems.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "enabled",
-    "event",
     "install_tracer",
     "span",
     "tracing",
@@ -48,6 +52,7 @@ class _NullSpan:
     """Shared do-nothing span returned while tracing is disabled."""
 
     __slots__ = ()
+    span_id = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -82,7 +87,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         stack = self.tracer._stack
-        self.parent_id = stack[-1].span_id if stack else None
+        self.parent_id = stack[-1].span_id if stack else self.tracer.parent
         stack.append(self)
         self._ts = time.time()
         self._start = time.perf_counter()
@@ -127,11 +132,12 @@ class Span:
 
 
 class Tracer:
-    """Appends JSONL trace events to ``path``."""
+    """Appends JSONL span lines to ``path``."""
 
     def __init__(self, path: str, worker: Optional[str] = None) -> None:
         self.path = os.fspath(path)
         self.worker = worker
+        self.parent: Optional[str] = None
         self._pid = os.getpid()
         self._stack: List[Span] = []
         parent = os.path.dirname(os.path.abspath(self.path))
@@ -142,11 +148,6 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any) -> Span:
         return Span(self, name, attrs)
-
-    def event(self, name: str, **fields: Any) -> None:
-        payload: Dict[str, Any] = {"event": name, "ts": round(time.time(), 6)}
-        payload.update(fields)
-        self.emit(payload)
 
     def emit(self, payload: Dict[str, Any]) -> None:
         payload.setdefault("pid", self._pid)
@@ -187,18 +188,13 @@ def span(name: str, **attrs: Any) -> Any:
     return tracer.span(name, **attrs)
 
 
-def event(name: str, **fields: Any) -> None:
-    """Emit a standalone (non-span) trace event when tracing is on."""
-
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.event(name, **fields)
-
-
 @contextmanager
-def tracing(path: str, worker: Optional[str] = None) -> Iterator[Tracer]:
-    """Install a tracer for the duration of the block."""
+def tracing(path: Optional[str], worker: Optional[str] = None) -> Iterator[Optional[Tracer]]:
+    """Install a tracer for the duration of the block; a no-op for ``None``."""
 
+    if path is None:
+        yield _TRACER
+        return
     tracer = Tracer(path, worker=worker)
     previous = install_tracer(tracer)
     try:

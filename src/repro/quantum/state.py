@@ -105,23 +105,6 @@ class RegisterState:
         """Axis index of ``target_axis`` after the fixed axes have been indexed away."""
         return target_axis - sum(1 for a in fixed_axes if a < target_axis)
 
-    def apply_label_function(
-        self,
-        labels: np.ndarray,
-        source_axes: Sequence[int],
-        target_axis: int,
-    ) -> "RegisterState":
-        """Vectorised oracle application when ``f`` is given as a label array.
-
-        ``labels`` must have shape ``tuple(dims[a] for a in source_axes)`` and
-        integer entries in ``[0, d_target)``.  Equivalent to
-        :meth:`apply_classical_function` but without a Python-level call per
-        basis value.
-        """
-        return self.apply_classical_function(
-            lambda xs: int(labels[xs]), source_axes, target_axis
-        )
-
     # -- measurement -----------------------------------------------------------------
     def probabilities(self, axes: Optional[Sequence[int]] = None) -> np.ndarray:
         """Marginal measurement distribution on ``axes`` (all axes by default)."""

@@ -89,8 +89,8 @@ class TestOracleFlipChannel:
         group = dihedral_semidirect(8)
         channel = OracleFlipChannel(0.5, group, run_seed=7)
         elements = [group.embed_normal((k,)) for k in range(8)]
-        first = [channel.replacement(e) for e in elements]
-        second = [channel.replacement(e) for e in elements[::-1]][::-1]
+        first = channel.replacements(elements)
+        second = channel.replacements(elements[::-1])[::-1]
         assert first == second  # order-independent, query-count-independent
 
     def test_flip_rate_tracks_epsilon(self):
@@ -98,7 +98,8 @@ class TestOracleFlipChannel:
         elements = group.element_list()
         for epsilon in (0.0, 0.25, 1.0):
             channel = OracleFlipChannel(epsilon, group, run_seed=3)
-            flips = sum(channel.replacement(e) is not None for e in elements)
+            flips = sum(r is not None for r in channel.replacements(elements))
+            assert channel.flips == flips
             assert abs(flips / len(elements) - epsilon) < 0.06
 
     def test_different_seeds_give_different_corruption(self):
@@ -106,7 +107,7 @@ class TestOracleFlipChannel:
         elements = group.element_list()
         a = OracleFlipChannel(0.5, group, run_seed=1)
         b = OracleFlipChannel(0.5, group, run_seed=2)
-        assert [a.replacement(e) for e in elements] != [b.replacement(e) for e in elements]
+        assert a.replacements(elements) != b.replacements(elements)
 
     def test_scalar_batch_and_dense_paths_agree(self):
         instance = dihedral_instance(8)
@@ -368,25 +369,22 @@ class TestSweepIntegration:
 
 
 class TestNoiseObservability:
-    def test_flip_counter_and_phase_bucket(self, tmp_path):
+    def test_every_flip_is_reported_on_a_span(self, tmp_path):
         from repro import obs
-        from repro.obs import metrics as obs_metrics
-        from repro.obs.summary import load_trace_events, summarise_trace
 
-        trace_path = tmp_path / "trace.jsonl"
-        was_collecting = obs_metrics.set_collecting(True)
-        obs.reset_metrics()
-        try:
-            with obs.observed(trace_path=str(trace_path)):
-                instance = dihedral_instance(8)
-                sampler = FourierSampler(rng=np.random.default_rng(6))
-                spec = NoiseSpec("oracle-flip", 0.6)
-                install_noise(spec, instance, sampler, run_seed=41)
-                solve_hsp(instance, sampler=sampler, noise=spec)
-            counters = obs.get_metrics().snapshot()["counters"]
-        finally:
-            obs_metrics.set_collecting(was_collecting)
-            obs.reset_metrics()
-        assert counters.get("noise.flips", 0) > 0
-        summary = summarise_trace(load_trace_events([str(trace_path)]))
-        assert "noise" in summary.get("phases", {})
+        trace_path = str(tmp_path / "trace.jsonl")
+        with obs.tracing(trace_path):
+            # no promises: the small-commutator strategy labels id batches
+            # through the dense oracle's vectorized path
+            instance = dihedral_instance(8, promises={})
+            assert instance.oracle.dense_engine is not None
+            sampler = FourierSampler(rng=np.random.default_rng(6))
+            spec = NoiseSpec("oracle-flip", 0.6)
+            install_noise(spec, instance, sampler, run_seed=41)
+            solve_hsp(instance, sampler=sampler, noise=spec)
+        channel = instance.oracle.noise
+        events = obs.load_trace_events([trace_path])
+        flip_spans = [e for e in events if e["name"] == "noise.oracle_flip"]
+        assert any(e["attrs"]["queries"] > 1 for e in flip_spans)
+        assert sum(e["counters"]["flips"] for e in flip_spans) == channel.flips > 0
+        assert "noise" in obs.summarise_trace(events)["phases"]

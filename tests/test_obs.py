@@ -1,13 +1,9 @@
-"""The sidecar observability layer: span tracing and counters.
+"""The sidecar observability layer: span tracing.
 
 The contract under test:
 
-* the :class:`Metrics` registry accumulates counters, snapshots to plain
-  JSON, rehydrates, merges across worker processes (``sum()``-compatible
-  like ``QueryCounter``), and produces delta snapshots for per-run
-  reporting;
-* :func:`repro.obs.count` is a no-op until collection is switched on —
-  instrumented hot paths must cost one boolean check when disabled;
+* spans are the only record: there is no counter registry and no
+  standalone event, and every line a traced sweep writes is a span;
 * :func:`repro.obs.span` returns the shared null singleton when no tracer
   is installed (no allocation, nothing emitted) and a real nested span —
   with parent ids, durations, attrs and counters — when one is; span ids
@@ -18,12 +14,16 @@ The contract under test:
 * ``trace summarise`` aggregates multi-writer JSONL traces into per-phase
   *exclusive* time (a span's duration minus its direct children's), with
   the roots' own time as ``unattributed``, so phase self times plus
-  ``unattributed`` add up to the roots' wall time; it covers solver
-  phases, sampler batches and engine builds.
+  ``unattributed`` add up to the roots' wall time; children written by
+  other processes (pool workers under the ``sweep`` span) subtract the
+  union of their wall-clock intervals; it covers solver phases, sampler
+  batches and engine builds.
 """
 
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -36,95 +36,24 @@ from repro.experiments.specs import SweepSpec
 from repro.groups.engine import CayleyBackend
 from repro.groups.perm import PermutationGroup, symmetric_group
 from repro.groups.products import dihedral_semidirect
-from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
-from repro.obs.metrics import Metrics
 
 SEED = 20010202
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Every test leaves the process as it found it: no tracer, collection
-    off, fresh registry — observability is process-global
-    state, and leakage here would poison unrelated tests."""
+    """Every test leaves the process as it found it, with no tracer —
+    the tracer is process-global state, and leakage here would poison
+    unrelated tests."""
     yield
     trace_mod.install_tracer(None)
-    metrics_mod.set_collecting(False)
-    metrics_mod.reset_metrics()
 
 
 def tiny_spec(name="obs", **kwargs):
     defaults = dict(repeats=2, seed=SEED)
     defaults.update(kwargs)
     return SweepSpec.from_grid(name, "dihedral_rotation", {"n": [8]}, **defaults)
-
-
-class TestMetricsRegistry:
-    def test_counters_accumulate(self):
-        metrics = Metrics()
-        metrics.count("hits")
-        metrics.count("hits", 2)
-        assert metrics.snapshot() == {"counters": {"hits": 3}}
-
-    def test_snapshot_round_trips_and_is_json_safe(self):
-        metrics = Metrics()
-        metrics.count("a", 7)
-        metrics.count("b")
-        snapshot = json.loads(json.dumps(metrics.snapshot()))
-        rehydrated = Metrics.from_snapshot(snapshot)
-        assert rehydrated.snapshot() == metrics.snapshot()
-
-    def test_merge_adds_counters(self):
-        a, b = Metrics(), Metrics()
-        a.count("calls", 2)
-        b.count("calls", 3)
-        b.count("only_b")
-        merged = a + b
-        assert merged.counters == {"calls": 5, "only_b": 1}
-        # the operands are untouched (merge into a fresh registry)
-        assert a.counters == {"calls": 2} and b.counters == {"calls": 3, "only_b": 1}
-
-    def test_sum_starts_from_zero_like_query_counter(self):
-        parts = []
-        for value in (1, 2, 3):
-            m = Metrics()
-            m.count("n", value)
-            parts.append(m)
-        assert sum(parts).counters["n"] == 6
-
-    def test_diff_subtracts_counts(self):
-        metrics = Metrics()
-        metrics.count("queries", 10)
-        before = metrics.snapshot()
-        metrics.count("queries", 5)
-        metrics.count("fresh", 2)
-        assert metrics.diff(before) == {"counters": {"fresh": 2, "queries": 5}}
-
-    def test_diff_drops_unchanged_keys(self):
-        metrics = Metrics()
-        metrics.count("stable", 4)
-        before = metrics.snapshot()
-        assert metrics.diff(before) == {"counters": {}}
-
-    def test_count_is_a_noop_when_collection_is_off(self):
-        registry = metrics_mod.reset_metrics()
-        assert not metrics_mod.collecting()
-        metrics_mod.count("ignored")
-        assert registry.snapshot() == {"counters": {}}
-
-    def test_count_records_when_collection_is_on(self):
-        registry = metrics_mod.reset_metrics()
-        metrics_mod.set_collecting(True)
-        metrics_mod.count("hits")
-        assert registry.counters == {"hits": 1}
-
-    @pytest.mark.parametrize("name", ["gauge", "observe", "timed", "timed_call"])
-    def test_timing_and_gauge_helpers_are_gone(self, name):
-        # spans are the one timing channel; the registry holds counters only
-        assert not hasattr(metrics_mod, name)
-        assert not hasattr(obs, name)
-        assert not hasattr(Metrics(), name)
 
 
 class TestTracer:
@@ -137,8 +66,31 @@ class TestTracer:
             active.add("counter")
             active.set(key="value")  # all no-ops, nothing raised
 
-    def test_event_emits_nothing_when_disabled(self, tmp_path):
-        obs.event("orphan", detail=1)  # no tracer installed: swallowed
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "Metrics",
+            "count",
+            "get_metrics",
+            "reset_metrics",
+            "event",
+            "configure",
+            "restore",
+            "observed",
+            "gauge",
+            "observe",
+            "timed",
+            "timed_call",
+        ],
+    )
+    def test_the_retired_registry_and_event_helpers_are_gone(self, name):
+        # spans are the only record: counters ride on them via Span.add
+        assert not hasattr(obs, name)
+        assert not hasattr(trace_mod, name)
+        assert not hasattr(trace_mod.Tracer, name)
+
+    def test_the_metrics_module_is_gone(self):
+        assert importlib.util.find_spec("repro.obs.metrics") is None
 
     def test_nested_spans_record_parent_ids_and_durations(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -181,27 +133,31 @@ class TestTracer:
         (entry,) = [json.loads(line) for line in open(path)]
         assert entry["error"] == "RuntimeError"
 
-    def test_standalone_events_carry_fields(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        with trace_mod.tracing(path, worker="w1"):
-            obs.event("checkpoint", step=3)
-        (entry,) = [json.loads(line) for line in open(path)]
-        assert entry["event"] == "checkpoint"
-        assert entry["step"] == 3 and entry["worker"] == "w1"
-
-    def test_observed_installs_and_restores(self, tmp_path):
+    def test_tracing_installs_and_restores(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         assert trace_mod.current_tracer() is None
-        with obs.observed(trace_path=path, worker="scoped") as tracer:
+        with obs.tracing(path, worker="scoped") as tracer:
             assert trace_mod.current_tracer() is tracer
-            assert metrics_mod.collecting()
+            assert tracer.worker == "scoped"
         assert trace_mod.current_tracer() is None
-        assert not metrics_mod.collecting()
 
-    def test_observed_is_a_passthrough_when_nothing_requested(self):
-        with obs.observed() as tracer:
+    def test_tracing_none_is_a_passthrough(self):
+        with obs.tracing(None) as tracer:
             assert tracer is None
-            assert not metrics_mod.collecting()
+            assert trace_mod.current_tracer() is None
+
+    def test_a_tracer_parent_adopts_its_top_level_spans(self, tmp_path):
+        # how a pool worker's run spans hang under the dispatching sweep
+        path = str(tmp_path / "trace.jsonl")
+        tracer = obs.Tracer(path)
+        tracer.parent = "1-7"
+        obs.install_tracer(tracer)
+        with obs.span("run"):
+            with obs.span("inner"):
+                pass
+        by_name = {entry["name"]: entry for entry in map(json.loads, open(path))}
+        assert by_name["run"]["parent"] == "1-7"
+        assert by_name["inner"]["parent"] == by_name["run"]["span"]
 
     @pytest.mark.parametrize(
         "build, key_path",
@@ -276,6 +232,14 @@ class TestSidecarInvariant:
         # the pool children traced too, under their own writer names
         writers = {e.get("worker") for e in events if e.get("worker")}
         assert any(str(w).startswith("pool-") for w in writers)
+        # and their run spans hang under the parent process's sweep span
+        (sweep,) = [e for e in events if e["name"] == "sweep"]
+        runs = [e for e in events if e["name"] == "run"]
+        assert len(runs) == 2
+        assert all(e["parent"] == sweep["span"] and e["pid"] != sweep["pid"] for e in runs)
+        summary = obs.summarise_trace(events)
+        assert summary["roots"] == 1
+        assert summary["spans"]["sweep"]["self_s"] < sweep["dur"]
 
 
 class TestTraceSummary:
@@ -283,6 +247,7 @@ class TestTraceSummary:
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"event":"span","name":"a","dur":0.5,"pid":1}\n'
+            '{"event":"run_metrics","pid":1,"metrics":{"counters":{}}}\n'  # not a span
             '{"event":"span","name":"a","dur'  # torn concurrent tail
         )
         events = obs.load_trace_events([str(path)])
@@ -290,7 +255,7 @@ class TestTraceSummary:
         with pytest.raises(OSError):
             obs.load_trace_events([str(tmp_path / "missing.jsonl")])
 
-    def test_summary_aggregates_spans_and_metrics(self):
+    def test_summary_aggregates_spans(self):
         # spans without a loaded parent are roots: their time is unattributed
         events = [
             {"event": "span", "name": "run", "dur": 1.0, "pid": 1, "worker": "w1"},
@@ -302,12 +267,6 @@ class TestTraceSummary:
                 "worker": "w2",
                 "counters": {"samples": 5},
             },
-            {
-                "event": "run_metrics",
-                "pid": 1,
-                "worker": "w1",
-                "metrics": {"counters": {"worker.executed": 2}},
-            },
         ]
         summary = obs.summarise_trace(events)
         run = summary["spans"]["run"]
@@ -316,14 +275,15 @@ class TestTraceSummary:
         assert run["self_s"] == pytest.approx(4.0)
         assert run["max_s"] == pytest.approx(3.0)
         assert run["counters"] == {"samples": 5}
-        assert summary["metrics"]["counters"] == {"worker.executed": 2}
         assert summary["workers"] == ["w1", "w2"]
         assert summary["phases"] == {}
         assert summary["roots"] == 2
         assert summary["root_s"] == pytest.approx(4.0)
         assert summary["unattributed_s"] == pytest.approx(4.0)
+        assert summary["self_s"] == pytest.approx(4.0)
         rendered = obs.format_trace_summary(summary)
-        assert "run" in rendered and "worker.executed = 2" in rendered
+        assert "run" in rendered and "samples=5" in rendered
+        assert "metric counters" not in rendered
         assert "unattributed" in rendered
         assert "share" in rendered and "100.0%" in rendered
 
@@ -396,6 +356,23 @@ class TestTraceSummary:
         assert summary["roots"] == 2
         assert summary["phases"]["leaf"]["self_s"] == pytest.approx(0.75)
 
+    def test_children_from_other_pids_subtract_the_union_of_their_intervals(self):
+        # pool workers run concurrently under the parent's sweep span
+        summary = obs.summarise_trace(
+            [
+                dict(self._span("1-1", None, 100.0, "sweep"), ts=0.0),
+                dict(self._span("2-1", "1-1", 50.0, "run"), ts=10.0),
+                dict(self._span("3-1", "1-1", 70.0, "run"), ts=20.0),
+            ]
+        )
+        assert summary["spans"]["sweep"]["self_s"] == pytest.approx(20.0)
+        assert summary["unattributed_s"] == pytest.approx(20.0)
+        assert summary["roots"] == 1 and summary["root_s"] == pytest.approx(100.0)
+        assert summary["phases"]["run"]["self_s"] == pytest.approx(120.0)
+        # shares are of the summed self time, not of the root wall time
+        assert summary["self_s"] == pytest.approx(140.0)
+        assert summary["phases"]["run"]["share"] == pytest.approx(120.0 / 140.0)
+
     @staticmethod
     def _assert_exclusive_split_adds_up(summary):
         attributed = sum(phase["self_s"] for phase in summary["phases"].values())
@@ -430,9 +407,9 @@ class TestTraceSummary:
         assert "sampler.batch" in names
         assert "engine.build" in names
         assert summary["spans"]["sampler.batch"]["counters"]["samples"] > 0
-        # per-run counter deltas rode along as run_metrics events
-        events = obs.load_trace_events([trace])
-        assert sum(e["event"] == "run_metrics" for e in events) == 2
+        # spans are the only record the trace holds
+        lines = [json.loads(line) for line in open(trace)]
+        assert {entry["event"] for entry in lines} == {"span"}
         # the engine's build time shows as its own phase, exclusive of the
         # solver and sampler spans around it
         phases = summary["phases"]
@@ -466,6 +443,29 @@ class TestTraceCLI:
         empty.write_text("")
         assert cli_main(["trace", "summarise", str(empty)]) == 1
         assert "no trace events" in capsys.readouterr().err
+
+    def test_a_closed_stdout_pipe_exits_quietly(self, tmp_path, monkeypatch):
+        # ``trace summarise t.jsonl | head``: the reader goes away early
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"event":"span","name":"x","dur":1.0,"pid":1}\n')
+        sink = open(tmp_path / "stdout.txt", "w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli_main(["trace", "summarise", str(trace)]) == 0
+        # the descriptor behind stdout now discards what is left
+        os.write(sink.fileno(), b"dropped")
+        sink.close()
+        assert (tmp_path / "stdout.txt").read_text() == ""
 
     def test_missing_trace_file_exits_nonzero(self, tmp_path, capsys):
         assert cli_main(["trace", "summarise", str(tmp_path / "nope.jsonl")]) == 1
