@@ -1,4 +1,4 @@
-"""Scaling benchmark: kernel-mode engine vs the scalar sparse engine.
+"""Scaling benchmark: kernel-mode engine vs the engine-less per-element route.
 
 The dense-id refactor makes int64 ids the currency from the hiding oracle
 down to the linear algebra: groups with a per-family ``DenseKernel`` get
@@ -14,12 +14,14 @@ BENCH.
 Methodology — cold end-to-end runs, not steady state: every run builds a
 fresh instance (fresh group, fresh engine, fresh oracle caches) and solves
 it, so the measurement includes exactly the enumeration, product and
-labelling work the dense kernels accelerate.  The baseline runs under
-:func:`repro.groups.engine.kernel_disabled`, which builds sparse-mode
-engines on scalar arithmetic at every size; everything else — seeds,
-batch sampler, engine use — is identical.  (The committed baseline column
-was measured when the baseline still built a lazily filled Cayley table at
-``|G| <= 4096``, so its small points are not what a rerun measures now.)
+labelling work the dense kernels accelerate.  The baseline runs with
+:data:`repro.groups.engine.DEFAULT_INTERN_LIMIT` patched to 0 for the
+benchmark's duration, so :func:`~repro.groups.engine.maybe_engine` declines
+every group and the solve takes the per-element route that groups too large
+for an engine take; everything else — seeds, batch sampler — is identical.
+(The committed baseline column was measured against an earlier baseline, a
+lazily filled Cayley table at ``|G| <= 4096`` and a per-pair memo above,
+so it is not what a rerun measures now.)
 Query accounting must not depend on the route: the benchmark asserts the
 per-row query reports of the two configurations are equal and stores the
 shared report in the row.
@@ -33,7 +35,8 @@ subset the CI ``scaling-smoke`` job re-measures and diffs against the
 committed file (query columns only; wall-clock is machine-dependent).
 
 Also exposed as a pytest-style check (``test_scaling_speedup``) asserting
-the dense path wins by >= 3x on the aggregate over the largest points.
+the engine wins by >= 3x over the engine-less route on the aggregate over
+the largest points.
 """
 
 from __future__ import annotations
@@ -42,15 +45,16 @@ import argparse
 import time
 from contextlib import nullcontext
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 
+import repro.groups.engine as engine_module
 from repro.core.solver import solve_hsp
 from repro.experiments.registry import build_instance
 from repro.experiments.results import write_bench
 from repro.experiments.specs import DEFAULT_SEED, derive_seed
 from repro.experiments.workloads import SCALING_AXES
-from repro.groups.engine import kernel_disabled
 from repro.quantum.sampling import FourierSampler
 
 SEED = DEFAULT_SEED
@@ -87,7 +91,9 @@ def bench_point(
     order = 0
     strategy = ""
     for config in ("baseline", "dense"):
-        context = kernel_disabled() if config == "baseline" else nullcontext()
+        context = (
+            mock.patch.object(engine_module, "DEFAULT_INTERN_LIMIT", 0) if config == "baseline" else nullcontext()
+        )
         best = float("inf")
         with context:
             for _ in range(repeats):
@@ -161,7 +167,7 @@ def main() -> None:
 
 
 def test_scaling_speedup():
-    """The dense path must beat the scalar sparse path >= 3x on the largest points."""
+    """The engine must beat the engine-less route >= 3x on the largest points."""
     aggregate = aggregate_speedup(run_all())
     assert aggregate >= 3.0, f"aggregate speedup {aggregate:.2f}x below target"
 

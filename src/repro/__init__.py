@@ -31,19 +31,18 @@ The paper counts oracle queries; the simulation's wall-clock cost lives in
 per-element Python group arithmetic.  ``repro.groups.engine`` provides a
 vectorized Cayley engine (:class:`~repro.groups.engine.CayleyBackend`) that
 names elements by dense integer ids — the rows of a whole-group enumeration
-computed by the group's dense kernel, or, for groups without one or past a
-size guard, a sparse per-pair memo over elements interned on sight — and
-exposes batch operations (``mul_many``, ``inv_many``, ``conj_many``,
-``orbit_closure``) plus memoized structure queries (commutator subgroups,
-element orders, subgroup closures).  The hot paths — Fourier sampling,
-coset enumeration, the Theorem 8/11 solvers — route through the engine and
-the bulk oracle APIs (``BlackBoxGroup.multiply_many``,
-``HidingOracle.evaluate_many``) when a usable dense encoding exists, and
+computed by the group's dense kernel — and exposes batch operations
+(``mul_many``, ``inv_many``, ``conj_many``, ``subgroup_ids``) plus memoized
+structure queries (commutator subgroups, element orders, subgroup
+closures).  The hot paths — Fourier sampling, coset enumeration, the
+Theorem 8/11 solvers — route through the engine and the bulk oracle APIs
+(``BlackBoxGroup.multiply_many``, ``HidingOracle.evaluate_many``) when the
+group has a dense kernel and at most ``DEFAULT_INTERN_LIMIT`` elements, and
 fall back to the original per-element code otherwise.  Query accounting is
 bulk-equivalent by construction: batch operations report exactly the totals
 of the scalar loops they replace (``tests/test_groups_engine.py``).
-``benchmarks/bench_scaling.py`` times the dense kernels against sparse
-engines on scalar arithmetic (:func:`repro.groups.engine.kernel_disabled`).
+``benchmarks/bench_scaling.py`` times the engine against that per-element
+route.
 
 Quick start
 -----------

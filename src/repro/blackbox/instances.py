@@ -42,27 +42,20 @@ def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> C
     For Abelian tuple groups the label is the canonical lattice representative,
     reduced against one Hermite normal form computed when the labeller is
     built (polynomial time per query, no Hermite form per query).  For other
-    groups with a usable Cayley engine the label is the minimum interned id
-    over the coset ``x H``: a fully enumerated engine (table or kernel mode)
-    computes that minimum for every element at once on the first query,
-    ``k |G|`` products for ``k`` generators of ``H``, and then answers each
-    query by a table lookup; a sparse engine takes one batched row of
-    ``|H|`` memoized products per uncached query.  The engine-less fallback
-    is the minimum encoding over the enumerated subgroup.  Either way this
-    is instance-construction cost, not solver cost: the hiding oracle counts
-    its queries, not the simulation's group operations.
+    groups with a Cayley engine the label is the minimum engine id over the
+    coset ``x H``: the engine computes that minimum for every element at
+    once on the first query, ``k |G|`` products for ``k`` generators of
+    ``H``, and then answers each query by a table lookup.  The engine-less
+    fallback is the minimum encoding over the enumerated subgroup.  Either
+    way this is instance-construction cost, not solver cost: the hiding
+    oracle counts its queries, not the simulation's group operations.
     """
     label, _engine, _label_ids = _coset_label_parts(group, subgroup_generators)
     return label
 
 
-#: Chunk bound for vectorized coset labelling: one products block is at most
-#: this many id entries, so label batches never materialise huge matrices.
-_LABEL_BLOCK_ENTRIES = 1 << 20
-
-
 def _whole_group_coset_labels(engine, generator_ids: np.ndarray) -> np.ndarray:
-    """The minimum id of ``x H`` for every id ``x`` of a fully enumerated engine.
+    """The minimum id of ``x H`` for every id ``x`` of an engine.
 
     The left cosets of ``H = <h_1, ..., h_k>`` are the components of the
     graph with edges ``x -> x h_j``.  Each generator's edges form a
@@ -107,7 +100,7 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
         # this labeller (including fresh counted views of the same instance).
         return CosetReducer([list(g) for g in subgroup_generators], group.moduli), None, None
     engine = maybe_engine(group)
-    if engine is not None and engine.mode == "kernel":
+    if engine is not None:
         generator_ids = engine.intern_many(list(subgroup_generators))
         # Computed on the first query and shared by every oracle built from
         # this closure (including fresh counted views of the same instance).
@@ -124,32 +117,6 @@ def _coset_label_parts(group: FiniteGroup, subgroup_generators: Sequence):
 
         def label_ids(ids):
             return labels()[ids]
-
-        return label, engine, label_ids
-    if engine is not None:
-        subgroup_ids = engine.subgroup_ids(engine.intern_many(subgroup_generators))
-        # Label values are memoized on the instance side: oracles built from
-        # this closure (including fresh counted views of the same instance)
-        # still count every one of *their* uncached queries, but the
-        # simulation computes each coset minimum only once.
-        memo: Dict[Any, int] = {}
-
-        def label(x):
-            found = memo.get(x)
-            if found is None:
-                found = engine.coset_label(engine.intern(x), subgroup_ids)
-                memo[x] = found
-            return found
-
-        def label_ids(ids):
-            # Same min-id values as `label`, one chunked products block at a
-            # time.
-            block = max(1, _LABEL_BLOCK_ENTRIES // max(1, int(subgroup_ids.size)))
-            blocks = [
-                engine.coset_label_many(ids[start : start + block], subgroup_ids)
-                for start in range(0, len(ids), block)
-            ]
-            return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
         return label, engine, label_ids
     subgroup_elements = generate_subgroup_elements(group, subgroup_generators)

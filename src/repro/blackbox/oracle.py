@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.groups.base import FiniteGroup
 
-__all__ = ["QueryCounter", "BlackBoxGroup", "DenseBlackBoxGroup", "HidingOracle"]
+__all__ = ["QueryCounter", "BlackBoxGroup", "DenseBlackBoxGroup", "HidingOracle", "shared_dense_view"]
 
 
 @dataclass
@@ -294,6 +294,19 @@ class DenseBlackBoxGroup:
         return member
 
 
+def shared_dense_view(group, oracle: "HidingOracle") -> Optional[DenseBlackBoxGroup]:
+    """The counted id facade of ``group`` when ``oracle`` is keyed on its engine.
+
+    ``None`` unless ``group`` is a :class:`BlackBoxGroup` and ``oracle`` is
+    dense-attached to the engine of the wrapped group: only then can an id
+    route charge the group's counter and query ``oracle`` with the same ids.
+    """
+    if oracle.dense_engine is None or not isinstance(group, BlackBoxGroup):
+        return None
+    dense = group.dense_view()
+    return dense if dense is not None and dense.engine is oracle.dense_engine else None
+
+
 def _label_array(values) -> np.ndarray:
     """Labels as an int64 array when every label is an integer, else object."""
     if isinstance(values, np.ndarray):
@@ -352,13 +365,13 @@ class HidingOracle:
         ``label_ids`` is an optional vectorized labeller (an int64 id array
         in, one label per id out) used for uncached ids; without it the
         scalar ``label`` runs per fresh id.  The cache becomes a label array
-        plus a boolean ``seen`` mask, both sized by ``engine.interned_count``
-        and grown by doubling as a sparse engine interns more elements.  The
-        label array is int64 while every label is an integer (both coset-min
-        labellers) and object otherwise (e.g. Theorem 11's frozenset
-        bundles).  Interning is a bijection, so the set of counted (uncached)
-        queries is identical to the element-keyed cache — accounting is
-        unchanged.  Existing cache entries are migrated.
+        plus a boolean ``seen`` mask, both sized once by
+        ``engine.interned_count`` (every id of the group).  The label array
+        is int64 while every label is an integer (both coset-min labellers)
+        and object otherwise (e.g. Theorem 11's frozenset bundles).
+        Interning is a bijection, so the set of counted (uncached) queries
+        is identical to the element-keyed cache — accounting is unchanged.
+        Existing cache entries are migrated.
         """
         migrated = self._cache
         ids = engine.intern_many(list(migrated))
@@ -376,22 +389,8 @@ class HidingOracle:
         ):
             self._label_ids = self._wrap_label_ids(label_ids)
 
-    def _reserve(self, size: int) -> None:
-        """Grow the dense cache arrays, by doubling, to cover ids below ``size``."""
-        capacity = self._seen.size
-        if size <= capacity:
-            return
-        capacity = max(size, 2 * capacity)
-        seen = np.zeros(capacity, dtype=bool)
-        seen[: self._seen.size] = self._seen
-        self._seen = seen
-        if self._labels is not None:
-            labels = np.zeros(capacity, dtype=self._labels.dtype)
-            labels[: self._labels.size] = self._labels
-            self._labels = labels
-
     def _store(self, ids: np.ndarray, values) -> None:
-        """Cache ``values`` under ``ids`` (all below the reserved size)."""
+        """Cache ``values`` under ``ids``."""
         values = _label_array(values)
         if self._labels is None:
             self._labels = np.zeros(self._seen.size, dtype=values.dtype)
@@ -456,11 +455,10 @@ class HidingOracle:
             self._cache[element] = value
             return value
         i = self._engine.intern(element)
-        if i < self._seen.size and self._seen[i]:
+        if self._seen[i]:
             return self._labels.item(i)
         self.counter.classical_queries += 1
         value = self._label(element)
-        self._reserve(i + 1)
         # One scalar write when the label fits the array; _store allocates
         # the array on first use and widens it to object when needed.
         labels = self._labels
@@ -508,7 +506,6 @@ class HidingOracle:
         if self._engine is None:
             raise ValueError("evaluate_ids requires attach_dense")
         ids = np.asarray(ids, dtype=np.int64)
-        self._reserve(self._engine.interned_count)
         pending = ids[~self._seen[ids]]
         if pending.size:
             _, first = np.unique(pending, return_index=True)

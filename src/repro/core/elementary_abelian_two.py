@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blackbox.oracle import BlackBoxGroup, DenseBlackBoxGroup, HidingOracle, QueryCounter
+from repro.blackbox.oracle import DenseBlackBoxGroup, HidingOracle, QueryCounter, shared_dense_view
 from repro.core.factor_group import GeneratedQuotient
 from repro.groups.base import FiniteGroup, GroupError
 from repro.hsp.abelian import solve_abelian_hsp
@@ -141,11 +141,7 @@ def solve_hsp_elementary_abelian_two(
 
     # The domain scans of both oracles below stay in engine ids when the
     # group is a counted black box keyed on the same engine as f.
-    dense = None
-    if oracle.dense_engine is not None and isinstance(group, BlackBoxGroup):
-        dense = group.dense_view()
-        if dense is not None and dense.engine is not oracle.dense_engine:
-            dense = None
+    dense = shared_dense_view(group, oracle)
 
     # -- step 1: H ∩ N (Simon-style run over Z_2^m) ---------------------------------
     with obs_span("elementary_abelian_two.intersection") as intersection_span:

@@ -34,10 +34,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
+from repro.blackbox.oracle import HidingOracle, QueryCounter, shared_dense_view
 from repro.core.factor_group import HiddenQuotient
 from repro.groups.base import FiniteGroup, GroupError
-from repro.groups.engine import maybe_engine
 from repro.groups.subgroup import normal_closure
 from repro.obs import span as obs_span
 from repro.quantum.sampling import FourierSampler
@@ -84,7 +83,6 @@ def find_hidden_normal_subgroup(
     """
     sampler = sampler if sampler is not None else FourierSampler()
     counter = counter if counter is not None else oracle.counter
-    engine = maybe_engine(group)
     quotient = HiddenQuotient(group, oracle, counter=counter)
 
     if quotient.is_abelian():
@@ -92,7 +90,7 @@ def find_hidden_normal_subgroup(
             group, oracle, quotient, sampler, counter, max_enumeration, confidence=confidence
         )
     if quotient_bound is not None:
-        return _bounded_quotient_path(group, oracle, quotient, counter, quotient_bound, engine=engine)
+        return _bounded_quotient_path(group, oracle, quotient, counter, quotient_bound)
     raise GroupError(
         "find_hidden_normal_subgroup: the factor group is non-Abelian and no quotient_bound "
         "promise was supplied; the general Beals-Babai presentation machinery is outside the "
@@ -151,7 +149,6 @@ def _bounded_quotient_path(
     quotient: HiddenQuotient,
     counter: QueryCounter,
     quotient_bound: int,
-    engine=None,
 ) -> HiddenNormalResult:
     """Transversal + Schreier generators; cost polynomial in ``|G/N|``.
 
@@ -165,11 +162,7 @@ def _bounded_quotient_path(
     conversion happens once, at the Schreier-generator boundary); counting
     is loop-equivalent, so the query report is route-independent.
     """
-    dense = (
-        group.dense_view()
-        if engine is not None and isinstance(group, BlackBoxGroup) and oracle.dense_engine is engine
-        else None
-    )
+    dense = shared_dense_view(group, oracle)
     if dense is not None:
         return _bounded_quotient_path_ids(group, oracle, dense, counter, quotient_bound)
     gens = group.generators()

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
+from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter, shared_dense_view
 from repro.core.hidden_normal import find_hidden_normal_subgroup
 from repro.groups.base import FiniteGroup, GroupError
 from repro.groups.engine import maybe_engine
@@ -86,7 +86,6 @@ def solve_hsp_small_commutator(
     """
     sampler = sampler if sampler is not None else FourierSampler()
     counter = counter if counter is not None else oracle.counter
-    engine = maybe_engine(group)
 
     # Step 1: enumerate G' and read off H ∩ G'.
     with obs_span("small_commutator.enumerate") as enumerate_span:
@@ -94,7 +93,8 @@ def solve_hsp_small_commutator(
             # The engine shortcut is only taken on uncounted groups: a counted
             # black-box wrapper must keep the scalar enumeration so its query
             # report stays identical to the engine-less run.
-            if engine is not None and not isinstance(group, BlackBoxGroup):
+            engine = None if isinstance(group, BlackBoxGroup) else maybe_engine(group)
+            if engine is not None:
                 commutator_elements = engine.commutator_subgroup_elements(limit=commutator_bound)
             else:
                 commutator_gens = commutator_subgroup_generators(group)
@@ -120,9 +120,8 @@ def solve_hsp_small_commutator(
     # rows.  Counting is identical to the element path (multiply_ids counts
     # the block size, evaluate_ids the distinct uncached ids), so the query
     # report does not depend on the route.
-    dense = group.dense_view() if engine is not None and isinstance(group, BlackBoxGroup) else None
-    bundled_label_ids = None
-    if dense is not None and oracle.dense_engine is dense.engine:
+    dense = shared_dense_view(group, oracle)
+    if dense is not None:
         commutator_ids = dense.intern_many(commutator_elements)
         width = int(commutator_ids.size)
 

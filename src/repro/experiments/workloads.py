@@ -334,9 +334,8 @@ declare(
 #: |G| = 155 up to dihedral |G| = 16384 and extraspecial |G| = 24389, an
 #: order of magnitude beyond the largest group in any other committed BENCH.
 #: ``bench_scaling.py`` times each point cold (fresh group, fresh engine,
-#: fresh oracle caches) with the dense kernels on and with
-#: :func:`repro.groups.engine.kernel_disabled` — sparse engines on scalar
-#: arithmetic — and asserts the two query reports are identical per point.
+#: fresh oracle caches) with the engine and on the engine-less per-element
+#: route, and asserts the two query reports are identical per point.
 #: The first point of each family doubles as the CI ``scaling-smoke`` subset.
 SCALING_AXES: List[Dict[str, object]] = [
     {"label": "dihedral", "family": "dihedral_rotation", "grid": {"n": [512, 2048, 8192]}},
@@ -352,6 +351,6 @@ for _axis in SCALING_AXES:
             dict(_axis["grid"]),  # type: ignore[arg-type]
             repeats=1,
             description=f"scaling trajectory of the {_axis['label']} family "
-            "(dense-kernel engine; timed against kernel_disabled() by bench_scaling.py)",
+            "(dense-kernel engine; timed against the engine-less route by bench_scaling.py)",
         )
     )

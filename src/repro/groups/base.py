@@ -154,7 +154,7 @@ class FiniteGroup(abc.ABC):
     def power(self, a: Element, k: int) -> Element:
         """``a**k`` by binary exponentiation (``k`` may be negative)."""
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode == "kernel":
+        if engine is not None:
             return engine.element_of(engine.power(engine.intern(a), k))
         if k < 0:
             return self.power(self.inverse(a), -k)
@@ -206,7 +206,7 @@ class FiniteGroup(abc.ABC):
         if self.is_identity(a):
             return 1
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode == "kernel":
+        if engine is not None:
             return engine.element_order(engine.intern(a))
         bound = exponent if exponent is not None else self.exponent_bound()
         if bound is not None:

@@ -99,7 +99,8 @@ def elementary_abelian_semidirect_instance(
     The action permutes the coordinates of ``Z_2^k`` through a permutation
     representation of ``K``; ``K`` is either ``S_3`` (degree-3 coordinate
     permutation, requires ``k >= 3``) or ``V4`` (two commuting coordinate
-    swaps, requires ``k >= 4``).
+    swaps, requires ``k >= 4``).  Both actions come with a vectorized twin,
+    so the group has a dense kernel.
     """
     base = elementary_abelian_group(2, k)
     if top == "S3":
@@ -112,6 +113,11 @@ def elementary_abelian_semidirect_instance(
             for i in range(3):
                 images[perm[i]] = vector[i]
             return tuple(images)
+
+        def array_action(perm_rows, vectors):
+            images = vectors.copy()
+            np.put_along_axis(images, perm_rows, vectors[:, :3], axis=1)
+            return images
 
         name = f"Z_2^{k} : S_3"
     elif top == "V4":
@@ -127,10 +133,17 @@ def elementary_abelian_semidirect_instance(
                 out[2], out[3] = out[3], out[2]
             return tuple(out)
 
+        def array_action(bit_rows, vectors):
+            # Coordinate j goes to swapped[j] where its pair's bit is set.
+            swapped = np.where(bit_rows[:, [0, 0, 1, 1]] % 2 == 1, [1, 0, 3, 2], [0, 1, 2, 3])
+            out = vectors.copy()
+            np.put_along_axis(out, swapped, vectors[:, :4], axis=1)
+            return out
+
         name = f"Z_2^{k} : V4"
     else:
         raise GroupError(f"unknown top group {top!r}")
-    group = SemidirectProduct(base, quotient, action, name=name)
+    group = SemidirectProduct(base, quotient, action, name=name, array_action=array_action)
     return group, group.normal_part_generators()
 
 

@@ -5,16 +5,14 @@ cost of the *simulation* is dominated by per-element Python group arithmetic
 in the Fourier-sampling and coset-enumeration hot paths.  This module provides
 a :class:`CayleyBackend` that
 
-* names group elements by dense integer ids,
-* runs in one of two modes, chosen by the group alone: a group of known
-  order at most :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel is
-  *id-native* (``mode == "kernel"``): ids are the indices of the enumerated
-  kernel rows, products are computed array-at-a-time by the kernel and
-  resolved back to ids through an integer-keyed row index, and elements are
-  decoded only on demand at the API edges; every other group uses a sparse
-  pair-cache over elements interned on first sight (``mode == "sparse"``),
+* is *id-native*: it builds only for a group of known order at most
+  :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel, and its ids are
+  the indices of the enumerated kernel rows; products are computed
+  array-at-a-time by the kernel and resolved back to ids through an
+  integer-keyed row index, and elements are decoded only on demand at the
+  API edges,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
-  :meth:`conj_many`, :meth:`orbit_closure` — that amortise Python dispatch
+  :meth:`conj_many`, :meth:`subgroup_ids` — that amortise Python dispatch
   over whole id arrays, and
 * memoizes structure queries (:meth:`is_abelian`, the commutator subgroup,
   element orders) that the solvers ask for repeatedly.
@@ -29,14 +27,13 @@ scalar executions report identical totals.
 Use :func:`get_engine` to build-and-install an engine on a group instance
 (subsequent ``multiply_many`` calls on the group are then engine-accelerated
 automatically) and :func:`maybe_engine` for the guarded variant that returns
-``None`` for groups without a usable dense encoding (unknown or huge order),
+``None`` for every other group (no dense kernel, unknown or huge order),
 which keeps the per-element code path as the fallback.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,22 +45,17 @@ __all__ = [
     "CayleyBackend",
     "get_engine",
     "maybe_engine",
-    "kernel_disabled",
 ]
 
-#: The single size ceiling: groups of known order up to this with a dense
-#: kernel are enumerated whole (kernel mode), and :func:`maybe_engine` engages
-#: at all only up to it; beyond it the sparse pair-cache would still be
-#: correct but interning whole orbits may not fit comfortably in memory.
+#: The single size ceiling: an engine enumerates its whole group, so only
+#: groups of known order up to this (with a dense kernel) get one; larger
+#: groups take the per-element route.
 DEFAULT_INTERN_LIMIT = 1 << 16
 
 #: Largest pair count of one quadratic-doubling level in
 #: :meth:`CayleyBackend.subgroup_ids`; past it the closure takes linear
 #: generator steps.
 _PAIR_BUDGET = 1 << 17
-
-#: Safety cap for element-order iteration in sparse mode.
-_ORDER_ITERATION_LIMIT = 10**7
 
 
 class _RowKeys:
@@ -261,6 +253,22 @@ def _cheap_order(group: FiniteGroup) -> Optional[int]:
     return None
 
 
+def _kernel_and_order(group: FiniteGroup) -> Optional[Tuple[object, int]]:
+    """``(kernel, order)`` when ``group`` admits an engine, else ``None``.
+
+    An engine enumerates the whole group through its dense kernel, so it
+    needs a :class:`~repro.groups.base.DenseKernel` and an order that is
+    known without enumeration (:func:`_cheap_order`) and at most
+    :data:`DEFAULT_INTERN_LIMIT`.
+    """
+    order = _cheap_order(group)
+    if order is None or order > DEFAULT_INTERN_LIMIT:
+        return None
+    factory = getattr(group, "dense_kernel", None)
+    kernel = factory() if factory is not None else None
+    return None if kernel is None else (kernel, order)
+
+
 def _row_chain(kernel, space: _RowKeys, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
     """Rows of the cyclic group ``<g>`` by shift doubling on kernel rows.
 
@@ -362,93 +370,76 @@ class CayleyBackend:
     Parameters
     ----------
     group:
-        The wrapped group.  Elements must be hashable (they are, for every
-        concrete group in this reproduction).
+        The wrapped group.  It must expose a
+        :class:`~repro.groups.base.DenseKernel` and an order known without
+        enumeration and at most :data:`DEFAULT_INTERN_LIMIT`; any other
+        group raises :class:`GroupError` (:func:`maybe_engine` returns
+        ``None`` for it instead).
 
-    The mode follows from the group: ``"kernel"`` when its order is known
-    without enumeration, is at most :data:`DEFAULT_INTERN_LIMIT`, and the
-    group exposes a :class:`~repro.groups.base.DenseKernel` (outside
-    :func:`kernel_disabled`); ``"sparse"`` otherwise.
-
-    Kernel mode enumerates the whole group in row space and holds no element
+    The engine enumerates the whole group in row space and holds no element
     objects: id ``i`` is row ``i`` of the enumeration (identity first),
     products are computed array-at-a-time by the kernel and resolved back to
     ids via the row index, every inverse is filled at build,
     :meth:`element_of` and :meth:`elements_of` decode just the requested
     rows, and :meth:`intern` and :meth:`intern_many` encode their elements
     and look the rows up (a foreign element raises :class:`GroupError`).
-    Sparse mode keeps an element list and an element -> id dict, interns on
-    first sight and memoizes products and inverses per pair.
     """
 
+    #: Every engine is id-native; the name stays for build reports.
+    mode = "kernel"
+
     def __init__(self, group: FiniteGroup):
+        basis = _kernel_and_order(group)
+        if basis is None:
+            raise GroupError(
+                f"no Cayley engine for {group.name}: it needs a dense kernel and an order "
+                f"known without enumeration, at most {DEFAULT_INTERN_LIMIT}"
+            )
         self.group = group
-        self._elements: List = []
+        self.kernel, self.group_order = basis
         self._ids: Dict = {}
         self._mul_cache: Dict[Tuple[int, int], int] = {}
-        self._inv_cache: Dict[int, int] = {}
         self._order_cache: Dict[int, int] = {}
-        self._inv_table: Optional[np.ndarray] = None
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._kernel_rows: Optional[np.ndarray] = None
-        self._row_index: Optional[_RowIndex] = None
-        kernel = None
-        if not _KERNEL_DISABLED:
-            factory = getattr(group, "dense_kernel", None)
-            kernel = factory() if factory is not None else None
-        self.kernel = kernel
-        order = _cheap_order(group)
-        self.group_order = order
-        if kernel is not None and order is not None and order <= DEFAULT_INTERN_LIMIT:
-            self.mode = "kernel"
-        else:
-            self.mode = "sparse"
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
-            if self.mode == "kernel":
-                # Row-space enumeration by bulk kernel calls instead of the
-                # scalar element_list() BFS: the enumerated rows *are* the id
-                # space — id ``i`` is row ``i`` (identity first); elements
-                # are decoded only when asked for.
-                space = _RowKeys(self.kernel.radices, order, group.name)
-                build_span.set(key_path=space.path)
-                rows, keys = _kernel_enumerate_rows(
-                    self.kernel,
-                    space,
-                    np.asarray(self.kernel.encode_many([group.identity()]))[0],
-                    np.asarray(self.kernel.encode_many(group.generators())),
+            # Row-space enumeration by bulk kernel calls instead of the
+            # scalar element_list() BFS: the enumerated rows *are* the id
+            # space — id ``i`` is row ``i`` (identity first); elements are
+            # decoded only when asked for.
+            space = _RowKeys(self.kernel.radices, self.group_order, group.name)
+            build_span.set(key_path=space.path)
+            rows, keys = _kernel_enumerate_rows(
+                self.kernel,
+                space,
+                np.asarray(self.kernel.encode_many([group.identity()]))[0],
+                np.asarray(self.kernel.encode_many(group.generators())),
+            )
+            if rows.shape[0] != self.group_order:
+                raise GroupError(
+                    f"kernel enumeration found {rows.shape[0]} elements "
+                    f"of {group.name}, expected {self.group_order}"
                 )
-                if rows.shape[0] != order:
-                    raise GroupError(
-                        f"kernel enumeration found {rows.shape[0]} elements "
-                        f"of {group.name}, expected {order}"
-                    )
-                self._kernel_rows = rows
-                self._row_index = _RowIndex(rows, keys, space)
-                # Every inverse in one bulk kernel pass.
-                self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
+            self._kernel_rows = rows
+            self._row_index = _RowIndex(rows, keys, space)
+            # Every inverse in one bulk kernel pass.
+            self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
             self.identity_id = self.intern(group.identity())
             build_span.add("interned", self.interned_count)
 
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
-        """The dense id of ``element`` (allocating one on first sight).
+        """The id of ``element``: its row in the enumeration.
 
-        Kernel mode encodes the element and resolves its row; the id is
-        memoized per element, so repeated scalar queries stay dict lookups.
+        The element is encoded and its row resolved; the id is memoized per
+        element, so repeated scalar queries stay dict lookups.
         """
         found = self._ids.get(element)
-        if found is not None:
-            return found
-        if self.mode == "kernel":
+        if found is None:
             found = int(self._lookup_elements([element])[0])
             self._ids[element] = found
-            return found
-        new_id = len(self._elements)
-        self._ids[element] = new_id
-        self._elements.append(element)
-        return new_id
+        return found
 
     def intern_many(self, elements: Iterable) -> np.ndarray:
         if isinstance(elements, np.ndarray):
@@ -457,19 +448,13 @@ class CayleyBackend:
                 return elements
             if np.issubdtype(elements.dtype, np.integer):
                 return elements.astype(np.int64)
-        size = len(elements) if hasattr(elements, "__len__") else None
-        if size == 0:
+        elements = list(elements)
+        if not elements:
             return np.empty(0, dtype=np.int64)
-        if self.mode == "kernel":
-            return self._lookup_elements(list(elements))
-        if size is not None:
-            return np.fromiter(
-                (self.intern(e) for e in elements), dtype=np.int64, count=size
-            )
-        return np.asarray([self.intern(e) for e in elements], dtype=np.int64)
+        return self._lookup_elements(elements)
 
     def _lookup_elements(self, elements: List) -> np.ndarray:
-        """Kernel-mode ids of ``elements``: one bulk encode and row lookup."""
+        """Ids of ``elements``: one bulk encode and row lookup."""
         try:
             return self._row_index.lookup(
                 np.asarray(self.kernel.encode_many(elements), dtype=np.int64)
@@ -478,23 +463,18 @@ class CayleyBackend:
             raise GroupError(f"element not in the enumerated group {self.group.name}") from exc
 
     def element_of(self, element_id: int):
-        if self.mode == "kernel":
-            i = int(element_id)
-            return self.kernel.decode_many(self._kernel_rows[i : i + 1])[0]
-        return self._elements[int(element_id)]
+        i = int(element_id)
+        return self.kernel.decode_many(self._kernel_rows[i : i + 1])[0]
 
     def elements_of(self, ids: Iterable) -> List:
-        if self.mode == "kernel":
-            if not isinstance(ids, np.ndarray):
-                ids = list(ids)
-            return self.kernel.decode_many(self._kernel_rows[np.asarray(ids, dtype=np.int64)])
-        return [self._elements[int(i)] for i in ids]
+        if not isinstance(ids, np.ndarray):
+            ids = list(ids)
+        return self.kernel.decode_many(self._kernel_rows[np.asarray(ids, dtype=np.int64)])
 
     @property
     def interned_count(self) -> int:
-        if self.mode == "kernel":
-            return self._kernel_rows.shape[0]
-        return len(self._elements)
+        """The number of ids: the group order."""
+        return self._kernel_rows.shape[0]
 
     # -- bulk kernel primitives ------------------------------------------------
     def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
@@ -506,37 +486,21 @@ class CayleyBackend:
         return self._row_index.lookup(self.kernel.inverse_many(self._kernel_rows[ids]))
 
     # -- scalar primitives ----------------------------------------------------
-    def _fill_product(self, a: int, b: int) -> int:
-        """Compute one uncached product (the miss path of :meth:`mul`)."""
-        if self.mode == "kernel":
-            return int(
-                self._bulk_products(
-                    np.asarray([a], dtype=np.int64), np.asarray([b], dtype=np.int64)
-                )[0]
-            )
-        return self.intern(self.group.multiply(self._elements[a], self._elements[b]))
-
-    def _fill_inverse(self, a: int) -> int:
-        return self.intern(self.group.inverse(self._elements[a]))
-
     def mul(self, a: int, b: int) -> int:
-        """Product of two interned elements, memoized."""
+        """Product of two ids, memoized."""
         key = (int(a), int(b))
         value = self._mul_cache.get(key)
         if value is None:
-            value = self._fill_product(*key)
+            value = int(
+                self._bulk_products(
+                    np.asarray(key[:1], dtype=np.int64), np.asarray(key[1:], dtype=np.int64)
+                )[0]
+            )
             self._mul_cache[key] = value
         return value
 
     def inv(self, a: int) -> int:
-        a = int(a)
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        value = self._inv_cache.get(a)
-        if value is None:
-            value = self._fill_inverse(a)
-            self._inv_cache[a] = value
-        return value
+        return int(self._inv_table[int(a)])
 
     def power(self, a: int, k: int) -> int:
         """``a**k`` by binary exponentiation over ids."""
@@ -558,23 +522,17 @@ class CayleyBackend:
         ids_b = np.asarray(ids_b, dtype=np.int64)
         if ids_a.shape != ids_b.shape:
             raise ValueError("mul_many requires id arrays of equal length")
-        if self.mode == "kernel":
-            if ids_a.size == 0:
-                return np.empty(0, dtype=np.int64)
-            if ids_a.size > 8:
-                return self._bulk_products(ids_a, ids_b)
-            # Tiny batches (deep BFS levels degenerate to a few pairs) are
-            # overhead-bound in the kernel: the memoized scalar path wins.
+        if ids_a.size > 8:
+            return self._bulk_products(ids_a, ids_b)
+        # Tiny batches (deep BFS levels degenerate to a few pairs) are
+        # overhead-bound in the kernel: the memoized scalar path wins.
         return np.fromiter(
             (self.mul(a, b) for a, b in zip(ids_a, ids_b)), dtype=np.int64, count=len(ids_a)
         )
 
     def inv_many(self, ids: Sequence[int]) -> np.ndarray:
         """Componentwise inverses of an id array."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if self._inv_table is not None:
-            return self._inv_table[ids]
-        return np.fromiter((self.inv(a) for a in ids), dtype=np.int64, count=len(ids))
+        return self._inv_table[np.asarray(ids, dtype=np.int64)]
 
     def conj_many(self, ids_g: Sequence[int], ids_h: Sequence[int]) -> np.ndarray:
         """Componentwise conjugates ``g_i h_i g_i^{-1}``."""
@@ -601,32 +559,21 @@ class CayleyBackend:
         if include_inverses and gen_ids.size:
             gen_ids = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         seed = np.unique(np.asarray(seed_ids, dtype=np.int64))
-        if self.mode == "kernel":
-            # Dense membership: one boolean flag per group element, one
-            # vectorised product block per BFS level.
-            member = np.zeros(self.interned_count, dtype=bool)
-            member[seed] = True
-            frontier = seed
-            while frontier.size and gen_ids.size:
-                products = np.unique(
-                    self.mul_many(np.repeat(frontier, gen_ids.size), np.tile(gen_ids, frontier.size))
-                )
-                fresh = products[~member[products]]
-                member[fresh] = True
-                if limit is not None and int(member.sum()) > limit:
-                    raise GroupError(f"orbit closure exceeded limit {limit}")
-                frontier = fresh
-            return np.flatnonzero(member).astype(np.int64)
-        seen = set(int(i) for i in seed)
+        # Dense membership: one boolean flag per group element, one
+        # vectorised product block per BFS level.
+        member = np.zeros(self.interned_count, dtype=bool)
+        member[seed] = True
         frontier = seed
         while frontier.size and gen_ids.size:
-            products = self.mul_many(np.repeat(frontier, gen_ids.size), np.tile(gen_ids, frontier.size))
-            fresh = [int(p) for p in np.unique(products) if int(p) not in seen]
-            seen.update(fresh)
-            if limit is not None and len(seen) > limit:
+            products = np.unique(
+                self.mul_many(np.repeat(frontier, gen_ids.size), np.tile(gen_ids, frontier.size))
+            )
+            fresh = products[~member[products]]
+            member[fresh] = True
+            if limit is not None and int(member.sum()) > limit:
                 raise GroupError(f"orbit closure exceeded limit {limit}")
-            frontier = np.asarray(fresh, dtype=np.int64)
-        return np.asarray(sorted(seen), dtype=np.int64)
+            frontier = fresh
+        return np.flatnonzero(member).astype(np.int64)
 
     def _cyclic_power_ids(self, gen_id: int) -> np.ndarray:
         """Ids of the cyclic subgroup ``<g>`` by shift doubling.
@@ -659,10 +606,9 @@ class CayleyBackend:
     ) -> np.ndarray:
         """Ids of the subgroup generated by ``generator_ids``.
 
-        Kernel mode seeds each generator's cyclic subgroup by shift
-        doubling (``O(log ord)`` bulk products apiece), then finishes with
-        budgeted doubling and a linear generator-step tail.  Sparse mode
-        falls back to the generator-step orbit closure.  ``memoize=False``
+        Seeds each generator's cyclic subgroup by shift doubling
+        (``O(log ord)`` bulk products apiece), then finishes with budgeted
+        doubling and a linear generator-step tail.  ``memoize=False``
         skips the closure cache — use it for one-off generating sets (e.g.
         incremental re-closures seeded with a whole member set) whose keys
         would never be hit again.
@@ -677,11 +623,6 @@ class CayleyBackend:
                 if limit is not None and cached.size > limit:
                     raise GroupError(f"subgroup closure exceeded limit {limit}")
                 return cached
-        if self.mode != "kernel":
-            closure = self.orbit_closure([self.identity_id], gen_ids, limit=limit)
-            if key is not None:
-                self._subgroup_cache[key] = closure
-            return closure
         gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         member = np.zeros(self.interned_count, dtype=bool)
         member[gens_ext] = True
@@ -769,13 +710,13 @@ class CayleyBackend:
                 if c != self.identity_id:
                     commutators.append(c)
         closure = self.subgroup_ids(np.asarray(commutators, dtype=np.int64), limit=limit)
+        # The closure only grows, so one mask takes each round's members.
+        member = np.zeros(self.interned_count, dtype=bool)
         while True:
+            member[closure] = True
             pairs_g = np.repeat(gen_ids, closure.size)
             pairs_h = np.tile(closure, gen_ids.size)
             conjugates = self.conj_many(pairs_g, pairs_h)
-            # Sized after conj_many, which may intern on a sparse engine.
-            member = np.zeros(self.interned_count, dtype=bool)
-            member[closure] = True
             fresh = np.unique(conjugates[~member[conjugates]])
             if not fresh.size:
                 break
@@ -787,12 +728,12 @@ class CayleyBackend:
         return self.elements_of(self.commutator_subgroup_ids(limit=limit))
 
     def element_order(self, element_id: int) -> int:
-        """Multiplicative order of an interned element (memoized)."""
+        """Multiplicative order of an element id (memoized)."""
         element_id = int(element_id)
         cached = self._order_cache.get(element_id)
         if cached is not None:
             return cached
-        bound = self.group.exponent_bound() if self.mode == "kernel" else None
+        bound = self.group.exponent_bound()
         if bound is not None:
             # Divide primes out of the exponent bound instead of walking the
             # powers (O(log) muls).
@@ -807,30 +748,22 @@ class CayleyBackend:
             return order
         order = 1
         current = element_id
-        cap = self.group_order if self.group_order is not None else _ORDER_ITERATION_LIMIT
         while current != self.identity_id:
             current = self.mul(current, element_id)
             order += 1
-            if order > cap:
+            if order > self.group_order:
                 raise GroupError("element order exceeds enumeration limit")
         self._order_cache[element_id] = order
         return order
 
     # -- coset helpers -----------------------------------------------------------
-    def coset_label(self, element_id: int, subgroup_ids: np.ndarray) -> int:
-        """A canonical label of the left coset ``g H``: the minimum id in it.
+    def coset_label_many(self, element_ids: Sequence[int], subgroup_ids: np.ndarray) -> np.ndarray:
+        """The minimum id of each left coset ``g H``, for a block of ids ``g``.
 
         Constant exactly on left cosets of the subgroup, so it is a valid
-        hiding-function value; computing it is one batched row of products.
-        """
-        return int(self.coset_label_many([element_id], subgroup_ids)[0])
-
-    def coset_label_many(self, element_ids: Sequence[int], subgroup_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`coset_label` over a whole block of elements.
-
-        One products block of shape ``(len(element_ids), len(subgroup_ids))``
-        followed by a row-wise minimum; callers chunk when the block would be
-        large.  Labels are identical to the scalar :meth:`coset_label` calls.
+        hiding-function value.  One products block of shape
+        ``(len(element_ids), len(subgroup_ids))`` followed by a row-wise
+        minimum; callers chunk when the block would be large.
         """
         element_ids = np.asarray(element_ids, dtype=np.int64)
         subgroup_ids = np.asarray(subgroup_ids, dtype=np.int64)
@@ -848,11 +781,7 @@ class CayleyBackend:
         return {
             "interned": self.interned_count,
             "cached_products": len(self._mul_cache),
-            "cached_inverses": (
-                self._inv_table.size if self._inv_table is not None else len(self._inv_cache)
-            ),
-            "kernel_mode": int(self.mode == "kernel"),
-            "has_kernel": int(self.kernel is not None),
+            "cached_inverses": self._inv_table.size,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -872,44 +801,16 @@ def get_engine(group: FiniteGroup) -> CayleyBackend:
     return engine
 
 
-#: When true, newly built engines ignore dense kernels entirely: every engine
-#: is a sparse engine on the group's scalar ``multiply``/``inverse``.  Set
-#: through :func:`kernel_disabled`; it is the baseline configuration of the
-#: scaling benchmark and the scalar reference the tests diff against.
-_KERNEL_DISABLED = False
-
-
-@contextmanager
-def kernel_disabled():
-    """Context manager building sparse engines on scalar arithmetic.
-
-    The Cayley engine itself stays on — ids and per-pair memoisation work
-    as usual — but no :class:`~repro.groups.base.DenseKernel` is consulted,
-    so every engine built inside it is ``mode == "sparse"`` and every
-    product and inverse goes through the group's scalar
-    ``multiply``/``inverse``.
-    Query accounting is unaffected (the engine never counts).  Engines
-    *already installed* on a group keep their kernels; the context only
-    affects constructions inside it.
-    """
-    global _KERNEL_DISABLED
-    previous = _KERNEL_DISABLED
-    _KERNEL_DISABLED = True
-    try:
-        yield
-    finally:
-        _KERNEL_DISABLED = previous
-
-
 def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
-    """A guarded :func:`get_engine`: ``None`` when no usable encoding exists.
+    """A guarded :func:`get_engine`: ``None`` for a group that admits no engine.
 
-    The engine engages only when the group order is known without a fresh
-    full enumeration (a concrete ``order()`` override or an already-cached
-    element list) and fits under :data:`DEFAULT_INTERN_LIMIT`, and when
-    elements are hashable.  Counted black-box wrappers are unwrapped so that
-    the engine memoizes the *uncounted* arithmetic — the wrapper keeps doing
-    the (bulk) accounting.
+    The engine engages only when the group exposes a dense kernel and its
+    order is known without a fresh full enumeration (a concrete ``order()``
+    override or an already-cached element list) and fits under
+    :data:`DEFAULT_INTERN_LIMIT`.  Every other group takes the per-element
+    route.  Counted black-box wrappers are unwrapped so that the engine runs
+    the *uncounted* arithmetic — the wrapper keeps doing the (bulk)
+    accounting.
     """
     inner = getattr(group, "group", None)
     if isinstance(inner, FiniteGroup):
@@ -917,11 +818,6 @@ def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
     existing = getattr(group, "_cayley_engine", None)
     if existing is not None:
         return existing
-    order = _cheap_order(group)
-    if order is None or order > DEFAULT_INTERN_LIMIT:
-        return None
-    try:
-        hash(group.identity())
-    except TypeError:
+    if _kernel_and_order(group) is None:
         return None
     return get_engine(group)

@@ -123,11 +123,10 @@ def _id_mask(ids: np.ndarray, size: int) -> np.ndarray:
 
 
 def _mask_tester(mask: np.ndarray, intern: Callable[[object], int]) -> Callable[[object], bool]:
-    """Membership through an id mask; ids past its end (interned later) are outside."""
+    """Membership through a mask over every engine id."""
 
     def contains(x) -> bool:
-        i = intern(x)
-        return i < mask.size and bool(mask[i])
+        return bool(mask[intern(x)])
 
     return contains
 
@@ -145,9 +144,6 @@ def make_membership_tester(group: FiniteGroup, generators: Sequence) -> Callable
     * counted black-box groups with a ``dense_view``: the same mask, built
       from the counted :meth:`~repro.blackbox.oracle.DenseBlackBoxGroup.closure_ids`,
     * anything else: enumeration of the subgroup (small subgroups only).
-
-    A mask answers False for an id at or past its end: a sparse engine
-    interns such an element after the closure, so it is not a member.
     """
     gens = [g for g in generators if not group.is_identity(g)]
     if isinstance(group, PermutationGroup):
@@ -241,6 +237,7 @@ def _normal_closure_engine(group, engine, closure, ambient, max_generators: int)
     ambient_ids = engine.intern_many(ambient)
     closure_ids = [int(i) for i in engine.intern_many(closure)]
     member_arr = engine.subgroup_ids(np.asarray(closure_ids, dtype=np.int64))
+    member = _id_mask(member_arr, engine.interned_count)
     frontier = list(closure_ids)
     while frontier:
         new_ids: List[int] = []
@@ -248,8 +245,6 @@ def _normal_closure_engine(group, engine, closure, ambient, max_generators: int)
         conjugates = engine.conj_many(
             np.tile(ambient_ids, frontier_arr.size), np.repeat(frontier_arr, ambient_ids.size)
         )
-        # Sized after conj_many, which may intern on a sparse engine.
-        member = _id_mask(member_arr, engine.interned_count)
         for conjugate in conjugates[~member[conjugates]].tolist():
             if member[conjugate]:
                 continue
@@ -260,7 +255,7 @@ def _normal_closure_engine(group, engine, closure, ambient, max_generators: int)
             # makes the orbit converge in O(1) vectorised levels instead
             # of re-walking the subgroup from the identity.
             member_arr = engine.subgroup_ids(np.append(member_arr, conjugate), memoize=False)
-            member = _id_mask(member_arr, engine.interned_count)
+            member[member_arr] = True
             new_ids.append(conjugate)
         frontier = new_ids
     return engine.elements_of(closure_ids)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blackbox.oracle import BlackBoxGroup, DenseBlackBoxGroup, HidingOracle, QueryCounter
+from repro.blackbox.oracle import DenseBlackBoxGroup, HidingOracle, QueryCounter, shared_dense_view
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.base import FiniteGroup
 from repro.linalg.hermite import integer_kernel
@@ -136,11 +136,8 @@ def hidden_power_product_oracle(
             product = group.multiply(product, group.power(element, int(exponent)))
         return hiding(product)
 
-    label_many = None
-    if hiding.dense_engine is not None and isinstance(group, BlackBoxGroup):
-        dense = group.dense_view()
-        if dense is not None and dense.engine is hiding.dense_engine:
-            label_many = _bulk_power_product_labeller(dense, hiding, elements, orders)
+    dense = shared_dense_view(group, hiding)
+    label_many = None if dense is None else _bulk_power_product_labeller(dense, hiding, elements, orders)
     return TupleFunctionOracle(
         orders,
         label,

@@ -20,13 +20,15 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from conftest import no_engine
+from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup
 from repro.core.solver import solve_hsp
 from repro.experiments.registry import build_instance, families
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled
+from repro.groups.catalog import elementary_abelian_semidirect_instance
+from repro.groups.engine import CayleyBackend, get_engine
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
 
@@ -96,11 +98,26 @@ def test_kernel_mode_path_matches_scalar_path(family, params, built_modes):
     assert set(built_modes) <= {"kernel"}
 
 
-@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
-def test_sparse_mode_path_matches_scalar_path(family, params, built_modes):
-    """Engines built under ``kernel_disabled`` are sparse, on scalar arithmetic."""
-    _assert_route_matches_scalar(family, params, kernel_disabled)
-    assert set(built_modes) <= {"sparse"}
+def _theorem13_general_solve(k, top, seed, route):
+    """A Theorem 13 solve on ``Z_2^k : top`` (non-cyclic factor group) inside ``route``."""
+    with route():
+        group, normal_gens = elementary_abelian_semidirect_instance(k, top)
+        rng = np.random.default_rng(seed)
+        promises = {"normal_generators": normal_gens, "cyclic_quotient": False, "quotient_bound": 24}
+        instance = HSPInstance.from_subgroup(group, [group.random_element(rng)], promises=promises)
+        solution = solve_hsp(instance, sampler=FourierSampler(rng=rng))
+        assert instance.verify(solution.generators or [group.identity()])
+    return solution.strategy, solution.generators, instance.query_report()
+
+
+@pytest.mark.parametrize("k,top", [(4, "S3"), (4, "V4"), (5, "S3"), (6, "V4")])
+@pytest.mark.parametrize("seed", [SEED, SEED + 1])
+def test_elementary_abelian_semidirect_kernel_route_matches_scalar(k, top, seed, built_modes):
+    """The groups that gained a vectorized action now solve in kernel mode, unchanged."""
+    dense = _theorem13_general_solve(k, top, seed, nullcontext)
+    assert built_modes == ["kernel"]
+    assert dense == _theorem13_general_solve(k, top, seed, no_engine)
+    assert dense[0] == "elementary_abelian_two"
 
 
 def test_journal_rows_identical_across_engine_configurations(monkeypatch):

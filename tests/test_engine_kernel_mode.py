@@ -1,7 +1,8 @@
 """Kernel-mode engine edges and the row index behind every bulk lookup.
 
-In ``mode == "kernel"`` a :class:`~repro.groups.engine.CayleyBackend` keeps
-no element list: ids are the indices of the rows its dense kernel
+A :class:`~repro.groups.engine.CayleyBackend` keeps no element list: it
+builds only for a group with a dense kernel, ids are the indices of the
+rows that kernel
 enumerated, products resolve back to ids through
 :class:`~repro.groups.engine._RowIndex`, and elements are encoded or decoded
 only when a caller crosses the id/element edge.  The row index keys rows by
@@ -30,14 +31,15 @@ from repro.groups.engine import (
     _RowIndex,
     _RowKeys,
     get_engine,
-    kernel_disabled,
     maybe_engine,
 )
 from repro.groups.extraspecial import extraspecial_group
 from repro.groups.matrix import heisenberg_matrix_group
 from repro.groups.abelian import cyclic_group
+from repro.groups.catalog import elementary_abelian_semidirect_instance
 from repro.groups.perm import PermutationGroup, symmetric_group
 from repro.groups.products import DirectProduct, dihedral_semidirect, metacyclic_group
+from repro.groups.subgroup import generate_subgroup_elements
 
 
 def _kernel_engine(group):
@@ -97,10 +99,11 @@ BUILDERS = [CayleyBackend, get_engine, maybe_engine]
 
 
 class TestModeRule:
-    """No knob picks the mode: every builder derives it from the group.
+    """No knob picks the mode: kernel mode is the engine's only mode.
 
-    Kernel mode when the group has a dense kernel and a cheaply known order
-    of at most ``DEFAULT_INTERN_LIMIT``; sparse mode otherwise.
+    A group with a dense kernel and a cheaply known order of at most
+    ``DEFAULT_INTERN_LIMIT`` gets a kernel-mode engine; for any other group
+    ``maybe_engine`` returns ``None`` and the other builders raise.
     """
 
     @pytest.mark.parametrize("build", BUILDERS)
@@ -108,8 +111,7 @@ class TestModeRule:
         engine = build(dihedral_semidirect(64))
         assert engine.mode == "kernel" and engine.interned_count == 128
         stats = engine.stats()
-        assert "table_mode" not in stats
-        assert stats["kernel_mode"] == stats["has_kernel"] == 1
+        assert "table_mode" not in stats and "kernel_mode" not in stats
         # The inverse table is complete at build; products are not memoized.
         assert stats["cached_inverses"] == 128 and stats["cached_products"] == 0
 
@@ -122,30 +124,43 @@ class TestModeRule:
         assert engine.element_of(engine.mul(engine.intern(a), engine.intern(b))) == group.multiply(a, b)
 
     @pytest.mark.parametrize("build", BUILDERS)
-    def test_group_without_a_kernel_builds_sparse_mode(self, build):
+    def test_group_without_a_kernel_gets_no_engine(self, build):
         group = heisenberg_matrix_group(3)
         group.element_list()  # makes the order cheap to read
         assert group.dense_kernel() is None
-        engine = build(group)
-        assert engine.mode == "sparse" and engine.kernel is None
-        assert engine.interned_count == 1, "sparse mode interns on first sight"
-
-    @pytest.mark.parametrize("build", BUILDERS)
-    def test_kernel_disabled_builds_sparse_mode(self, build):
-        with kernel_disabled():
-            engine = build(extraspecial_group(3))
-        assert engine.mode == "sparse" and engine.kernel is None
-        assert engine.stats()["kernel_mode"] == 0
+        if build is maybe_engine:
+            assert build(group) is None
+        else:
+            with pytest.raises(GroupError, match="dense kernel"):
+                build(group)
+        assert getattr(group, "_cayley_engine", None) is None
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_group_past_the_intern_limit_is_not_enumerated(self, build):
         group = dihedral_semidirect(DEFAULT_INTERN_LIMIT)
         assert group.order() > DEFAULT_INTERN_LIMIT and group.dense_kernel() is not None
-        engine = build(group)
         if build is maybe_engine:
-            assert engine is None
+            assert build(group) is None
         else:
-            assert engine.mode == "sparse" and engine.interned_count == 1
+            with pytest.raises(GroupError, match=str(DEFAULT_INTERN_LIMIT)):
+                build(group)
+        assert getattr(group, "_cayley_engine", None) is None
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("top", ["S3", "V4"])
+    def test_elementary_abelian_semidirect_builds_kernel_mode(self, build, top):
+        """``Z_2^4 : S_3`` and ``Z_2^4 : V_4`` act through a vectorized twin."""
+        group, _ = elementary_abelian_semidirect_instance(4, top)
+        engine = build(group)
+        assert engine.mode == "kernel" and engine.interned_count == group.order()
+        ids = np.arange(engine.interned_count, dtype=np.int64)
+        elements = engine.elements_of(ids)
+        a, b = np.repeat(ids, ids.size), np.tile(ids, ids.size)
+        rows = engine._kernel_rows
+        products = engine.kernel.decode_many(engine.kernel.compose_many(rows[a], rows[b]))
+        assert products == [group.multiply(elements[i], elements[j]) for i, j in zip(a, b)]
+        inverses = engine.kernel.decode_many(engine.kernel.inverse_many(rows))
+        assert inverses == [group.inverse(x) for x in elements]
 
 
 class TestRowIndexAliasing:
@@ -339,9 +354,8 @@ class TestEnumerationOrder:
         engine = _enumerated(name)
         digest = hashlib.sha256(engine._kernel_rows.tobytes()).hexdigest()
         assert digest == ENUMERATION_DIGESTS[name][1]
-        with kernel_disabled():
-            sparse = CayleyBackend(ENUMERATION_DIGESTS[name][0]())
-        elements = sparse.elements_of(sparse.orbit_closure([sparse.identity_id]))
+        scalar_group = ENUMERATION_DIGESTS[name][0]()  # a fresh group, closed by scalar BFS
+        elements = generate_subgroup_elements(scalar_group, scalar_group.generators())
         enumerated = engine.elements_of(np.arange(engine.interned_count))
         assert len(set(enumerated)) == engine.interned_count
         assert set(enumerated) == set(elements)

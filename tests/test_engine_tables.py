@@ -1,11 +1,11 @@
-"""The kernel kill switch and the retired table and engine-off keywords.
+"""The engine-less reference and the retired table and engine-off keywords.
 
-:func:`~repro.groups.engine.kernel_disabled` — the one reference
-configuration — keeps the engine but builds it sparse, without a dense
-kernel, so every product goes through scalar ``multiply``.  The keywords of
-the retired Cayley table — its persistent cache directory and its size
-knobs — are refused, and nothing is written to disk.  So are the retired
-switches of the pre-engine scalar path: the engine-off context, the
+The test fixture :func:`conftest.no_engine` — the one reference
+configuration — sends newly built groups down the per-element route that
+groups too large for an engine take.  The keywords of the retired Cayley
+table — its persistent cache directory and its size knobs — are refused,
+and nothing is written to disk.  So are the retired switches of the
+pre-engine scalar path: the engine-off and kernel-off contexts, the
 solvers' ``use_engine=``, the sampler's ``batch=`` and the spec fields
 ``engine``/``batch``.
 """
@@ -15,11 +15,13 @@ import os
 import numpy as np
 import pytest
 
+from conftest import no_engine
 from repro.core.hidden_normal import find_hidden_normal_subgroup
 from repro.core.small_commutator import solve_hsp_small_commutator
 from repro.core.solver import solve_hsp
 from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
-from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled, maybe_engine
+from repro.groups.base import GroupError
+from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
 from repro.quantum.sampling import FourierSampler
 
@@ -28,18 +30,10 @@ from repro.quantum.sampling import FourierSampler
 RETIRED_KEYWORD = "_".join(("cache", "dir"))
 
 
-def _scalar_sparse_engine(group):
-    """The engine :func:`kernel_disabled` builds: sparse, on scalar arithmetic."""
-    with kernel_disabled():
-        engine = CayleyBackend(group)
-    assert engine.mode == "sparse" and engine.kernel is None
-    return engine
-
-
 class TestScalarEngine:
     def test_results_agree_with_group_arithmetic(self):
         group = extraspecial_group(3)
-        engine = _scalar_sparse_engine(group)
+        engine = CayleyBackend(group)
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = group.uniform_random_element(rng)
@@ -58,6 +52,10 @@ class TestScalarEngine:
 
 def _import_the_engine_off_context():
     from repro.groups.engine import engine_disabled  # noqa: F401
+
+
+def _import_the_kernel_off_context():
+    from repro.groups.engine import kernel_disabled  # noqa: F401
 
 
 _RUN = dict(sweep="s", index=0, family="dihedral_rotation", params=(), repeat=0, seed=1)
@@ -88,6 +86,7 @@ RETIRED_SWITCHES = [
         id="solve_hsp_small_commutator",
     ),
     pytest.param(_import_the_engine_off_context, ImportError, "engine_disabled", id="engine_disabled"),
+    pytest.param(_import_the_kernel_off_context, ImportError, "kernel_disabled", id="kernel_disabled"),
 ]
 
 
@@ -97,27 +96,28 @@ def test_a_retired_scalar_path_switch_is_refused(call, error, message):
         call()
 
 
-class TestKernelDisabled:
-    def test_engines_built_inside_have_no_kernel(self):
-        with kernel_disabled():
-            inside = CayleyBackend(extraspecial_group(3))
+class TestNoEngine:
+    def test_groups_built_inside_get_no_engine(self):
+        with no_engine():
+            inside = extraspecial_group(3)
+            assert maybe_engine(inside) is None
+            with pytest.raises(GroupError):
+                CayleyBackend(inside)
         outside = CayleyBackend(extraspecial_group(3))
-        assert inside.kernel is None and inside.stats()["has_kernel"] == 0
-        assert outside.kernel is not None and outside.stats()["has_kernel"] == 1
-        assert (inside.mode, outside.mode) == ("sparse", "kernel")
+        assert outside.mode == "kernel" and outside.kernel is not None
 
-    def test_installed_engines_keep_their_kernel(self):
+    def test_installed_engines_are_kept(self):
         group = extraspecial_group(3)
         engine = get_engine(group)
-        with kernel_disabled():
+        with no_engine():
             assert get_engine(group) is engine
             assert maybe_engine(group) is engine
         assert engine.kernel is not None
 
     def test_context_restores_previous_state_on_error(self):
         try:
-            with kernel_disabled():
+            with no_engine():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert CayleyBackend(extraspecial_group(3)).kernel is not None
+        assert maybe_engine(extraspecial_group(3)) is not None

@@ -6,8 +6,7 @@ Three families of invariants:
   distinct elements receive distinct ids;
 * **engine arithmetic agrees with scalar group arithmetic** — ``mul_many``,
   ``inv_many``, ``conj_many``, ``power``, ``element_order``, subgroup and
-  commutator closures all reproduce the per-element ``FiniteGroup`` results,
-  in both the kernel and the sparse fallback mode;
+  commutator closures all reproduce the per-element ``FiniteGroup`` results;
 * **batch oracle accounting** — the bulk APIs on ``BlackBoxGroup`` and
   ``HidingOracle`` report exactly the totals of the equivalent scalar loops.
 """
@@ -22,7 +21,7 @@ from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.base import FiniteGroup, GroupError
-from repro.groups.engine import CayleyBackend, get_engine, kernel_disabled, maybe_engine
+from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
@@ -38,17 +37,6 @@ def heisenberg_elements(p=3, n=1):
     coord = st.integers(min_value=0, max_value=p - 1)
     vec = st.tuples(*([coord] * n))
     return st.tuples(vec, vec, coord)
-
-
-def _engine(group, mode):
-    """A kernel-mode engine, or (``mode == "sparse"``) the scalar sparse one."""
-    if mode == "sparse":
-        with kernel_disabled():
-            engine = CayleyBackend(group)
-    else:
-        engine = CayleyBackend(group)
-    assert engine.mode == mode
-    return engine
 
 
 class TestInterning:
@@ -78,11 +66,10 @@ class TestInterning:
 
 
 class TestArithmeticAgreement:
-    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(data=st.data())
-    def test_mul_many_agrees_with_scalar_op(self, mode, data):
+    def test_mul_many_agrees_with_scalar_op(self, data):
         group = extraspecial_group(3)
-        engine = _engine(group, mode)
+        engine = CayleyBackend(group)
         pairs = data.draw(
             st.lists(st.tuples(heisenberg_elements(), heisenberg_elements()), min_size=1, max_size=16)
         )
@@ -91,11 +78,10 @@ class TestArithmeticAgreement:
         got = engine.multiply_elements(elements_a, elements_b)
         assert got == [group.multiply(a, b) for a, b in zip(elements_a, elements_b)]
 
-    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(elements=st.lists(heisenberg_elements(), min_size=1, max_size=16))
-    def test_inv_many_agrees_with_scalar_inverse(self, mode, elements):
+    def test_inv_many_agrees_with_scalar_inverse(self, elements):
         group = extraspecial_group(3)
-        engine = _engine(group, mode)
+        engine = CayleyBackend(group)
         assert engine.inverse_elements(elements) == [group.inverse(a) for a in elements]
 
     @given(data=st.data())
@@ -122,11 +108,10 @@ class TestArithmeticAgreement:
             scalar_group, element
         )
 
-    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(generators=st.lists(heisenberg_elements(), min_size=1, max_size=3))
-    def test_subgroup_closure_agrees_with_bfs(self, mode, generators):
+    def test_subgroup_closure_agrees_with_bfs(self, generators):
         group = extraspecial_group(3)
-        engine = _engine(group, mode)
+        engine = CayleyBackend(group)
         got = set(engine.elements_of(engine.subgroup_ids(engine.intern_many(generators))))
         assert got == set(generate_subgroup_elements(group, generators))
 
@@ -143,16 +128,18 @@ class TestArithmeticAgreement:
         want = set(generate_subgroup_elements(group, commutator_subgroup_generators(group)))
         assert set(engine.commutator_subgroup_elements()) == want
 
-    def test_fallback_mode_agrees_with_kernel_mode(self):
+    def test_engine_batch_ops_agree_with_the_engine_less_group(self):
+        """The group's batch methods give the same answers with and without an engine."""
         group = extraspecial_group(3)
-        kernel = _engine(group, "kernel")
-        sparse = _engine(group, "sparse")
-        elements = group.element_list()
-        for a in elements[:9]:
-            for b in elements[:9]:
-                want = group.multiply(a, b)
-                assert kernel.element_of(kernel.mul(kernel.intern(a), kernel.intern(b))) == want
-                assert sparse.element_of(sparse.mul(sparse.intern(a), sparse.intern(b))) == want
+        get_engine(group)
+        with no_engine():
+            scalar = extraspecial_group(3)
+            assert maybe_engine(scalar) is None
+        elements = group.element_list()[:9]
+        lefts = [a for a in elements for _ in elements]
+        rights = elements * len(elements)
+        assert group.multiply_many(lefts, rights) == scalar.multiply_many(lefts, rights)
+        assert group.inverse_many(elements) == scalar.inverse_many(elements)
 
     def test_coset_label_constant_exactly_on_left_cosets(self):
         group = extraspecial_group(3)
@@ -161,8 +148,9 @@ class TestArithmeticAgreement:
         subgroup_ids = engine.subgroup_ids(engine.intern_many(hidden))
         subgroup = set(engine.elements_of(subgroup_ids))
         labels = {}
-        for x in group.element_list():
-            labels.setdefault(engine.coset_label(engine.intern(x), subgroup_ids), []).append(x)
+        elements = group.element_list()
+        for x, label in zip(elements, engine.coset_label_many(engine.intern_many(elements), subgroup_ids)):
+            labels.setdefault(int(label), []).append(x)
         assert len(labels) == group.order() // len(subgroup)
         for members in labels.values():
             base = members[0]

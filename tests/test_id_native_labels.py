@@ -3,8 +3,8 @@
 Three pieces keep the Theorem 11 solver's simulation in engine ids, and each
 must be invisible in the results and the query report:
 
-* whole-group coset labels — a fully enumerated engine labels every element
-  by the minimum id of its left coset ``x H`` in one pass;
+* whole-group coset labels — the engine labels every element by the
+  minimum id of its left coset ``x H`` in one pass;
 * the bulk exponent-map scan — ``hidden_power_product_oracle`` labels a
   batch of exponent tuples with one product per factor and one batched
   evaluation of the hiding function, charging the per-point loop's cost;
@@ -12,9 +12,8 @@ must be invisible in the results and the query report:
   labels a batch of ``x`` with one counted products block.
 
 These tests check the labels against brute force and each route against the
-per-point route it replaces.  Sparse engines (groups without a dense kernel,
-or any group under ``kernel_disabled``) keep the per-coset min-id labeller,
-which must agree with the same brute force.
+per-point route it replaces; the engine-less route (``no_engine``) is the
+reference for whole solves.
 """
 
 import json
@@ -32,7 +31,7 @@ from repro.core.solver import solve_hsp
 from repro.experiments.registry import build_instance
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import CayleyBackend, kernel_disabled, maybe_engine
+from repro.groups.engine import CayleyBackend, maybe_engine
 from repro.groups.perm import alternating_group, symmetric_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
@@ -54,21 +53,12 @@ ENUMERATED_POINTS = [
 ]
 
 
-@pytest.fixture(params=["kernel", "sparse"])
-def engine_mode(request):
-    """The default kernel mode, or the sparse mode ``kernel_disabled`` builds."""
-    return request.param
-
-
-def _enumerated_instance(family, params, rng, engine_mode):
-    """An instance built under ``engine_mode``, its group fully interned."""
-    with kernel_disabled() if engine_mode == "sparse" else nullcontext():
-        instance = build_instance(family, dict(params), rng)
-        group = instance.group.group
-        engine = maybe_engine(group)
-    assert engine.mode == engine_mode
-    # Sparse ids are allocated on first sight; kernel mode has them all.
-    engine.intern_many(group.element_list())
+def _enumerated_instance(family, params, rng):
+    """An instance and its group's engine, which holds every element."""
+    instance = build_instance(family, dict(params), rng)
+    group = instance.group.group
+    engine = maybe_engine(group)
+    assert engine.mode == "kernel"
     assert engine.interned_count == group.order()
     return instance, group, engine
 
@@ -97,10 +87,8 @@ def _brute_force_labels(group, engine, generators):
 
 
 @pytest.mark.parametrize("family,params", ENUMERATED_POINTS, ids=[f for f, _ in ENUMERATED_POINTS])
-def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode):
-    _, group, engine = _enumerated_instance(
-        family, params, np.random.default_rng(derive_seed(SEED, 0)), engine_mode
-    )
+def test_whole_group_coset_labels_match_brute_force(family, params):
+    _, group, engine = _enumerated_instance(family, params, np.random.default_rng(derive_seed(SEED, 0)))
     rng = np.random.default_rng(SEED)
     for name, generators in _subgroup_cases(family, group, rng):
         expected = _brute_force_labels(group, engine, generators)
@@ -113,10 +101,31 @@ def test_whole_group_coset_labels_match_brute_force(family, params, engine_mode)
         assert oracle.counter.classical_queries == engine.interned_count
 
 
-def test_alternating_subgroup_has_two_cosets(engine_mode):
-    instance, _, engine = _enumerated_instance(
-        "symmetric_alternating", {"n": 5}, np.random.default_rng(SEED), engine_mode
-    )
+def _cosets(elements, labels):
+    """The partition of ``elements`` into the level sets of ``labels``."""
+    blocks = {}
+    for x, value in zip(elements, labels):
+        blocks.setdefault(value, set()).add(x)
+    return sorted(sorted(block) for block in blocks.values())
+
+
+@pytest.mark.parametrize("family,params", ENUMERATED_POINTS, ids=[f for f, _ in ENUMERATED_POINTS])
+def test_engine_less_coset_labels_split_the_same_cosets(family, params):
+    """The engine-less labeller (minimum encoding) partitions like the min-id one."""
+    _, group, engine = _enumerated_instance(family, params, np.random.default_rng(derive_seed(SEED, 0)))
+    elements = engine.elements_of(range(engine.interned_count))
+    rng = np.random.default_rng(SEED)
+    with no_engine():
+        bare = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0))).group.group
+        for name, generators in _subgroup_cases(family, group, rng):
+            label = subgroup_coset_label(bare, generators)
+            want = _cosets(elements, _brute_force_labels(group, engine, generators))
+            assert _cosets(elements, [label(x) for x in elements]) == want, name
+    assert getattr(bare, "_cayley_engine", None) is None
+
+
+def test_alternating_subgroup_has_two_cosets():
+    instance, _, engine = _enumerated_instance("symmetric_alternating", {"n": 5}, np.random.default_rng(SEED))
     labels = instance.oracle.evaluate_ids(np.arange(engine.interned_count, dtype=np.int64))
     assert len(set(labels)) == 2
     assert labels[engine.identity_id] == engine.identity_id
@@ -289,21 +298,21 @@ def test_vectorised_coset_bundle_is_attached_on_the_shared_engine(bundle_attachm
     assert dense == scalar
 
 
-def test_foreign_engine_bundle_keeps_plain_id_keying(bundle_attachments):
-    """An oracle not keyed on the group's engine takes the plain id-keyed bundle.
+def test_foreign_engine_bundle_stays_element_keyed(bundle_attachments):
+    """An oracle not keyed on the group's engine takes the element-keyed bundle.
 
     The instance is built without an engine (so its oracle has no dense
     attachment) and solved with one, the situation of an instance that
     outlives the engine configuration it was built under.
     """
     foreign = _extraspecial_solve(5, no_engine, nullcontext)
-    assert [label_ids for _, _, label_ids in bundle_attachments] == [None]
+    assert bundle_attachments == []
     scalar = _extraspecial_solve(5, no_engine, no_engine)
     assert foreign == scalar
 
 
-def test_kernel_disabled_solve_matches_default_route():
-    baseline = _extraspecial_solve(7, kernel_disabled, kernel_disabled)
+def test_engine_less_solve_matches_default_route():
+    baseline = _extraspecial_solve(7, no_engine, no_engine)
     assert baseline == _extraspecial_solve(7, nullcontext, nullcontext)
 
 

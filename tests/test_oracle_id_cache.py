@@ -2,50 +2,46 @@
 
 A dense-attached :class:`HidingOracle` caches labels in an array indexed by
 engine id plus a boolean ``seen`` mask, and the engine-backed membership
-testers keep a boolean mask of member ids.  Both are sized by the engine's
-interned count.  A sparse engine interns on first sight, so the oracle's
-arrays must grow and a mask must answer False past its end.  The accounting
+testers keep a boolean mask of member ids.  Both are sized once by the
+engine's interned count, which is the group order.  The engine-backed
+closures are checked against the engine-less loop.  The accounting
 property pins ``evaluate_ids`` to the scalar loop on a fresh view: same
 labels, same query delta, each fresh id labelled once in first-occurrence
 order, and nothing labelled on a fully cached call.
 """
 
 import functools
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import no_engine
 from repro.blackbox.instances import _coset_label_parts
 from repro.blackbox.noise import OracleFlipChannel
-from repro.blackbox.oracle import BlackBoxGroup, HidingOracle
-from repro.groups.engine import get_engine, kernel_disabled
+from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, shared_dense_view
+from repro.groups.engine import get_engine
 from repro.groups.perm import alternating_group, symmetric_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import make_membership_tester, normal_closure
 
 
-def _sparse_dihedral(n):
-    """``D_n`` with a freshly installed sparse engine (nothing but the identity interned)."""
-    with kernel_disabled():
-        group = dihedral_semidirect(n)
-        engine = get_engine(group)
-    assert engine.mode == "sparse"
-    return group, engine
+def _dihedral(n):
+    """``D_n`` with a freshly installed engine."""
+    group = dihedral_semidirect(n)
+    return group, get_engine(group)
 
 
 # ---------------------------------------------------------------------------
-# Masks on sparse engines
+# Masks over engine ids
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("counted", [False, True], ids=["engine", "dense-view"])
-def test_mask_tester_answers_false_for_elements_interned_later(counted):
-    group, engine = _sparse_dihedral(12)
+def test_mask_tester_decides_membership_by_id(counted):
+    group, engine = _dihedral(12)
     tester = make_membership_tester(BlackBoxGroup(group) if counted else group, [group.embed_normal((2,))])
-    size = engine.interned_count
     for element, inside in [
         (group.embed_quotient((1,)), False),
         (group.embed_normal((1,)), False),
@@ -53,56 +49,67 @@ def test_mask_tester_answers_false_for_elements_interned_later(counted):
         (group.multiply(group.embed_normal((3,)), group.embed_quotient((1,))), False),
     ]:
         assert tester(element) is inside
-    # The three non-members were first interned by the tester's own calls.
-    assert engine.interned_count == size + 3
+    assert engine.interned_count == group.order()
 
 
-def test_sparse_normal_closure_matches_the_engine_free_loop():
-    """Conjugates interned after the mask was built are not members yet."""
-    group, engine = _sparse_dihedral(12)
+def test_engine_normal_closure_matches_the_engine_free_loop():
+    group, _ = _dihedral(12)
     reflection = group.embed_quotient((1,))
-    before = engine.interned_count
-    closure = normal_closure(group, [reflection])
-    assert engine.interned_count > before
-    assert closure == normal_closure(dihedral_semidirect(12), [reflection])
+    with no_engine():
+        bare = dihedral_semidirect(12)
+        scalar = normal_closure(bare, [reflection])
+    assert getattr(bare, "_cayley_engine", None) is None
+    assert normal_closure(group, [reflection]) == scalar
 
 
-def test_sparse_commutator_subgroup_ids_match_enumeration():
-    """In S_4 the generator commutator's conjugates are first interned by the loop."""
-    with kernel_disabled():
-        group = symmetric_group(4)
-        engine = get_engine(group)
-    assert engine.mode == "sparse"
+def test_engine_commutator_subgroup_ids_match_enumeration():
+    """In S_4 the generator commutator's conjugates close up to A_4."""
+    engine = get_engine(symmetric_group(4))
     derived = engine.commutator_subgroup_elements()
     assert sorted(derived) == sorted(alternating_group(4).element_list())
 
 
 # ---------------------------------------------------------------------------
-# Array cache growth and dtype
+# Array cache and dtype
 # ---------------------------------------------------------------------------
 
 
-def test_dense_cache_grows_while_calls_and_id_batches_interleave():
-    group, engine = _sparse_dihedral(20)
+def test_dense_cache_serves_interleaved_calls_and_id_batches():
+    group, engine = _dihedral(20)
     label, _, label_ids = _coset_label_parts(group, [group.embed_normal((5,))])
     oracle = HidingOracle(label)
     oracle.attach_dense(engine, label_ids)
     reference = HidingOracle(label)
-    attached_at = engine.interned_count
     elements = group.element_list()
     order = np.random.default_rng(20010202).permutation(len(elements)).tolist()
     for start in range(0, len(order), 5):
         block = [elements[k] for k in order[start : start + 5]]
-        # One scalar query on an element a sparse engine may not have seen,
-        # then a batch that interns the rest of the block (and repeats it).
+        # One scalar query, then a batch over the block (repeated).
         assert oracle(block[0]) == reference(block[0])
         ids = engine.intern_many(block + block[::-1])
         assert oracle.evaluate_ids(ids).tolist() == [reference(x) for x in block + block[::-1]]
         assert oracle.counter.classical_queries == reference.counter.classical_queries
-    assert engine.interned_count > attached_at
     assert oracle.counter.classical_queries == len(elements)
     assert oracle.evaluate_many(elements) == [reference(x) for x in elements]
     assert oracle.counter.classical_queries == len(elements)
+
+
+def test_shared_dense_view_requires_the_oracle_keyed_on_the_group_engine():
+    group, engine = _dihedral(10)
+    label, _, label_ids = _coset_label_parts(group, [group.embed_normal((5,))])
+    keyed = HidingOracle(label)
+    keyed.attach_dense(engine, label_ids)
+    counted = BlackBoxGroup(group)
+    dense = shared_dense_view(counted, keyed)
+    assert dense is not None and dense.engine is engine and dense.counter is counted.counter
+    # An uncounted group, an element-keyed oracle and a foreign engine all decline.
+    assert shared_dense_view(group, keyed) is None
+    assert shared_dense_view(counted, HidingOracle(label)) is None
+    other, other_engine = _dihedral(10)
+    foreign = HidingOracle(label)
+    foreign.attach_dense(other_engine, label_ids)
+    assert shared_dense_view(counted, foreign) is None
+    assert shared_dense_view(BlackBoxGroup(other), foreign).engine is other_engine
 
 
 def test_non_integer_labels_use_an_object_array_and_migrate_on_attach():
@@ -165,18 +172,13 @@ def test_integer_labels_come_back_as_python_ints():
 # evaluate_ids accounting property
 # ---------------------------------------------------------------------------
 
-LEGS = ("kernel", "sparse", "oracle-flip")
+LEGS = ("honest", "oracle-flip")
 
 
 @functools.lru_cache(maxsize=None)
 def _leg_group(leg):
-    """``D_15`` with every element interned, in the leg's engine mode."""
-    with kernel_disabled() if leg == "sparse" else nullcontext():
-        group = dihedral_semidirect(15)
-        engine = get_engine(group)
-    assert engine.mode == ("sparse" if leg == "sparse" else "kernel")
-    engine.intern_many(group.element_list())
-    return group, engine
+    """``D_15`` and its engine (one per leg)."""
+    return _dihedral(15)
 
 
 def _recording_oracle(leg):
