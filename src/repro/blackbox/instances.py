@@ -134,8 +134,10 @@ def hiding_oracle_from_subgroup(
     When the engine-backed labelling is in effect the oracle comes back
     *dense-attached*: its cache is keyed by engine ids and
     :meth:`~repro.blackbox.oracle.HidingOracle.evaluate_ids` resolves whole
-    id blocks through the vectorized labeller.  Query accounting is
-    loop-equivalent either way.
+    id blocks through the vectorized labeller.  On an Abelian tuple group
+    the reducer's :meth:`~repro.linalg.zmodule.CosetReducer.many_array` is
+    the oracle's ``label_many``.  Query accounting is loop-equivalent
+    either way.
     """
     label, engine, label_ids = _coset_label_parts(group, subgroup_generators)
     oracle = HidingOracle(
@@ -143,6 +145,7 @@ def hiding_oracle_from_subgroup(
         counter=counter,
         hidden_subgroup_generators=list(subgroup_generators),
         description=description or f"coset label of H <= {group.name}",
+        label_many=label.many_array if isinstance(label, CosetReducer) else None,
     )
     if engine is not None:
         oracle.attach_dense(engine, label_ids)

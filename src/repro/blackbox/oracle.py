@@ -308,7 +308,7 @@ def shared_dense_view(group, oracle: "HidingOracle") -> Optional[DenseBlackBoxGr
 
 
 def _label_array(values) -> np.ndarray:
-    """Labels as an int64 array when every label is an integer, else object."""
+    """Labels as an int64 array when every label is an int64 integer, else object."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "i":
             return values.astype(np.int64, copy=False)
@@ -316,7 +316,10 @@ def _label_array(values) -> np.ndarray:
             return values
     values = list(values)
     if all(isinstance(v, (int, np.integer)) for v in values):
-        return np.asarray(values, dtype=np.int64)
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            pass  # integers past int64 stay Python ints
     return np.fromiter(values, dtype=object, count=len(values))
 
 
@@ -334,6 +337,12 @@ class HidingOracle:
     The query cache is keyed by element until :meth:`attach_dense`; a
     dense-attached oracle caches in a label array plus a boolean ``seen``
     mask, both indexed by engine id.
+
+    ``label_many`` is an optional batched twin of ``label`` for an oracle
+    on int64 tuple elements whose labels are int64 tuples (the Abelian
+    coset labeller, :meth:`~repro.linalg.zmodule.CosetReducer.many_array`):
+    an ``(n, r)`` int64 element array in, ``(n, r')`` int64 label rows out.
+    :meth:`evaluate_many` hands it an element array's uncached points.
     """
 
     def __init__(
@@ -342,8 +351,10 @@ class HidingOracle:
         counter: Optional[QueryCounter] = None,
         hidden_subgroup_generators: Optional[Sequence] = None,
         description: str = "f",
+        label_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self._label = label
+        self._label_many = label_many
         self.counter = counter if counter is not None else QueryCounter()
         self.hidden_subgroup_generators = list(hidden_subgroup_generators) if hidden_subgroup_generators is not None else None
         self.description = description
@@ -427,6 +438,8 @@ class HidingOracle:
         self._label = noisy_label
         if self._label_ids is not None:
             self._label_ids = self._wrap_label_ids(self._label_ids)
+        if self._label_many is not None:
+            self._label_many = self._wrap_label_many(self._label_many)
 
     def _wrap_label_ids(self, base_label_ids: Callable[[np.ndarray], Sequence]):
         """The noisy twin of a vectorized labeller: same ids, corrupted answers."""
@@ -444,6 +457,21 @@ class HidingOracle:
 
         noisy_label_ids._noise_wrapped = True
         return noisy_label_ids
+
+    def _wrap_label_many(self, base_label_many: Callable[[np.ndarray], np.ndarray]):
+        """The noisy twin of an element-array labeller: same points, corrupted answers."""
+        channel = self.noise
+        honest_label = self._honest_label
+
+        def noisy_label_many(points):
+            values = np.array(base_label_many(points), dtype=np.int64)
+            replacements = channel.replacements([tuple(x) for x in points.tolist()])
+            for position, replacement in enumerate(replacements):
+                if replacement is not None:
+                    values[position] = honest_label(replacement)
+            return values
+
+        return noisy_label_many
 
     def __call__(self, element) -> Any:
         """A classical query to ``f`` (cached; the first evaluation counts)."""
@@ -475,8 +503,15 @@ class HidingOracle:
         Exactly the uncached elements are counted (and evaluated, in input
         order), so the reported ``classical_queries`` total is identical to
         the equivalent scalar loop ``[self(x) for x in elements]`` —
-        including when the input contains duplicates.
+        including when the input contains duplicates.  An ``(n, r)`` int64
+        array stands for its rows as tuples; on an engine-less oracle with
+        ``label_many`` it is answered as an int64 array of label rows, its
+        distinct uncached points labelled in one batch.
         """
+        if isinstance(elements, np.ndarray):
+            if self._label_many is not None and self._engine is None:
+                return self._evaluate_points(elements)
+            elements = [tuple(x) for x in elements.tolist()]
         if self._engine is not None:
             return self.evaluate_ids(self._engine.intern_many(list(elements))).tolist()
         values = []
@@ -489,6 +524,22 @@ class HidingOracle:
             self._cache[element] = value
             values.append(value)
         return values
+
+    def _evaluate_points(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_many` on an int64 element array, through ``label_many``."""
+        keys = [tuple(x) for x in points.tolist()]
+        cache = self._cache
+        fresh = {}
+        for position, key in enumerate(keys):
+            if key not in cache and key not in fresh:
+                fresh[key] = position
+        if fresh:
+            self.counter.classical_queries += len(fresh)
+            values = self._label_many(points[list(fresh.values())])
+            cache.update(zip(fresh, (tuple(x) for x in values.tolist())))
+            if len(fresh) == len(keys):
+                return values
+        return np.asarray([cache[key] for key in keys], dtype=np.int64).reshape(len(keys), -1)
 
     def evaluate_ids(self, ids: Sequence[int]) -> np.ndarray:
         """Batch classical queries addressed by dense engine ids.
@@ -537,7 +588,9 @@ class HidingOracle:
         closures are already the corrupted ones); the cache does not, so the
         new view counts its own queries.
         """
-        view = HidingOracle(self._label, QueryCounter(), self.hidden_subgroup_generators, self.description)
+        view = HidingOracle(
+            self._label, QueryCounter(), self.hidden_subgroup_generators, self.description, self._label_many
+        )
         view.noise = self.noise
         if self.noise is not None:
             view._honest_label = self._honest_label

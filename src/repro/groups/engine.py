@@ -33,7 +33,6 @@ which keeps the per-element code path as the fallback.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -269,33 +268,66 @@ def _kernel_and_order(group: FiniteGroup) -> Optional[Tuple[object, int]]:
     return None if kernel is None else (kernel, order)
 
 
-def _row_chain(kernel, space: _RowKeys, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
-    """Rows of the cyclic group ``<g>`` by shift doubling on kernel rows.
+def _cyclic_chains(
+    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, reps: np.ndarray
+) -> List[np.ndarray]:
+    """``[r, r^2, ..., r^{ord r - 1}]`` for every row ``r`` of ``reps``.
 
-    Same invariant as :meth:`CayleyBackend._cyclic_power_ids` — ``powers =
-    [g^0 .. g^{k-1}]`` with ``pivot = g^k`` — but over raw kernel rows, for
-    use before any id assignment exists.  ``O(log ord g)`` kernel calls.
+    Shift doubling over one ``(reps x powers)`` row stack, before any id
+    assignment exists: with ``powers = [r^0 .. r^{k-1}]`` and ``pivot =
+    r^k`` per rep, one kernel call per level appends every unfinished rep's
+    next ``k`` powers and squares its pivot (the extra last row).  A chain
+    ends at its first power equal to the identity, so the whole batch costs
+    ``O(log max ord r)`` kernel calls, and a batch of one costs what one
+    chain costs.
     """
-    powers, keys = space.checked_keys(np.stack([identity_row, gen_row]))
-    identity_key = keys[0]
-    if keys[1] == identity_key:
-        return powers[:1]
-    pivot = kernel.compose_many(gen_row[None, :], gen_row[None, :])[0]
+    count, width = reps.shape
+    chains: List[np.ndarray] = [reps[:0]] * count
+    active = np.arange(count)
+    powers = identity_row[None, None, :].repeat(count, axis=0)
+    pivot = reps
     while True:
-        # One kernel call per level: the extra last row squares the pivot.
-        k = powers.shape[0]
-        block, keys = space.checked_keys(
-            kernel.compose_many(np.concatenate([powers, pivot[None, :]]), np.tile(pivot, (k + 1, 1)))
-        )
-        # The first power to repeat an earlier one is g^ord = e.
-        done = keys[:k] == identity_key
-        if done.any():
-            return np.concatenate([powers, block[: int(np.argmax(done))]])
-        powers = np.concatenate([powers, block[:k]])
-        if powers.shape[0] > space.count:
+        live, k = powers.shape[:2]
+        left = np.concatenate([powers, pivot[:, None, :]], axis=1).reshape(-1, width)
+        block, keys = space.checked_keys(kernel.compose_many(left, pivot.repeat(k + 1, axis=0)))
+        block = block.reshape(live, k + 1, width)
+        # block[:, j] = r^(k+j): the first of them equal to the identity is r^ord.
+        hit = keys.reshape(live, k + 1) == identity_key
+        if hit.any():
+            ended = hit.any(axis=1)
+            done = ended.nonzero()[0].tolist()
+            for i in done:
+                chains[active[i]] = np.concatenate([powers[i, 1:], block[i, : int(hit[i].argmax())]])
+            if len(done) == live:
+                return chains
+            keep = ~ended
+            active, powers, block = active[keep], powers[keep], block[keep]
+        if 2 * k > space.count:
             # Distinct powers of a group element never outnumber the group.
             raise GroupError(f"dense kernel of {space.name}: a cyclic chain outgrew the group order")
-        pivot = block[k]
+        powers = np.concatenate([powers, block[:, :k]], axis=1)
+        pivot = block[:, k]
+
+
+def _pair_grids(*grids: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right operands of every pair ``(a, b)`` of each ``(A, B)`` grid.
+
+    Pairs run ``a``-major within a grid and grid after grid, so one kernel
+    call on the operands yields every grid's ``A x B`` products as
+    consecutive blocks; each operand is written once, with no repeat/tile
+    intermediates.
+    """
+    width = grids[0][0].shape[1]
+    total = sum(a.shape[0] * b.shape[0] for a, b in grids)
+    left = np.empty((total, width), dtype=np.int64)
+    right = np.empty((total, width), dtype=np.int64)
+    start = 0
+    for a, b in grids:
+        stop = start + a.shape[0] * b.shape[0]
+        left[start:stop].reshape(a.shape[0], b.shape[0], width)[:] = a[:, None, :]
+        right[start:stop].reshape(a.shape[0], b.shape[0], width)[:] = b[None, :, :]
+        start = stop
+    return left, right
 
 
 def _kernel_enumerate_rows(
@@ -303,13 +335,20 @@ def _kernel_enumerate_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate the group generated by ``gen_rows`` entirely in row space.
 
-    Dimino-style closure: the first generator's cyclic chain is built by
-    shift doubling, and every further generator extends the current
-    subgroup ``K`` coset by coset — each new representative ``r``
-    contributes the whole block ``K @ powers(r)`` in bulk kernel calls, and
-    representatives are probed breadth-first with every generator processed
-    so far.  No scalar ``multiply`` is ever called; the output order is
-    deterministic (identity first), which fixes the dense id assignment.
+    Dimino-style closure: every generator extends the current subgroup
+    ``K`` coset by coset — each new representative ``r`` contributes the
+    whole block ``K @ powers(r)`` in bulk, and its powers are probed with
+    every generator processed so far, breadth-first, so no coset of the
+    closure is missed.  The representative queue is drained a batch at a
+    time: the queue's still-unseen distinct representatives get their cyclic
+    chains together (:func:`_cyclic_chains`, one kernel call per doubling
+    level), then the batch is walked in queue order, skipping any rep an
+    earlier one absorbed, and each other rep's block and probes are one
+    combined kernel call.  ``seen`` only grows, so filtering a rep when its
+    batch forms is what filtering it when it is reached would do; the walk
+    is the same as popping reps one at a time.  No scalar ``multiply`` is
+    ever called; the output order is deterministic (identity first), which
+    fixes the dense id assignment.
 
     Rows are deduplicated on their ``space`` keys — a bitmap over the key
     range where it is dense, a set of keys otherwise — keeping each block's
@@ -323,44 +362,53 @@ def _kernel_enumerate_rows(
     key_blocks: List[np.ndarray] = []
     seen = _KeySet(space)
 
-    def absorb(rows: np.ndarray) -> None:
-        rows, keys = space.checked_keys(rows)
+    def absorb(rows: np.ndarray, keys: np.ndarray) -> None:
         fresh = seen.absorb(keys)
         if fresh.size:
             row_blocks.append(rows[fresh])
             key_blocks.append(keys[fresh])
 
     identity_row = np.ascontiguousarray(identity_row, dtype=np.int64)
-    absorb(identity_row[None, :])
+    identity_rows, identity_keys = space.checked_keys(identity_row[None, :])
+    absorb(identity_rows, identity_keys)
+    identity_key = identity_keys[0]
     gen_rows, gen_keys = space.checked_keys(gen_rows)
     for g_idx, gen_key in enumerate(gen_keys.tolist()):
         if gen_key in seen:
             continue
         base = np.concatenate(row_blocks)
         gen_stack = gen_rows[: g_idx + 1]
-        pending = deque([(gen_key, gen_rows[g_idx])])
-        while pending:
-            rep_key, rep = pending.popleft()
-            if rep_key in seen:
-                continue
-            # powers = [e, r, r^2, ...]: the whole stack of cosets
-            # K r^j lands in one bulk call, and every power is probed with
-            # every processed generator so no coset of the closure is missed.
-            shifts = _row_chain(kernel, space, identity_row, rep)[1:]
-            absorb(
-                kernel.compose_many(
-                    np.repeat(base, shifts.shape[0], axis=0),
-                    np.tile(shifts, (base.shape[0], 1)),
-                )
-            )
-            probes, probe_keys = space.checked_keys(
-                kernel.compose_many(
-                    np.repeat(shifts, gen_stack.shape[0], axis=0),
-                    np.tile(gen_stack, (shifts.shape[0], 1)),
-                )
-            )
-            fresh = seen.missing(probe_keys)
-            pending.extend(zip(probe_keys[fresh].tolist(), probes[fresh]))
+        pending_rows, pending_keys = gen_rows[g_idx : g_idx + 1], gen_keys[g_idx : g_idx + 1]
+        while True:
+            # The batch: distinct reps in queue order, none seen yet.
+            firsts: Dict = {}
+            for i, key in enumerate(pending_keys.tolist()):
+                if key not in firsts and key not in seen:
+                    firsts[key] = i
+            if not firsts:
+                break
+            batch = pending_rows[list(firsts.values())]
+            next_rows: List[np.ndarray] = []
+            next_keys: List[np.ndarray] = []
+            chains = _cyclic_chains(kernel, space, identity_row, identity_key, batch)
+            for rep_key, shifts in zip(firsts, chains):
+                if rep_key in seen:
+                    continue
+                # powers = [e, r, r^2, ...]: the whole stack of cosets
+                # K r^j is one block, and every power is probed with every
+                # processed generator; block and probes are one kernel call.
+                count = shifts.shape[0]
+                split = base.shape[0] * count
+                products = kernel.compose_many(*_pair_grids((base, shifts), (shifts, gen_stack)))
+                rows, keys = space.checked_keys(products)
+                absorb(rows[:split], keys[:split])
+                fresh = seen.missing(keys[split:]).nonzero()[0]
+                if fresh.size:
+                    next_rows.append(rows[split:][fresh])
+                    next_keys.append(keys[split:][fresh])
+            if not next_keys:
+                break
+            pending_rows, pending_keys = np.concatenate(next_rows), np.concatenate(next_keys)
     return np.concatenate(row_blocks), np.concatenate(key_blocks)
 
 

@@ -161,18 +161,25 @@ def solve_hsp_in_abelian_group(
     re-wrapped as an :class:`AbelianHSPOracle`; if the instance declared its
     hidden subgroup (test/benchmark instances do) the declaration is passed
     through so the analytic backend can sample without enumerating the
-    domain, exactly as a quantum computer would not have to.
+    domain, exactly as a quantum computer would not have to.  The domain
+    scan of the statevector backend labels the whole domain through the
+    hiding oracle's :meth:`~repro.blackbox.oracle.HidingOracle.evaluate_many`
+    in one call, which counts what the point-by-point scan counts.
     """
-    declared = oracle.hidden_subgroup_generators
+    return solve_abelian_hsp(_tuple_oracle(group, oracle), sampler=sampler, confidence=confidence)
 
-    def label(x: Vector):
-        return oracle(x)
 
-    tuple_oracle = TupleFunctionOracle(
+def _tuple_oracle(group: AbelianTupleGroup, oracle: HidingOracle) -> TupleFunctionOracle:
+    """``oracle`` as an :class:`AbelianHSPOracle` over ``group``'s moduli.
+
+    Carries the declared hidden subgroup, and the hiding oracle's own
+    ``evaluate_many`` as the bulk labeller of the domain scan.
+    """
+    return TupleFunctionOracle(
         group.moduli,
-        label,
-        declared_kernel=declared,
+        oracle,
+        declared_kernel=oracle.hidden_subgroup_generators,
         counter=oracle.counter,
         description=f"HSP in {group.name}",
+        label_many=oracle.evaluate_many,
     )
-    return solve_abelian_hsp(tuple_oracle, sampler=sampler, confidence=confidence)

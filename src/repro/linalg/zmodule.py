@@ -252,27 +252,39 @@ class CosetReducer:
         """Batch reduction, a column of points at a time.
 
         Performs the scalar call's floor divisions against the same rows, so
-        every output tuple is identical to ``self(element)``.  The int64
-        fast path bails out to the exact big-integer scalar call the moment
-        a reduction step could overflow.
+        every output tuple is identical to ``self(element)``.  Points and
+        rows under ``2^31`` take :meth:`many_array`'s int64 path; others run
+        the exact big-integer scalar call.
         """
         elements = [[int(v) for v in e] for e in elements]
         if not elements:
             return []
         max_elem = max((abs(v) for e in elements for v in e), default=0)
         if max_elem < (1 << 31) and self._max_row < (1 << 31):
-            arr = np.asarray(elements, dtype=np.int64)
+            return [tuple(r) for r in self.many_array(np.asarray(elements, dtype=np.int64)).tolist()]
+        return [self(x) for x in elements]
+
+    def many_array(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`many` on an ``(n, r)`` int64 point array, as int64 rows.
+
+        Row ``i`` of the result is ``self(points[i])``.  The int64 fast path
+        bails out to the exact big-integer scalar call the moment a
+        reduction step could overflow; the representatives must fit int64
+        (they do whenever the moduli do).
+        """
+        arr = np.array(points, dtype=np.int64)
+        if arr.shape[0] == 0:
+            return arr
+        if self._max_row < (1 << 31) and int(np.abs(arr).max()) < (1 << 31):
             for row, pivot_col in self._pivoted:
-                row_arr = np.asarray(row, dtype=np.int64)
                 q = arr[:, pivot_col] // row[pivot_col]
                 row_bound = max(abs(v) for v in row)
                 if int(np.abs(q).max()) * row_bound + int(np.abs(arr).max()) >= (1 << 62):
                     break  # a later step could overflow: finish exactly below
-                arr = arr - q[:, None] * row_arr
+                arr -= q[:, None] * np.asarray(row, dtype=np.int64)
             else:
-                return [tuple(int(v) for v in r) for r in arr]
-            elements = [[int(v) for v in r] for r in arr]
-        return [self(x) for x in elements]
+                return arr
+        return np.asarray([self(x) for x in arr.tolist()], dtype=np.int64).reshape(arr.shape)
 
 
 def coset_representative(

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blackbox.oracle import QueryCounter
+from repro.blackbox.oracle import QueryCounter, _label_array
 from repro.linalg.zmodule import (
     CosetReducer,
     ZModule,
@@ -86,12 +86,28 @@ class AbelianHSPOracle(abc.ABC):
         """The hiding function value on ``element`` (hashable)."""
 
     def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        """Batch evaluation; same values as the scalar loop.
+        """Batch evaluation; same values and queries as the scalar loop.
 
-        Subclasses with a vectorisable labelling override this (the
-        statevector backend's domain scan calls it once per oracle).
+        Subclasses with a vectorisable labelling override this.  The
+        statevector backend's domain scan asks for
+        :meth:`identity_coset_mask` instead, which the array-native oracles
+        answer without a list of labels.
         """
         return [self.evaluate(x) for x in elements]
+
+    def identity_coset_mask(self) -> np.ndarray:
+        """Boolean mask over the domain, in C order of the moduli shape: ``f(x) == f(0)``.
+
+        This is the statevector backend's domain scan, the classical cost
+        of simulating one superposition query; flat index ``i`` is the
+        ``i``-th element of :meth:`ZModule.elements`.  The default labels
+        the identity, then the domain through :meth:`evaluate_many`, and
+        compares label by label; subclasses with an array-native labelling
+        override it with the same mask and the same queries.
+        """
+        identity_label = self.evaluate(self.module.identity())
+        labels = self.evaluate_many(list(self.module.elements()))
+        return np.fromiter((label == identity_label for label in labels), dtype=bool, count=len(labels))
 
     @abc.abstractmethod
     def kernel_generators(self) -> List[Vector]:
@@ -108,18 +124,25 @@ class TupleFunctionOracle(AbelianHSPOracle):
     """An Abelian HSP oracle defined by an arbitrary labelling function.
 
     If the hidden subgroup is not declared at construction time it is
-    computed (once, lazily) by enumerating the domain and collecting the
-    coset of the identity — the same work the statevector backend performs.
-    ``max_enumeration`` bounds that cost; larger domains must declare their
-    kernel.
+    computed (once, lazily) from :meth:`identity_coset_mask` — the same
+    domain scan the statevector backend performs.  ``max_enumeration``
+    bounds that cost; larger domains must declare their kernel.
 
-    ``label_many`` is an optional batched twin of ``func`` (a list of reduced
-    points in, one label per point out, same values); :meth:`evaluate_many`
-    hands it all uncached points at once, which is how the domain scans
-    above run.  Without it the scan calls ``func`` point by point.  The
-    engine-backed twins are ``_bulk_power_product_labeller`` (the exponent
-    maps of :mod:`repro.hsp.oracles`) and ``_bulk_embed_labeller`` (the
-    Theorem 13 oracles of :mod:`repro.core.elementary_abelian_two`).
+    ``label_many`` is an optional batched twin of ``func`` (a list of
+    reduced points or an ``(n, r)`` int64 point array in, one label per
+    point out, same values; an ndarray of labels may come back, with
+    tuple labels as int64 rows).  :meth:`evaluate_many` hands it all
+    uncached points at once, and :meth:`identity_coset_mask` hands it the
+    whole uncached domain as one ``np.indices`` exponent matrix, compares
+    the labels in one pass and keeps them as an array by flat index, so
+    later :meth:`evaluate` calls still hit the cache and the queries
+    counted stay those of the point-by-point scan.  Without it the scan
+    calls ``func`` point by point.  The engine-backed twins are
+    ``_bulk_power_product_labeller`` (the exponent maps of
+    :mod:`repro.hsp.oracles`) and ``_bulk_embed_labeller`` (the Theorem 13
+    oracles of :mod:`repro.core.elementary_abelian_two`);
+    :func:`~repro.hsp.abelian.solve_hsp_in_abelian_group` passes the
+    hiding oracle's own ``evaluate_many``.
     """
 
     def __init__(
@@ -130,7 +153,7 @@ class TupleFunctionOracle(AbelianHSPOracle):
         counter: Optional[QueryCounter] = None,
         description: str = "function oracle",
         max_enumeration: int = 1 << 18,
-        label_many: Optional[Callable[[List[Vector]], Sequence]] = None,
+        label_many: Optional[Callable[[Sequence[Vector]], Sequence]] = None,
     ):
         super().__init__(moduli, counter, description)
         self._func = func
@@ -138,31 +161,63 @@ class TupleFunctionOracle(AbelianHSPOracle):
         self._declared = [self.module.reduce(g) for g in declared_kernel] if declared_kernel is not None else None
         self._kernel_cache: Optional[List[Vector]] = None
         self._value_cache: Dict[Vector, object] = {}
+        # Every domain point's label by flat index, once a bulk scan ran.
+        self._domain_labels: Optional[np.ndarray] = None
         self.max_enumeration = max_enumeration
 
     def evaluate(self, element: Vector):
         element = self.module.reduce(element)
         if element in self._value_cache:
             return self._value_cache[element]
+        if self._domain_labels is not None:
+            return _label_at(self._domain_labels, np.ravel_multi_index(element, self.moduli))
         value = self._func(element)
         self._value_cache[element] = value
         return value
 
     def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        if self._func_many is None:
+        if self._func_many is None or self._domain_labels is not None:
             return super().evaluate_many(elements)
         reduced = [self.module.reduce(x) for x in elements]
         cache = self._value_cache
         fresh = list(dict.fromkeys(x for x in reduced if x not in cache))
         if fresh:
-            values = self._func_many(fresh)
-            if len(values) != len(fresh):
-                raise ValueError(
-                    f"{self.description}: bulk labeller returned {len(values)} labels "
-                    f"for {len(fresh)} points"
-                )
-            cache.update(zip(fresh, values))
+            cache.update(zip(fresh, _label_list(self._bulk_labels(fresh))))
         return [cache[x] for x in reduced]
+
+    def _bulk_labels(self, points) -> np.ndarray:
+        """``label_many`` on ``points`` as a label array, its length checked."""
+        values = _label_array(self._func_many(points))
+        if len(values) != len(points):
+            raise ValueError(
+                f"{self.description}: bulk labeller returned {len(values)} labels "
+                f"for {len(points)} points"
+            )
+        return values
+
+    def identity_coset_mask(self) -> np.ndarray:
+        if self._func_many is None:
+            return super().identity_coset_mask()
+        identity_label = self.evaluate(self.module.identity())
+        if self._domain_labels is None:
+            # The point-by-point scan's queries: every domain point not yet
+            # cached, in C order, in one bulk call.
+            shape = tuple(self.moduli)
+            points = np.indices(shape).reshape(len(shape), -1).T
+            cached = self._value_cache
+            flat = np.ravel_multi_index(np.asarray(list(cached), dtype=np.int64).T, shape)
+            fresh = np.ones(points.shape[0], dtype=bool)
+            fresh[flat] = False
+            if fresh.any():
+                values = self._bulk_labels(points[fresh])
+                labels = np.zeros((points.shape[0],) + values.shape[1:], dtype=values.dtype)
+                labels[fresh] = values
+                for index, value in zip(flat.tolist(), cached.values()):
+                    labels[index] = value
+            else:
+                labels = _label_array(list(cached.values()))[np.argsort(flat)]
+            self._domain_labels = labels
+        return _equal_mask(self._domain_labels, identity_label)
 
     def kernel_generators(self) -> List[Vector]:
         if self._declared is not None:
@@ -173,13 +228,36 @@ class TupleFunctionOracle(AbelianHSPOracle):
                     f"domain of size {self.domain_size()} is too large to enumerate; "
                     "declare the kernel or use the statevector backend with a smaller instance"
                 )
-            identity_label = self.evaluate(self.module.identity())
-            domain = list(self.module.elements())
-            kernel = [
-                x for x, label in zip(domain, self.evaluate_many(domain)) if label == identity_label
-            ]
+            flat = np.flatnonzero(self.identity_coset_mask())
+            kernel = [tuple(int(v) for v in x) for x in zip(*np.unravel_index(flat, tuple(self.moduli)))]
             self._kernel_cache = canonical_generators(kernel, self.moduli)
         return list(self._kernel_cache)
+
+
+def _label_list(labels: np.ndarray) -> List:
+    """The labels of a label array as the scalar labeller returns them."""
+    if labels.ndim == 2:
+        return [tuple(row) for row in labels.tolist()]
+    return labels.tolist()
+
+
+def _label_at(labels: np.ndarray, index: int):
+    """Label ``index`` of a label array, as the scalar labeller returns it."""
+    if labels.ndim == 2:
+        return tuple(labels[index].tolist())
+    return labels.item(index)
+
+
+def _equal_mask(labels: np.ndarray, target) -> np.ndarray:
+    """Boolean mask of the labels equal to ``target``, in one pass."""
+    if labels.ndim == 2:
+        return (labels == np.asarray(target, dtype=np.int64)).all(axis=1)
+    if labels.dtype == object:
+        # A 0-d box keeps a tuple or frozenset target from broadcasting.
+        boxed = np.empty((), dtype=object)
+        boxed[()] = target
+        return np.asarray(labels == boxed, dtype=bool)
+    return labels == target
 
 
 class SubgroupStructureOracle(AbelianHSPOracle):
@@ -208,6 +286,11 @@ class SubgroupStructureOracle(AbelianHSPOracle):
 
     def evaluate_many(self, elements: Sequence[Vector]) -> List:
         return self._reducer.many(elements)
+
+    def identity_coset_mask(self) -> np.ndarray:
+        shape = tuple(self.moduli)
+        points = np.indices(shape).reshape(len(shape), -1).T
+        return _equal_mask(self._reducer.many_array(points), self.evaluate(self.module.identity()))
 
     def kernel_generators(self) -> List[Vector]:
         return list(self._generators)
@@ -292,15 +375,9 @@ class FourierSampler:
         shape = tuple(module.moduli)
         flat = getattr(oracle, "_coset_probability_cache", None)
         if flat is None:
-            identity_label = oracle.evaluate(module.identity())
-            # One batched oracle scan over the domain (iteration order is the
-            # C order of the moduli shape, so flat index i is the i-th
-            # domain element).
-            labels = oracle.evaluate_many(list(module.elements()))
-            indicator = np.zeros(shape, dtype=np.float64)
-            indicator.reshape(-1)[
-                [i for i, label in enumerate(labels) if label == identity_label]
-            ] = 1.0
+            # One oracle scan over the domain, as a mask in the C order of
+            # the moduli shape.
+            indicator = oracle.identity_coset_mask().reshape(shape).astype(np.float64)
             flat = qft_probabilities_of_coset(indicator).reshape(-1)
             oracle._coset_probability_cache = flat
         outcomes = self.rng.choice(flat.size, p=flat, size=count)

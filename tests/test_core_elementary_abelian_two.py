@@ -274,12 +274,20 @@ class TestBulkEmbedLabeller:
         scan_multiplies = []
         scanning = []
         original_scan = TupleFunctionOracle.evaluate_many
+        original_mask = TupleFunctionOracle.identity_coset_mask
         original_multiply = BlackBoxGroup.multiply
 
         def scan(self, elements):
             scanning.append(True)
             try:
                 return original_scan(self, elements)
+            finally:
+                scanning.pop()
+
+        def mask(self):
+            scanning.append(True)
+            try:
+                return original_mask(self)
             finally:
                 scanning.pop()
 
@@ -290,6 +298,7 @@ class TestBulkEmbedLabeller:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TupleFunctionOracle, "evaluate_many", scan)
+            patch.setattr(TupleFunctionOracle, "identity_coset_mask", mask)
             patch.setattr(BlackBoxGroup, "multiply", multiply)
             instance, bulk = self._solve(build, noise)
             assert instance.oracle.dense_engine is not None

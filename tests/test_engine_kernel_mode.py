@@ -361,6 +361,40 @@ class TestEnumerationOrder:
         assert set(enumerated) == set(elements)
 
 
+#: Upper bounds on the kernel calls of one enumeration.  Batched cyclic
+#: chains bring Heisenberg p = 29 from 413 calls to under 150; for the rest
+#: the bounds are the call counts before the batching, which a batch of one
+#: representative must not exceed.
+KERNEL_CALL_BUDGETS = {
+    "Heisenberg_29": (lambda: extraspecial_group(29), 150),
+    "D_8192": (lambda: dihedral_semidirect(8192), 20),
+    "metacyclic_1999_3": (lambda: metacyclic_group(1999, 3), 17),
+    "D_32": (lambda: dihedral_semidirect(32), 12),
+    "D_64": (lambda: dihedral_semidirect(64), 13),
+    "D_96": (lambda: dihedral_semidirect(96), 13),
+    "D_128": (lambda: dihedral_semidirect(128), 14),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CALL_BUDGETS))
+def test_build_stays_within_its_kernel_call_budget(name):
+    build, budget = KERNEL_CALL_BUDGETS[name]
+    group = build()
+    kernel = group.dense_kernel()
+    compose_many = kernel.compose_many
+    calls = []
+
+    def counted(rows_a, rows_b):
+        calls.append(len(rows_a))
+        return compose_many(rows_a, rows_b)
+
+    kernel.compose_many = counted
+    group.dense_kernel = lambda: kernel
+    engine = CayleyBackend(group)
+    assert engine.interned_count == group.order()
+    assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
+
+
 class TestRadicesContract:
     """Every row a kernel produces from group elements lies in ``[0, radices)``."""
 
