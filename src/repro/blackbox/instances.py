@@ -135,9 +135,9 @@ def hiding_oracle_from_subgroup(
     *dense-attached*: its cache is keyed by engine ids and
     :meth:`~repro.blackbox.oracle.HidingOracle.evaluate_ids` resolves whole
     id blocks through the vectorized labeller.  On an Abelian tuple group
-    the reducer's :meth:`~repro.linalg.zmodule.CosetReducer.many_array` is
-    the oracle's ``label_many``.  Query accounting is loop-equivalent
-    either way.
+    the label is a :class:`~repro.linalg.zmodule.CosetReducer`, whose
+    ``many_array`` labels element arrays in bulk.  Query accounting is
+    loop-equivalent either way.
     """
     label, engine, label_ids = _coset_label_parts(group, subgroup_generators)
     oracle = HidingOracle(
@@ -145,7 +145,6 @@ def hiding_oracle_from_subgroup(
         counter=counter,
         hidden_subgroup_generators=list(subgroup_generators),
         description=description or f"coset label of H <= {group.name}",
-        label_many=label.many_array if isinstance(label, CosetReducer) else None,
     )
     if engine is not None:
         oracle.attach_dense(engine, label_ids)

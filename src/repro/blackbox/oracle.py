@@ -338,11 +338,11 @@ class HidingOracle:
     dense-attached oracle caches in a label array plus a boolean ``seen``
     mask, both indexed by engine id.
 
-    ``label_many`` is an optional batched twin of ``label`` for an oracle
-    on int64 tuple elements whose labels are int64 tuples (the Abelian
-    coset labeller, :meth:`~repro.linalg.zmodule.CosetReducer.many_array`):
-    an ``(n, r)`` int64 element array in, ``(n, r')`` int64 label rows out.
-    :meth:`evaluate_many` hands it an element array's uncached points.
+    A ``label`` with a ``many_array`` method (the Abelian coset labeller,
+    :class:`~repro.linalg.zmodule.CosetReducer`) labels int64 tuple
+    elements in bulk: an ``(n, r)`` int64 element array in, ``(n, r')``
+    int64 label rows out.  :meth:`evaluate_many` hands it an element
+    array's uncached points.
     """
 
     def __init__(
@@ -351,10 +351,9 @@ class HidingOracle:
         counter: Optional[QueryCounter] = None,
         hidden_subgroup_generators: Optional[Sequence] = None,
         description: str = "f",
-        label_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self._label = label
-        self._label_many = label_many
+        self._label_many: Optional[Callable[[np.ndarray], np.ndarray]] = getattr(label, "many_array", None)
         self.counter = counter if counter is not None else QueryCounter()
         self.hidden_subgroup_generators = list(hidden_subgroup_generators) if hidden_subgroup_generators is not None else None
         self.description = description
@@ -504,9 +503,9 @@ class HidingOracle:
         order), so the reported ``classical_queries`` total is identical to
         the equivalent scalar loop ``[self(x) for x in elements]`` —
         including when the input contains duplicates.  An ``(n, r)`` int64
-        array stands for its rows as tuples; on an engine-less oracle with
-        ``label_many`` it is answered as an int64 array of label rows, its
-        distinct uncached points labelled in one batch.
+        array stands for its rows as tuples; on an engine-less oracle whose
+        label has ``many_array`` it is answered as an int64 array of label
+        rows, its distinct uncached points labelled in one batch.
         """
         if isinstance(elements, np.ndarray):
             if self._label_many is not None and self._engine is None:
@@ -526,7 +525,7 @@ class HidingOracle:
         return values
 
     def _evaluate_points(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_many` on an int64 element array, through ``label_many``."""
+        """:meth:`evaluate_many` on an int64 element array, through the label's ``many_array``."""
         keys = [tuple(x) for x in points.tolist()]
         cache = self._cache
         fresh = {}
@@ -588,12 +587,11 @@ class HidingOracle:
         closures are already the corrupted ones); the cache does not, so the
         new view counts its own queries.
         """
-        view = HidingOracle(
-            self._label, QueryCounter(), self.hidden_subgroup_generators, self.description, self._label_many
-        )
+        view = HidingOracle(self._label, QueryCounter(), self.hidden_subgroup_generators, self.description)
         view.noise = self.noise
         if self.noise is not None:
             view._honest_label = self._honest_label
+            view._label_many = self._label_many
         if self._engine is not None:
             view.attach_dense(self._engine, self._label_ids)
         return view

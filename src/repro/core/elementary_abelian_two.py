@@ -223,7 +223,7 @@ def _bulk_embed_labeller(
     oracle: HidingOracle,
     normal_generators: Sequence,
     z=None,
-) -> Callable[[Sequence[Vector]], np.ndarray]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Batched twin of the per-point ``f(embed(alpha))`` labeller.
 
     Without ``z`` a point is ``alpha`` in ``Z_2^m``; with ``z`` it is
@@ -244,7 +244,7 @@ def _bulk_embed_labeller(
         if mask.any():
             product[mask] = engine.mul_many(product[mask], np.full(int(mask.sum()), element_id, dtype=np.int64))
 
-    def label_many(points: Sequence[Vector]) -> np.ndarray:
+    def label_many(points: np.ndarray) -> np.ndarray:
         bits = np.asarray(points, dtype=np.int64).reshape(len(points), width) % 2 == 1
         product = np.full(len(points), engine.identity_id, dtype=np.int64)
         for j, generator_id in enumerate(generator_ids):

@@ -309,27 +309,6 @@ def _cyclic_chains(
         pivot = block[:, k]
 
 
-def _pair_grids(*grids: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Left and right operands of every pair ``(a, b)`` of each ``(A, B)`` grid.
-
-    Pairs run ``a``-major within a grid and grid after grid, so one kernel
-    call on the operands yields every grid's ``A x B`` products as
-    consecutive blocks; each operand is written once, with no repeat/tile
-    intermediates.
-    """
-    width = grids[0][0].shape[1]
-    total = sum(a.shape[0] * b.shape[0] for a, b in grids)
-    left = np.empty((total, width), dtype=np.int64)
-    right = np.empty((total, width), dtype=np.int64)
-    start = 0
-    for a, b in grids:
-        stop = start + a.shape[0] * b.shape[0]
-        left[start:stop].reshape(a.shape[0], b.shape[0], width)[:] = a[:, None, :]
-        right[start:stop].reshape(a.shape[0], b.shape[0], width)[:] = b[None, :, :]
-        start = stop
-    return left, right
-
-
 def _kernel_enumerate_rows(
     kernel, space: _RowKeys, identity_row: np.ndarray, gen_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -394,12 +373,15 @@ def _kernel_enumerate_rows(
             for rep_key, shifts in zip(firsts, chains):
                 if rep_key in seen:
                     continue
-                # powers = [e, r, r^2, ...]: the whole stack of cosets
+                # shifts = [r, r^2, ...]: the whole stack of cosets
                 # K r^j is one block, and every power is probed with every
                 # processed generator; block and probes are one kernel call.
                 count = shifts.shape[0]
                 split = base.shape[0] * count
-                products = kernel.compose_many(*_pair_grids((base, shifts), (shifts, gen_stack)))
+                products = kernel.compose_many(
+                    np.concatenate([base.repeat(count, axis=0), shifts.repeat(gen_stack.shape[0], axis=0)]),
+                    np.concatenate([np.tile(shifts, (base.shape[0], 1)), np.tile(gen_stack, (count, 1))]),
+                )
                 rows, keys = space.checked_keys(products)
                 absorb(rows[:split], keys[:split])
                 fresh = seen.missing(keys[split:]).nonzero()[0]

@@ -181,20 +181,20 @@ def _bulk_power_product_labeller(
     hiding: HidingOracle,
     elements: Sequence,
     orders: Sequence[int],
-) -> Callable[[Sequence[Vector]], np.ndarray]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Batched twin of the per-point ``f(h_1^{a_1} ... h_r^{a_r})`` labeller.
 
     Power tables and products run uncounted in the engine; the counter is
     charged :func:`_power_charge` per factor of every point, the per-point
     loop's total, and ``f`` is asked once for the whole batch.  Points come
-    as a list of tuples or an int64 exponent matrix; the labels go back as
-    ``f``'s label array.
+    as an int64 exponent matrix; the labels go back as ``f``'s label
+    array.
     """
     engine = dense.engine
     tables = [_power_ids(engine, engine.intern(h), s) for h, s in zip(elements, orders)]
     charges = [np.asarray([_power_charge(a) for a in range(s)], dtype=np.int64) for s in orders]
 
-    def label_many(points: Sequence[Vector]) -> np.ndarray:
+    def label_many(points: np.ndarray) -> np.ndarray:
         exponents = np.asarray(points, dtype=np.int64).reshape(len(points), len(tables))
         product = np.full(len(points), engine.identity_id, dtype=np.int64)
         charged = 0

@@ -86,12 +86,11 @@ class AbelianHSPOracle(abc.ABC):
         """The hiding function value on ``element`` (hashable)."""
 
     def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        """Batch evaluation; same values and queries as the scalar loop.
+        """Batch evaluation: the scalar loop, with its values and queries.
 
-        Subclasses with a vectorisable labelling override this.  The
-        statevector backend's domain scan asks for
-        :meth:`identity_coset_mask` instead, which the array-native oracles
-        answer without a list of labels.
+        The statevector backend's domain scan asks for
+        :meth:`identity_coset_mask` instead, which the oracles with an
+        array-native labelling answer without a list of labels.
         """
         return [self.evaluate(x) for x in elements]
 
@@ -128,16 +127,15 @@ class TupleFunctionOracle(AbelianHSPOracle):
     domain scan the statevector backend performs.  ``max_enumeration``
     bounds that cost; larger domains must declare their kernel.
 
-    ``label_many`` is an optional batched twin of ``func`` (a list of
-    reduced points or an ``(n, r)`` int64 point array in, one label per
-    point out, same values; an ndarray of labels may come back, with
-    tuple labels as int64 rows).  :meth:`evaluate_many` hands it all
-    uncached points at once, and :meth:`identity_coset_mask` hands it the
-    whole uncached domain as one ``np.indices`` exponent matrix, compares
-    the labels in one pass and keeps them as an array by flat index, so
-    later :meth:`evaluate` calls still hit the cache and the queries
-    counted stay those of the point-by-point scan.  Without it the scan
-    calls ``func`` point by point.  The engine-backed twins are
+    ``label_many`` is an optional batched twin of ``func`` (an ``(n, r)``
+    int64 point array in, one label per point out, same values; an ndarray
+    of labels may come back, with tuple labels as int64 rows).
+    :meth:`identity_coset_mask` hands it the whole uncached domain as one
+    ``np.indices`` exponent matrix, compares the labels in one pass and
+    keeps them as an array by flat index, so later :meth:`evaluate` calls
+    still hit the cache and the queries counted stay those of the
+    point-by-point scan.  Without it the scan calls ``func`` point by
+    point.  The engine-backed twins are
     ``_bulk_power_product_labeller`` (the exponent maps of
     :mod:`repro.hsp.oracles`) and ``_bulk_embed_labeller`` (the Theorem 13
     oracles of :mod:`repro.core.elementary_abelian_two`);
@@ -153,7 +151,7 @@ class TupleFunctionOracle(AbelianHSPOracle):
         counter: Optional[QueryCounter] = None,
         description: str = "function oracle",
         max_enumeration: int = 1 << 18,
-        label_many: Optional[Callable[[Sequence[Vector]], Sequence]] = None,
+        label_many: Optional[Callable[[np.ndarray], Sequence]] = None,
     ):
         super().__init__(moduli, counter, description)
         self._func = func
@@ -175,26 +173,6 @@ class TupleFunctionOracle(AbelianHSPOracle):
         self._value_cache[element] = value
         return value
 
-    def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        if self._func_many is None or self._domain_labels is not None:
-            return super().evaluate_many(elements)
-        reduced = [self.module.reduce(x) for x in elements]
-        cache = self._value_cache
-        fresh = list(dict.fromkeys(x for x in reduced if x not in cache))
-        if fresh:
-            cache.update(zip(fresh, _label_list(self._bulk_labels(fresh))))
-        return [cache[x] for x in reduced]
-
-    def _bulk_labels(self, points) -> np.ndarray:
-        """``label_many`` on ``points`` as a label array, its length checked."""
-        values = _label_array(self._func_many(points))
-        if len(values) != len(points):
-            raise ValueError(
-                f"{self.description}: bulk labeller returned {len(values)} labels "
-                f"for {len(points)} points"
-            )
-        return values
-
     def identity_coset_mask(self) -> np.ndarray:
         if self._func_many is None:
             return super().identity_coset_mask()
@@ -209,7 +187,13 @@ class TupleFunctionOracle(AbelianHSPOracle):
             fresh = np.ones(points.shape[0], dtype=bool)
             fresh[flat] = False
             if fresh.any():
-                values = self._bulk_labels(points[fresh])
+                fresh_points = points[fresh]
+                values = _label_array(self._func_many(fresh_points))
+                if len(values) != len(fresh_points):
+                    raise ValueError(
+                        f"{self.description}: bulk labeller returned {len(values)} labels "
+                        f"for {len(fresh_points)} points"
+                    )
                 labels = np.zeros((points.shape[0],) + values.shape[1:], dtype=values.dtype)
                 labels[fresh] = values
                 for index, value in zip(flat.tolist(), cached.values()):
@@ -232,13 +216,6 @@ class TupleFunctionOracle(AbelianHSPOracle):
             kernel = [tuple(int(v) for v in x) for x in zip(*np.unravel_index(flat, tuple(self.moduli)))]
             self._kernel_cache = canonical_generators(kernel, self.moduli)
         return list(self._kernel_cache)
-
-
-def _label_list(labels: np.ndarray) -> List:
-    """The labels of a label array as the scalar labeller returns them."""
-    if labels.ndim == 2:
-        return [tuple(row) for row in labels.tolist()]
-    return labels.tolist()
 
 
 def _label_at(labels: np.ndarray, index: int):
@@ -283,9 +260,6 @@ class SubgroupStructureOracle(AbelianHSPOracle):
 
     def evaluate(self, element: Vector):
         return self._reducer(element)
-
-    def evaluate_many(self, elements: Sequence[Vector]) -> List:
-        return self._reducer.many(elements)
 
     def identity_coset_mask(self) -> np.ndarray:
         shape = tuple(self.moduli)

@@ -273,16 +273,8 @@ class TestBulkEmbedLabeller:
     def _compare(self, build, noise=None):
         scan_multiplies = []
         scanning = []
-        original_scan = TupleFunctionOracle.evaluate_many
         original_mask = TupleFunctionOracle.identity_coset_mask
         original_multiply = BlackBoxGroup.multiply
-
-        def scan(self, elements):
-            scanning.append(True)
-            try:
-                return original_scan(self, elements)
-            finally:
-                scanning.pop()
 
         def mask(self):
             scanning.append(True)
@@ -297,7 +289,6 @@ class TestBulkEmbedLabeller:
             return original_multiply(self, a, b)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(TupleFunctionOracle, "evaluate_many", scan)
             patch.setattr(TupleFunctionOracle, "identity_coset_mask", mask)
             patch.setattr(BlackBoxGroup, "multiply", multiply)
             instance, bulk = self._solve(build, noise)

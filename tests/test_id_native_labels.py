@@ -165,7 +165,7 @@ def test_bulk_charge_equals_counted_power_plus_fold():
     counter = instance.group.counter
     for k in range(257):
         before = counter.group_multiplications
-        (value,) = oracle.evaluate_many([(k,)])
+        (value,) = oracle._func_many(np.array([[k]], dtype=np.int64))
         charged = counter.group_multiplications - before
         start = reference.counter.group_multiplications
         power = reference.power(rotation, k)
@@ -185,10 +185,13 @@ def test_bulk_scan_matches_per_point_on_non_commuting_factors(monkeypatch):
         instance = HSPInstance.from_subgroup(group, [])
         oracle = hidden_power_product_oracle(instance.group, instance.oracle, [cycle, swap, cycle], [4, 2, 3])
         assert (oracle._func_many is not None) == bulk
-        labels = oracle.evaluate_many(list(oracle.module.elements()))
-        results.append((labels, instance.query_report()))
+        mask = oracle.identity_coset_mask()
+        report = instance.query_report()
+        labels = [oracle.evaluate(x) for x in oracle.module.elements()]
+        assert instance.query_report() == report, "labels after the scan must be cache hits"
+        results.append((mask.tolist(), labels, report))
     assert results[0] == results[1]
-    assert len(set(results[0][0])) > 1
+    assert len(set(results[0][1])) > 1
 
 
 def _theorem11_solve(p):
@@ -335,4 +338,4 @@ def test_short_bulk_labeller_fails_loudly():
         [4, 4], lambda x: 0, description="short scan", label_many=lambda points: [0] * (len(points) + 1)
     )
     with pytest.raises(ValueError, match="short scan"):
-        oracle.evaluate_many([(0, 1), (1, 2)])
+        oracle.identity_coset_mask()

@@ -157,6 +157,19 @@ def test_abelian_top_level_oracle(moduli, noise, seed):
         assert bulk.flips == scalar.flips
 
 
+@pytest.mark.parametrize("noise", [None, "oracle-flip(0.3)"])
+def test_abelian_fresh_view_keeps_the_bulk_labeller(noise):
+    def build():
+        instance = random_abelian_hsp_instance([6, 4, 3], np.random.default_rng(11))
+        if noise is not None:
+            install_noise(NoiseSpec.parse(noise), instance, None, run_seed=5)
+        view = instance.oracle.fresh_view()
+        assert view._label_many is not None
+        return _tuple_oracle(instance.group.group, view), view.counter.snapshot
+
+    _check(build)
+
+
 def test_abelian_scan_labels_the_uncached_domain_in_one_batch():
     instance = random_abelian_hsp_instance([6, 4], np.random.default_rng(7))
     batches = []
