@@ -136,13 +136,19 @@ def aggregate_speedup(rows: List[Dict[str, object]]) -> float:
     )
 
 
-def persist(rows: List[Dict[str, object]], out_dir: str = ".") -> str:
-    """Write the trajectory as ``BENCH_scaling.json``."""
+def persist(rows: List[Dict[str, object]], out_dir: str = ".", smoke: bool = False) -> str:
+    """Write the trajectory as ``BENCH_scaling.json``.
+
+    The aggregate is named for the rows it is taken over: a ``--smoke`` run
+    holds only each family's smallest point, so its speedup is
+    ``smoke_subset_speedup``, never ``largest_point_speedup``.
+    """
+    key = "smoke_subset_speedup" if smoke else "largest_point_speedup"
     payload = {
         "benchmark": "scaling-dense-vs-prekernel",
         "seed": SEED,
         "rows": rows,
-        "aggregate": {"largest_point_speedup": aggregate_speedup(rows)},
+        "aggregate": {key: aggregate_speedup(rows)},
     }
     return write_bench(out_dir, "scaling", payload)
 
@@ -161,7 +167,7 @@ def main() -> None:
             f"{float(row['baseline_seconds']) * 1e3:>8.1f}ms {float(row['dense_seconds']) * 1e3:>8.1f}ms "
             f"{float(row['speedup']):>7.1f}x"
         )
-    path = persist(rows, args.out)
+    path = persist(rows, args.out, smoke=args.smoke)
     if args.smoke:
         # Only the smallest point of each family ran: no target applies.
         speedup = aggregate_speedup(rows)

@@ -6,11 +6,14 @@ in the Fourier-sampling and coset-enumeration hot paths.  This module provides
 a :class:`CayleyBackend` that
 
 * is *id-native*: it builds only for a group of known order at most
-  :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel, and its ids are
-  the indices of the enumerated kernel rows; products are computed
-  array-at-a-time by the kernel and resolved back to ids through an
-  integer-keyed row index, and elements are decoded only on demand at the
-  API edges,
+  :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel.  Where the
+  kernel's radix product equals the order (the *exact box*: dihedral,
+  metacyclic, Heisenberg, Abelian and wreath groups) an element's id is its
+  mixed-radix coordinate key, so nothing is enumerated and a product row
+  resolves to its id by a range check and one dot product; any other group
+  is enumerated in row space and its ids are the enumeration's row indices,
+  resolved through an integer-keyed row index.  Elements are decoded only
+  on demand at the API edges,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
   :meth:`conj_many`, :meth:`subgroup_ids` — that amortise Python dispatch
   over whole id arrays, and
@@ -46,9 +49,9 @@ __all__ = [
     "maybe_engine",
 ]
 
-#: The single size ceiling: an engine enumerates its whole group, so only
-#: groups of known order up to this (with a dense kernel) get one; larger
-#: groups take the per-element route.
+#: The single size ceiling: an engine holds a row and an inverse for every
+#: element, so only groups of known order up to this (with a dense kernel)
+#: get one; larger groups take the per-element route.
 DEFAULT_INTERN_LIMIT = 1 << 16
 
 #: Largest pair count of one quadratic-doubling level in
@@ -56,30 +59,33 @@ DEFAULT_INTERN_LIMIT = 1 << 16
 #: generator steps.
 _PAIR_BUDGET = 1 << 17
 
+#: Generators per batch of cyclic chains in :meth:`CayleyBackend.subgroup_ids`:
+#: a batch holds every power of each of its generators at once.
+_CHAIN_BATCH = 32
+
 
 class _RowKeys:
     """Mixed-radix int64 keys of kernel rows over the kernel's declared radices.
 
-    One key function serves the row-space enumeration's dedup, its cyclic
-    chains and every :class:`_RowIndex` lookup: ``key(row) = row @ strides``
-    with strides computed once from :attr:`DenseKernel.radices` (the last
-    column least significant), so every row in range has a distinct key in
-    ``[0, prod(radices))``.  :attr:`path` names how keys are held, and
+    One key function serves every row -> id resolution, the enumeration's
+    dedup and its cyclic chains: ``key(row) = row @ strides`` with strides
+    computed once from :attr:`DenseKernel.radices` (the last column least
+    significant), so every row in range has a distinct key in
+    ``[0, prod(radices))``.  :attr:`path` names how keys are used, and
     follows from the radix product and the element count alone:
 
-    * ``"direct"`` — the product is at most ``DIRECT_SLACK`` times the count
-      (dihedral, metacyclic, Heisenberg and Abelian products, where it equals
-      the order): membership is a boolean bitmap over all keys and the row
-      index a direct-address table;
+    * ``"coordinates"`` — the product equals the count (the *exact box*:
+      dihedral, metacyclic, Heisenberg, Abelian and wreath groups, direct
+      products of them and the V4 semidirect): every row in range is a
+      group element, so the key *is* the id and :meth:`box_rows` decodes
+      every id to its row arithmetically;
     * ``"sorted"`` — int64 keys over a sparse range (small symmetric groups:
-      S_5 has 5^5 keys for 120 elements): membership is a set of Python ints
-      and the row index a ``searchsorted`` over the sorted keys;
+      S_5 has 5^5 keys for 120 elements): the group is enumerated, and
+      membership is a set of Python ints and the row index a
+      ``searchsorted`` over the sorted keys;
     * ``"bytes"`` — the product overflows int64 (permutations of degree
       >= 16): rows are keyed as opaque byte strings through a void view.
     """
-
-    #: Largest ``radix product / count`` ratio served by direct addressing.
-    DIRECT_SLACK = 4
 
     def __init__(self, radices: Sequence[int], count: int, name: str):
         self.name = name
@@ -98,7 +104,8 @@ class _RowKeys:
             self._void = np.dtype((np.void, 8 * self.width))
         else:
             self.strides = np.asarray(strides[::-1], dtype=np.int64)
-            self.path = "direct" if size <= self.DIRECT_SLACK * count else "sorted"
+            self._radices = np.asarray(radices, dtype=np.int64)
+            self.path = "coordinates" if size == count else "sorted"
         # Maximal column runs of one radix: the range check is one max per run.
         self._runs: List[Tuple[int, int, int]] = []
         for j, radix in enumerate(radices):
@@ -113,12 +120,24 @@ class _RowKeys:
             return rows.view(self._void).ravel()
         return rows @ self.strides
 
+    def box_rows(self) -> np.ndarray:
+        """Every row in range, in key order: row ``k`` is the row with key ``k``.
+
+        Column ``j`` of the key-ordered box counts through its radix once per
+        ``strides[j]`` keys, so each column is one broadcast fill.
+        """
+        rows = np.empty((self.size, self.width), dtype=np.int64)
+        for j, (radix, stride) in enumerate(zip(self._radices, self.strides)):
+            rows.reshape(-1, radix, stride, self.width)[..., j] = np.arange(radix)[:, None]
+        return rows
+
     def checked_keys(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, keys)`` for a kernel-computed block, range-checked first.
 
-        A value outside its column's radix would alias another row's key or
-        index past the bitmap, so it raises :class:`GroupError` naming the
-        group and the column instead.
+        A value outside its column's radix would alias another row's key,
+        so it raises :class:`GroupError` naming the group and the column
+        instead.  On the ``"coordinates"`` path every row in range is a
+        group element, so the check is all that resolving a row takes.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.width:
@@ -141,78 +160,22 @@ class _RowKeys:
         return rows, self.keys(rows)
 
 
-class _KeySet:
-    """Membership over :class:`_RowKeys` keys: a bitmap on the direct path, else a set."""
-
-    def __init__(self, space: _RowKeys):
-        self._bits: Optional[np.ndarray] = None
-        self._seen: set = set()
-        if space.path == "direct":
-            self._bits = np.zeros(space.size, dtype=bool)
-            # Work table: the first position of each key within a block.
-            self._first = np.empty(space.size, dtype=np.int64)
-
-    def __contains__(self, key) -> bool:
-        if self._bits is not None:
-            return bool(self._bits[key])
-        return key in self._seen
-
-    def missing(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean mask of the keys not in the set."""
-        if self._bits is not None:
-            return ~self._bits[keys]
-        seen = self._seen
-        return np.fromiter((k not in seen for k in keys.tolist()), dtype=bool, count=len(keys))
-
-    def absorb(self, keys: np.ndarray) -> np.ndarray:
-        """Add a block of keys; return the positions of its new ones.
-
-        Each new key counts once, at its first occurrence, and positions
-        come back in block order — so the rows kept are exactly those a
-        row-by-row scan of the block would keep.
-        """
-        if self._bits is None:
-            seen = self._seen
-            fresh = []
-            for i, key in enumerate(keys.tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            return np.asarray(fresh, dtype=np.int64)
-        pos = np.flatnonzero(~self._bits[keys])
-        if pos.size:
-            # First occurrence per key: the least block position wins.
-            fresh_keys = keys[pos]
-            self._first[fresh_keys] = pos.size
-            np.minimum.at(self._first, fresh_keys, np.arange(pos.size))
-            pos = pos[self._first[fresh_keys] == np.arange(pos.size)]
-            self._bits[keys[pos]] = True
-        return pos
-
-
 class _RowIndex:
-    """Row -> id lookup over an ``(n, w)`` int64 row matrix.
+    """Row -> id lookup over the ``(n, w)`` int64 rows of an enumeration.
 
     Takes the rows' :class:`_RowKeys` keys as the enumeration computed them,
     so a whole block of kernel-computed product rows resolves to ids with
-    one integer lookup: a direct-address table on the ``"direct"`` key path,
-    a ``searchsorted`` over the sorted keys otherwise (int64 or byte keys).
-    A query row outside the kernel's radices can alias the key of an indexed
-    row, so every lookup ends with a full row-equality check: unknown rows
-    (a kernel bug, or a foreign element) raise :class:`GroupError`.
+    one ``searchsorted`` over the sorted keys (int64 or byte keys).  A query
+    row outside the kernel's radices can alias the key of an indexed row,
+    so every lookup ends with a full row-equality check: unknown rows (a
+    kernel bug, or a foreign element) raise :class:`GroupError`.
     """
 
     def __init__(self, rows: np.ndarray, keys: np.ndarray, space: _RowKeys):
         self._rows = rows
         self._space = space
-        self.path = space.path
-        self._direct: Optional[np.ndarray] = None
-        if space.path == "direct":
-            self._direct = np.zeros(space.size, dtype=np.int64)
-            self._direct[keys] = np.arange(rows.shape[0], dtype=np.int64)
-        else:
-            self._order = np.argsort(keys)
-            self._sorted = keys[self._order]
+        self._order = np.argsort(keys)
+        self._sorted = keys[self._order]
 
     def lookup(self, query: np.ndarray) -> np.ndarray:
         query = np.ascontiguousarray(query, dtype=np.int64)
@@ -220,14 +183,8 @@ class _RowIndex:
             raise GroupError(f"row block of shape {query.shape} does not match the enumerated rows")
         if query.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        keys = self._space.keys(query)
-        if self._direct is not None:
-            # Out-of-range keys clip to an end slot; the equality check
-            # rejects them like any other aliased key.
-            ids = self._direct.take(keys, mode="clip")
-        else:
-            pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
-            ids = self._order[pos]
+        pos = np.searchsorted(self._sorted, self._space.keys(query))
+        ids = self._order[np.minimum(pos, len(self._sorted) - 1)]
         if not (self._rows[ids] == query).all():
             raise GroupError("row outside the enumerated group")
         return ids
@@ -255,7 +212,7 @@ def _cheap_order(group: FiniteGroup) -> Optional[int]:
 def _kernel_and_order(group: FiniteGroup) -> Optional[Tuple[object, int]]:
     """``(kernel, order)`` when ``group`` admits an engine, else ``None``.
 
-    An engine enumerates the whole group through its dense kernel, so it
+    An engine holds the whole group through its dense kernel, so it
     needs a :class:`~repro.groups.base.DenseKernel` and an order that is
     known without enumeration (:func:`_cheap_order`) and at most
     :data:`DEFAULT_INTERN_LIMIT`.
@@ -273,16 +230,18 @@ def _cyclic_chains(
 ) -> List[np.ndarray]:
     """``[r, r^2, ..., r^{ord r - 1}]`` for every row ``r`` of ``reps``.
 
-    Shift doubling over one ``(reps x powers)`` row stack, before any id
-    assignment exists: with ``powers = [r^0 .. r^{k-1}]`` and ``pivot =
-    r^k`` per rep, one kernel call per level appends every unfinished rep's
-    next ``k`` powers and squares its pivot (the extra last row).  A chain
-    ends at its first power equal to the identity, so the whole batch costs
-    ``O(log max ord r)`` kernel calls, and a batch of one costs what one
-    chain costs.
+    Shift doubling over one ``(reps x powers)`` row stack, entirely in row
+    space (the enumeration runs it before any id exists): with ``powers =
+    [r^0 .. r^{k-1}]`` and ``pivot = r^k`` per rep, one kernel call per
+    level appends every unfinished rep's next ``k`` powers and squares its
+    pivot (the extra last row).  A chain ends at its first power equal to
+    the identity, so the whole batch costs ``O(log max ord r)`` kernel
+    calls, and a batch of one costs what one chain costs.
     """
     count, width = reps.shape
     chains: List[np.ndarray] = [reps[:0]] * count
+    if not count:
+        return chains
     active = np.arange(count)
     powers = identity_row[None, None, :].repeat(count, axis=0)
     pivot = reps
@@ -310,9 +269,13 @@ def _cyclic_chains(
 
 
 def _kernel_enumerate_rows(
-    kernel, space: _RowKeys, identity_row: np.ndarray, gen_rows: np.ndarray
+    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, gen_rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate the group generated by ``gen_rows`` entirely in row space.
+
+    Only groups off the exact box (:class:`_RowKeys` path ``"sorted"`` or
+    ``"bytes"``) are enumerated; the identity and generator rows come in
+    range-checked.
 
     Dimino-style closure: every generator extends the current subgroup
     ``K`` coset by coset — each new representative ``r`` contributes the
@@ -329,29 +292,28 @@ def _kernel_enumerate_rows(
     ever called; the output order is deterministic (identity first), which
     fixes the dense id assignment.
 
-    Rows are deduplicated on their ``space`` keys — a bitmap over the key
-    range where it is dense, a set of keys otherwise — keeping each block's
-    first occurrences in block order, so the output is the same row by row
-    as a scan that dedups one row at a time.  Returns ``(rows, keys)``; the
-    keys feed :class:`_RowIndex`.
-    Every kernel-computed block is range-checked against the kernel's
-    radices first (:meth:`_RowKeys.checked_keys`).
+    Rows are deduplicated on a set of their ``space`` keys, keeping each
+    block's first occurrences in block order.  Returns ``(rows, keys)``; the
+    keys feed :class:`_RowIndex`.  Every kernel-computed block is
+    range-checked against the kernel's radices first
+    (:meth:`_RowKeys.checked_keys`).
     """
     row_blocks: List[np.ndarray] = []
     key_blocks: List[np.ndarray] = []
-    seen = _KeySet(space)
+    seen: set = set()
 
     def absorb(rows: np.ndarray, keys: np.ndarray) -> None:
-        fresh = seen.absorb(keys)
-        if fresh.size:
+        fresh = []
+        for i, key in enumerate(keys.tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if fresh:
             row_blocks.append(rows[fresh])
             key_blocks.append(keys[fresh])
 
-    identity_row = np.ascontiguousarray(identity_row, dtype=np.int64)
-    identity_rows, identity_keys = space.checked_keys(identity_row[None, :])
-    absorb(identity_rows, identity_keys)
-    identity_key = identity_keys[0]
-    gen_rows, gen_keys = space.checked_keys(gen_rows)
+    absorb(identity_row[None, :], space.keys(identity_row[None, :]))
+    gen_keys = space.keys(gen_rows)
     for g_idx, gen_key in enumerate(gen_keys.tolist()):
         if gen_key in seen:
             continue
@@ -384,7 +346,8 @@ def _kernel_enumerate_rows(
                 )
                 rows, keys = space.checked_keys(products)
                 absorb(rows[:split], keys[:split])
-                fresh = seen.missing(keys[split:]).nonzero()[0]
+                probes = keys[split:].tolist()
+                fresh = np.fromiter((k not in seen for k in probes), dtype=bool).nonzero()[0]
                 if fresh.size:
                     next_rows.append(rows[split:][fresh])
                     next_keys.append(keys[split:][fresh])
@@ -406,13 +369,19 @@ class CayleyBackend:
         group raises :class:`GroupError` (:func:`maybe_engine` returns
         ``None`` for it instead).
 
-    The engine enumerates the whole group in row space and holds no element
-    objects: id ``i`` is row ``i`` of the enumeration (identity first),
-    products are computed array-at-a-time by the kernel and resolved back to
-    ids via the row index, every inverse is filled at build,
-    :meth:`element_of` and :meth:`elements_of` decode just the requested
-    rows, and :meth:`intern` and :meth:`intern_many` encode their elements
-    and look the rows up (a foreign element raises :class:`GroupError`).
+    The engine holds no element objects, only one kernel row per id.  On
+    the exact box (radix product equal to the order, :class:`_RowKeys` path
+    ``"coordinates"``) id ``i`` is the element whose row has mixed-radix key
+    ``i``: the row table is decoded arithmetically, nothing is enumerated,
+    and a kernel-computed row resolves to its id by the range check of
+    :meth:`_RowKeys.checked_keys`.  Off the box the whole group is
+    enumerated in row space, id ``i`` is row ``i`` of the enumeration
+    (identity first) and rows resolve through the row index.  Either way
+    products are computed array-at-a-time by the kernel, every inverse is
+    filled at build, :meth:`element_of` and :meth:`elements_of` decode just
+    the requested rows, and :meth:`intern` and :meth:`intern_many` encode
+    their elements and resolve the rows (a foreign element raises
+    :class:`GroupError`).
     """
 
     #: Every engine is id-native; the name stays for build reports.
@@ -434,33 +403,44 @@ class CayleyBackend:
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
-            # Row-space enumeration by bulk kernel calls instead of the
-            # scalar element_list() BFS: the enumerated rows *are* the id
-            # space — id ``i`` is row ``i`` (identity first); elements are
-            # decoded only when asked for.
             space = _RowKeys(self.kernel.radices, self.group_order, group.name)
             build_span.set(key_path=space.path)
-            rows, keys = _kernel_enumerate_rows(
-                self.kernel,
-                space,
-                np.asarray(self.kernel.encode_many([group.identity()]))[0],
-                np.asarray(self.kernel.encode_many(group.generators())),
+            self._space = space
+            identity_rows, identity_keys = space.checked_keys(
+                self.kernel.encode_many([group.identity()])
             )
-            if rows.shape[0] != self.group_order:
-                raise GroupError(
-                    f"kernel enumeration found {rows.shape[0]} elements "
-                    f"of {group.name}, expected {self.group_order}"
+            self._identity_row, self._identity_key = identity_rows[0], identity_keys[0]
+            gen_rows, _ = space.checked_keys(self.kernel.encode_many(group.generators()))
+            self._row_index: Optional[_RowIndex] = None
+            if space.path == "coordinates":
+                # The box holds exactly |G| rows and the |G| elements encode
+                # to distinct rows inside it, so every row in range is an
+                # element and its key is its id.  The generators' cyclic
+                # chains must still close: a kernel that is not a group
+                # fails here instead of in some later product.
+                _cyclic_chains(self.kernel, space, self._identity_row, self._identity_key, gen_rows)
+                self._kernel_rows = space.box_rows()
+            else:
+                # Row-space enumeration by bulk kernel calls: the enumerated
+                # rows are the id space, id ``i`` is row ``i`` (identity first).
+                rows, keys = _kernel_enumerate_rows(
+                    self.kernel, space, self._identity_row, self._identity_key, gen_rows
                 )
-            self._kernel_rows = rows
-            self._row_index = _RowIndex(rows, keys, space)
+                if rows.shape[0] != self.group_order:
+                    raise GroupError(
+                        f"kernel enumeration found {rows.shape[0]} elements "
+                        f"of {group.name}, expected {self.group_order}"
+                    )
+                self._kernel_rows = rows
+                self._row_index = _RowIndex(rows, keys, space)
             # Every inverse in one bulk kernel pass.
-            self._inv_table = self._bulk_inverses(np.arange(rows.shape[0], dtype=np.int64))
+            self._inv_table = self._row_ids(self.kernel.inverse_many(self._kernel_rows))
             self.identity_id = self.intern(group.identity())
             build_span.add("interned", self.interned_count)
 
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
-        """The id of ``element``: its row in the enumeration.
+        """The id of ``element``: its coordinate key, or its enumeration row.
 
         The element is encoded and its row resolved; the id is memoized per
         element, so repeated scalar queries stay dict lookups.
@@ -484,13 +464,11 @@ class CayleyBackend:
         return self._lookup_elements(elements)
 
     def _lookup_elements(self, elements: List) -> np.ndarray:
-        """Ids of ``elements``: one bulk encode and row lookup."""
+        """Ids of ``elements``: one bulk encode and row resolve."""
         try:
-            return self._row_index.lookup(
-                np.asarray(self.kernel.encode_many(elements), dtype=np.int64)
-            )
+            return self._row_ids(np.asarray(self.kernel.encode_many(elements), dtype=np.int64))
         except (GroupError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise GroupError(f"element not in the enumerated group {self.group.name}") from exc
+            raise GroupError(f"element not in the group {self.group.name}") from exc
 
     def element_of(self, element_id: int):
         i = int(element_id)
@@ -507,13 +485,17 @@ class CayleyBackend:
         return self._kernel_rows.shape[0]
 
     # -- bulk kernel primitives ------------------------------------------------
-    def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
-        """Products of id arrays through the dense kernel (no scalar multiply)."""
-        rows = self.kernel.compose_many(self._kernel_rows[ids_a], self._kernel_rows[ids_b])
+    def _row_ids(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of a block of kernel rows: their keys on the exact box, else a row-index lookup."""
+        if self._row_index is None:
+            return self._space.checked_keys(rows)[1]
         return self._row_index.lookup(rows)
 
-    def _bulk_inverses(self, ids: np.ndarray) -> np.ndarray:
-        return self._row_index.lookup(self.kernel.inverse_many(self._kernel_rows[ids]))
+    def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
+        """Products of id arrays through the dense kernel (no scalar multiply)."""
+        return self._row_ids(
+            self.kernel.compose_many(self._kernel_rows[ids_a], self._kernel_rows[ids_b])
+        )
 
     # -- scalar primitives ----------------------------------------------------
     def mul(self, a: int, b: int) -> int:
@@ -605,40 +587,15 @@ class CayleyBackend:
             frontier = fresh
         return np.flatnonzero(member).astype(np.int64)
 
-    def _cyclic_power_ids(self, gen_id: int) -> np.ndarray:
-        """Ids of the cyclic subgroup ``<g>`` by shift doubling.
-
-        Maintains the invariant ``powers = [g^0, ..., g^{k-1}]`` with
-        ``pivot = g^k``; each level appends ``powers * pivot`` (the next
-        ``k`` powers in one bulk product) and squares the pivot, so the
-        whole chain costs ``O(log ord g)`` vectorised calls.  The first
-        already-seen entry of a block is ``g^ord``, which truncates the
-        final block exactly.
-        """
-        if gen_id == self.identity_id:
-            return np.asarray([self.identity_id], dtype=np.int64)
-        powers = np.asarray([self.identity_id, gen_id], dtype=np.int64)
-        seen = np.zeros(self.interned_count, dtype=bool)
-        seen[powers] = True
-        pivot = int(self.mul_many([gen_id], [gen_id])[0])
-        while True:
-            block = self.mul_many(powers, np.full(powers.size, pivot, dtype=np.int64))
-            dup = seen[block]
-            if dup.any():
-                cut = int(np.argmax(dup))
-                return np.concatenate([powers, block[:cut]])
-            seen[block] = True
-            powers = np.concatenate([powers, block])
-            pivot = int(self.mul_many([pivot], [pivot])[0])
-
     def subgroup_ids(
         self, generator_ids: Sequence[int], limit: Optional[int] = None, memoize: bool = True
     ) -> np.ndarray:
         """Ids of the subgroup generated by ``generator_ids``.
 
-        Seeds each generator's cyclic subgroup by shift doubling
-        (``O(log ord)`` bulk products apiece), then finishes with budgeted
-        doubling and a linear generator-step tail.  ``memoize=False``
+        Seeds every generator's cyclic subgroup with batched shift-doubling
+        chains in row space (:func:`_cyclic_chains`, ``O(log max ord)``
+        kernel calls per batch), then finishes with budgeted doubling and a
+        linear generator-step tail.  ``memoize=False``
         skips the closure cache — use it for one-off generating sets (e.g.
         incremental re-closures seeded with a whole member set) whose keys
         would never be hit again.
@@ -655,16 +612,28 @@ class CayleyBackend:
                 return cached
         gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         member = np.zeros(self.interned_count, dtype=bool)
-        member[gens_ext] = True
         member[self.identity_id] = True
-        # Seed with the cyclic subgroup of every generator: shift doubling
-        # delivers each ``<g>`` in O(log ord g) bulk products, so near-cyclic
+        # Seed with the cyclic subgroup of every generator, so near-cyclic
         # subgroups — hidden rotation subgroups are the common case — close
         # in a couple of further levels instead of a quadratic cascade.
-        for gen in gen_ids:
-            member[self._cyclic_power_ids(int(gen))] = True
+        # Chains run in batches, and a generator already inside an earlier
+        # batch's chains is skipped: its cyclic group is inside them too.
+        # Each ``<g>`` holds g and its inverse, so ``gens_ext`` ends up seeded.
+        pending = gen_ids[~member[gen_ids]]
+        while pending.size:
+            batch = pending[:_CHAIN_BATCH]
+            chains = _cyclic_chains(
+                self.kernel,
+                self._space,
+                self._identity_row,
+                self._identity_key,
+                self._kernel_rows[batch],
+            )
+            member[self._row_ids(np.concatenate(chains))] = True
             if limit is not None and int(member.sum()) > limit:
                 raise GroupError(f"subgroup closure exceeded limit {limit}")
+            pending = pending[_CHAIN_BATCH:]
+            pending = pending[~member[pending]]
         current = np.flatnonzero(member).astype(np.int64)
         frontier = current
         # Doubling closes in O(log |H|) levels but its total pair count is

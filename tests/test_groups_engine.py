@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from conftest import no_engine
 from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
-from repro.groups.abelian import AbelianTupleGroup
+from repro.groups.abelian import AbelianTupleGroup, cyclic_group
 from repro.groups.base import FiniteGroup, GroupError
 from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
-from repro.groups.products import dihedral_semidirect
+from repro.groups.products import DirectProduct, dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
-from repro.groups.perm import symmetric_group
+from repro.groups.perm import PermutationGroup, symmetric_group
 
 settings.register_profile(
     "repro_engine", deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
@@ -114,6 +114,26 @@ class TestArithmeticAgreement:
         engine = CayleyBackend(group)
         got = set(engine.elements_of(engine.subgroup_ids(engine.intern_many(generators))))
         assert got == set(generate_subgroup_elements(group, generators))
+
+    @pytest.mark.parametrize(
+        "group_factory",
+        [
+            lambda: dihedral_semidirect(30),  # coordinate ids
+            lambda: DirectProduct([cyclic_group(6), dihedral_semidirect(5)]),
+            lambda: symmetric_group(4),  # enumerated, sorted keys
+            lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))]),  # byte keys
+        ],
+    )
+    @given(data=st.data())
+    def test_subgroup_closure_agrees_with_bfs_on_every_key_path(self, group_factory, data):
+        """Up to 40 generators: more than one batch of cyclic chains."""
+        group = group_factory()
+        engine = CayleyBackend(group)
+        ids = st.integers(min_value=0, max_value=engine.interned_count - 1)
+        gen_ids = np.asarray(data.draw(st.lists(ids, min_size=1, max_size=40)), dtype=np.int64)
+        got = engine.subgroup_ids(gen_ids, memoize=False)
+        want = engine.intern_many(generate_subgroup_elements(group, engine.elements_of(gen_ids)))
+        assert np.array_equal(got, np.sort(want))
 
     @pytest.mark.parametrize(
         "group_factory",

@@ -162,11 +162,11 @@ class TestTracer:
     @pytest.mark.parametrize(
         "build, key_path",
         [
-            (lambda: dihedral_semidirect(64), "direct"),
+            (lambda: dihedral_semidirect(64), "coordinates"),
             (lambda: symmetric_group(5), "sorted"),
             (lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))]), "bytes"),
         ],
-        ids=["direct", "sorted", "bytes"],
+        ids=["coordinates", "sorted", "bytes"],
     )
     def test_engine_build_span_records_the_key_path(self, tmp_path, build, key_path):
         path = str(tmp_path / "trace.jsonl")
