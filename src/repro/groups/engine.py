@@ -15,8 +15,9 @@ a :class:`CayleyBackend` that
   resolved through an integer-keyed row index.  Elements are decoded only
   on demand at the API edges,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
-  :meth:`conj_many`, :meth:`subgroup_ids` — that amortise Python dispatch
-  over whole id arrays, and
+  :meth:`conj_many`, :meth:`cyclic_ids` and the Dimino closure
+  :meth:`subgroup_ids`, which multiplies only coset representatives by
+  generators — that amortise Python dispatch over whole id arrays, and
 * memoizes structure queries (:meth:`is_abelian`, the commutator subgroup,
   element orders) that the solvers ask for repeatedly.
 
@@ -53,16 +54,6 @@ __all__ = [
 #: element, so only groups of known order up to this (with a dense kernel)
 #: get one; larger groups take the per-element route.
 DEFAULT_INTERN_LIMIT = 1 << 16
-
-#: Largest pair count of one quadratic-doubling level in
-#: :meth:`CayleyBackend.subgroup_ids`; past it the closure takes linear
-#: generator steps.
-_PAIR_BUDGET = 1 << 17
-
-#: Generators per batch of cyclic chains in :meth:`CayleyBackend.subgroup_ids`:
-#: a batch holds every power of each of its generators at once.
-_CHAIN_BATCH = 32
-
 
 class _RowKeys:
     """Mixed-radix int64 keys of kernel rows over the kernel's declared radices.
@@ -226,7 +217,8 @@ def _kernel_and_order(group: FiniteGroup) -> Optional[Tuple[object, int]]:
 
 
 def _cyclic_chains(
-    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, reps: np.ndarray
+    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, reps: np.ndarray,
+    caps: Optional[Sequence[int]] = None,
 ) -> List[np.ndarray]:
     """``[r, r^2, ..., r^{ord r - 1}]`` for every row ``r`` of ``reps``.
 
@@ -235,16 +227,25 @@ def _cyclic_chains(
     [r^0 .. r^{k-1}]`` and ``pivot = r^k`` per rep, one kernel call per
     level appends every unfinished rep's next ``k`` powers and squares its
     pivot (the extra last row).  A chain ends at its first power equal to
-    the identity, so the whole batch costs ``O(log max ord r)`` kernel
-    calls, and a batch of one costs what one chain costs.
+    the identity, or after ``caps[i] - 1`` powers when ``caps`` is given,
+    so the whole batch costs ``O(log max ord r)`` kernel calls, and a batch
+    of one costs what one chain costs.
     """
     count, width = reps.shape
     chains: List[np.ndarray] = [reps[:0]] * count
     if not count:
         return chains
-    active = np.arange(count)
-    powers = identity_row[None, None, :].repeat(count, axis=0)
-    pivot = reps
+    cut = np.full(count, np.iinfo(np.int64).max) if caps is None else np.asarray(caps, dtype=np.int64) - 1
+    # r^1 = r needs no product: the identity's chain is empty, and a cut of 1 keeps [r].
+    unit = space.keys(reps) == identity_key
+    settled = unit | (cut <= 1)
+    for i in settled.nonzero()[0].tolist():
+        chains[i] = reps[i : i + 1][: 0 if unit[i] else cut[i]]
+    active = (~settled).nonzero()[0]
+    if not active.size:
+        return chains
+    powers = identity_row[None, None, :].repeat(active.size, axis=0)
+    pivot = reps[active]
     while True:
         live, k = powers.shape[:2]
         left = np.concatenate([powers, pivot[:, None, :]], axis=1).reshape(-1, width)
@@ -252,11 +253,13 @@ def _cyclic_chains(
         block = block.reshape(live, k + 1, width)
         # block[:, j] = r^(k+j): the first of them equal to the identity is r^ord.
         hit = keys.reshape(live, k + 1) == identity_key
-        if hit.any():
-            ended = hit.any(axis=1)
+        closed = hit.any(axis=1)
+        ended = closed | (cut[active] <= 2 * k)
+        if ended.any():
+            lengths = np.minimum(np.where(closed, k - 1 + hit.argmax(axis=1), 2 * k), cut[active])
             done = ended.nonzero()[0].tolist()
             for i in done:
-                chains[active[i]] = np.concatenate([powers[i, 1:], block[i, : int(hit[i].argmax())]])
+                chains[active[i]] = np.concatenate([powers[i, 1:], block[i]])[: lengths[i]]
             if len(done) == live:
                 return chains
             keep = ~ended
@@ -266,6 +269,15 @@ def _cyclic_chains(
             raise GroupError(f"dense kernel of {space.name}: a cyclic chain outgrew the group order")
         powers = np.concatenate([powers, block[:, :k]], axis=1)
         pivot = block[:, k]
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of an id array, sorted: one ``np.sort`` and a neighbour mask."""
+    ids = np.sort(ids)
+    keep = np.empty(ids.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _kernel_enumerate_rows(
@@ -402,6 +414,7 @@ class CayleyBackend:
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._chain_cache: Dict[Tuple[int, int], np.ndarray] = {}
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
             space = _RowKeys(self.kernel.radices, self.group_order, group.name)
             build_span.set(key_path=space.path)
@@ -477,7 +490,8 @@ class CayleyBackend:
     def elements_of(self, ids: Iterable) -> List:
         if not isinstance(ids, np.ndarray):
             ids = list(ids)
-        return self.kernel.decode_many(self._kernel_rows[np.asarray(ids, dtype=np.int64)])
+        rows = np.take(self._kernel_rows, np.asarray(ids, dtype=np.int64), axis=0)
+        return self.kernel.decode_many(rows)
 
     @property
     def interned_count(self) -> int:
@@ -493,8 +507,9 @@ class CayleyBackend:
 
     def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         """Products of id arrays through the dense kernel (no scalar multiply)."""
+        rows = self._kernel_rows
         return self._row_ids(
-            self.kernel.compose_many(self._kernel_rows[ids_a], self._kernel_rows[ids_b])
+            self.kernel.compose_many(np.take(rows, ids_a, axis=0), np.take(rows, ids_b, axis=0))
         )
 
     # -- scalar primitives ----------------------------------------------------
@@ -587,86 +602,88 @@ class CayleyBackend:
             frontier = fresh
         return np.flatnonzero(member).astype(np.int64)
 
+    def cyclic_ids(self, ids: Sequence[int], caps: Optional[Sequence[int]] = None) -> List[np.ndarray]:
+        """``[g, g^2, ..., g^{ord g - 1}]`` for every id ``g``, cut after ``caps[i] - 1`` powers.
+
+        One batched :func:`_cyclic_chains` walk and one resolve of all rows.
+        Cut chains are the power tables that every oracle over the group
+        asks for again, so they are memoized per ``(id, cap)``.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        keys = None if caps is None else list(zip(ids.tolist(), np.asarray(caps, dtype=np.int64).tolist()))
+        if keys is not None and all(key in self._chain_cache for key in keys):
+            return [self._chain_cache[key] for key in keys]
+        rows = np.take(self._kernel_rows, ids, axis=0)
+        chains = _cyclic_chains(self.kernel, self._space, self._identity_row, self._identity_key, rows, caps)
+        ends = np.cumsum([chain.shape[0] for chain in chains], dtype=np.int64).tolist()
+        flat = self._row_ids(np.concatenate([rows[:0], *chains]))
+        chains = [flat[start:end] for start, end in zip([0] + ends, ends)]
+        if keys is not None:
+            self._chain_cache.update(zip(keys, chains))
+        return chains
+
     def subgroup_ids(
         self, generator_ids: Sequence[int], limit: Optional[int] = None, memoize: bool = True
     ) -> np.ndarray:
-        """Ids of the subgroup generated by ``generator_ids``.
+        """Sorted ids of the subgroup generated by ``generator_ids``.
 
-        Seeds every generator's cyclic subgroup with batched shift-doubling
-        chains in row space (:func:`_cyclic_chains`, ``O(log max ord)``
-        kernel calls per batch), then finishes with budgeted doubling and a
-        linear generator-step tail.  ``memoize=False``
-        skips the closure cache — use it for one-off generating sets (e.g.
-        incremental re-closures seeded with a whole member set) whose keys
-        would never be hit again.
+        Dimino closure over ids, walked like :func:`_kernel_enumerate_rows`:
+        the first generator's chain (:meth:`cyclic_ids`) is ``K = <g>``, and
+        each later generator outside ``K`` extends it by right cosets of
+        ``C``, the subgroup before it.  A queued representative ``r`` still
+        outside ``K`` adds ``C r^j`` for every power whose coset is new and
+        probes those powers with the generators used so far, in one bulk
+        product; probes outside ``K`` are the next representatives, whose
+        chains are computed a batch at a time.  Blocks hold only new cosets,
+        so the member mask is the whole dedup and a running count enforces
+        ``limit`` (:class:`GroupError` past it, from the memo too).
+        ``memoize=False`` skips the closure cache, for one-off generating
+        sets such as a member set plus one element.
         """
-        gen_ids = np.unique(np.asarray(generator_ids, dtype=np.int64))
-        if gen_ids.size == 0:
-            return np.asarray([self.identity_id], dtype=np.int64)
-        key = tuple(int(i) for i in gen_ids) if memoize else None
-        if key is not None:
-            cached = self._subgroup_cache.get(key)
-            if cached is not None:
-                if limit is not None and cached.size > limit:
-                    raise GroupError(f"subgroup closure exceeded limit {limit}")
-                return cached
-        gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
+        gen_ids = np.asarray(generator_ids, dtype=np.int64)
+        key = tuple(_distinct(gen_ids).tolist()) if memoize else None
+        cached = self._subgroup_cache.get(key)
+        if cached is not None:
+            if limit is not None and cached.size > limit:
+                raise GroupError(f"subgroup closure exceeded limit {limit}")
+            return cached
         member = np.zeros(self.interned_count, dtype=bool)
         member[self.identity_id] = True
-        # Seed with the cyclic subgroup of every generator, so near-cyclic
-        # subgroups — hidden rotation subgroups are the common case — close
-        # in a couple of further levels instead of a quadratic cascade.
-        # Chains run in batches, and a generator already inside an earlier
-        # batch's chains is skipped: its cyclic group is inside them too.
-        # Each ``<g>`` holds g and its inverse, so ``gens_ext`` ends up seeded.
+        count = 1
+        gens = gen_ids[:0]  # the generators used so far
         pending = gen_ids[~member[gen_ids]]
         while pending.size:
-            batch = pending[:_CHAIN_BATCH]
-            chains = _cyclic_chains(
-                self.kernel,
-                self._space,
-                self._identity_row,
-                self._identity_key,
-                self._kernel_rows[batch],
-            )
-            member[self._row_ids(np.concatenate(chains))] = True
-            if limit is not None and int(member.sum()) > limit:
-                raise GroupError(f"subgroup closure exceeded limit {limit}")
-            pending = pending[_CHAIN_BATCH:]
+            queue, pending = pending[:1], pending[1:]
+            gens = np.append(gens, queue)
+            base, in_base = np.flatnonzero(member), member.copy()
+            while queue.size:
+                reps = _distinct(queue[~member[queue]])
+                found: List[np.ndarray] = []
+                for rep, chain in zip(reps.tolist(), self.cyclic_ids(reps)):
+                    if member[rep]:
+                        continue
+                    if gens.size == 1:
+                        # A cyclic group is closed: the chain is all of the first K.
+                        block, probes = chain, chain[:0]
+                    else:
+                        # C r^j repeats from the first power of r inside C on.
+                        inside = np.flatnonzero(in_base[chain])
+                        powers = chain[: inside[0]] if inside.size else chain
+                        powers = powers[~member[powers]]
+                        split = base.size * powers.size
+                        products = self._bulk_products(
+                            np.concatenate([np.repeat(base, powers.size), np.repeat(powers, gens.size)]),
+                            np.concatenate([np.tile(powers, base.size), np.tile(gens, powers.size)]),
+                        )
+                        block, probes = products[:split], products[split:]
+                    member[block] = True
+                    count += block.size
+                    if limit is not None and count > limit:
+                        raise GroupError(f"subgroup closure exceeded limit {limit}")
+                    found.append(probes[~member[probes]])
+                queue = np.concatenate(found) if found else reps[:0]
             pending = pending[~member[pending]]
-        current = np.flatnonzero(member).astype(np.int64)
-        frontier = current
-        # Doubling closes in O(log |H|) levels but its total pair count is
-        # quadratic in |H|, so each level must fit a pair budget; past it
-        # the closure switches to generator-step BFS, whose total pair
-        # count is |H| * |gens_ext|.  The switch is complete: every member
-        # outside the live frontier was already multiplied by all of
-        # ``gens_ext`` (a subset of ``current`` since level 0).  Every pair is
-        # recomputed through the batch kernel plus a row lookup, so the
-        # budget is modest.
-        while frontier.size and frontier.size * current.size * 2 <= _PAIR_BUDGET:
-            # Both orders: a pair (a, b) with b discovered after a is covered
-            # at b's level, where a is in `current` — a*b by the second block
-            # and b*a by the first.
-            left = self.mul_many(np.repeat(frontier, current.size), np.tile(current, frontier.size))
-            right = self.mul_many(np.repeat(current, frontier.size), np.tile(frontier, current.size))
-            products = np.unique(np.concatenate([left, right]))
-            fresh = products[~member[products]]
-            member[fresh] = True
-            current = np.flatnonzero(member).astype(np.int64)
-            if limit is not None and current.size > limit:
-                raise GroupError(f"subgroup closure exceeded limit {limit}")
-            frontier = fresh
-        while frontier.size:
-            products = np.unique(
-                self.mul_many(np.repeat(frontier, gens_ext.size), np.tile(gens_ext, frontier.size))
-            )
-            fresh = products[~member[products]]
-            member[fresh] = True
-            if limit is not None and int(member.sum()) > limit:
-                raise GroupError(f"subgroup closure exceeded limit {limit}")
-            frontier = fresh
-        current = np.flatnonzero(member).astype(np.int64)
+        current = np.flatnonzero(member)
         if key is not None:
             self._subgroup_cache[key] = current
         return current
@@ -716,10 +733,11 @@ class CayleyBackend:
             pairs_g = np.repeat(gen_ids, closure.size)
             pairs_h = np.tile(closure, gen_ids.size)
             conjugates = self.conj_many(pairs_g, pairs_h)
-            fresh = np.unique(conjugates[~member[conjugates]])
+            fresh = conjugates[~member[conjugates]]
             if not fresh.size:
                 break
-            closure = self.subgroup_ids(np.concatenate([closure, fresh]), limit=limit)
+            # A one-off generating set: the closure's member mask drops repeats.
+            closure = self.subgroup_ids(np.concatenate([closure, fresh]), limit=limit, memoize=False)
         self._commutator_ids = closure
         return closure
 
@@ -733,7 +751,10 @@ class CayleyBackend:
         if cached is not None:
             return cached
         bound = self.group.exponent_bound()
-        if bound is not None:
+        if bound is None:
+            # The element's chain: O(log ord) kernel calls.
+            order = self.cyclic_ids([element_id])[0].size + 1
+        else:
             # Divide primes out of the exponent bound instead of walking the
             # powers (O(log) muls).
             from repro.linalg.modular import element_order_from_exponent
@@ -743,15 +764,6 @@ class CayleyBackend:
                 lambda i: int(i) == self.identity_id,
                 bound,
             )
-            self._order_cache[element_id] = order
-            return order
-        order = 1
-        current = element_id
-        while current != self.identity_id:
-            current = self.mul(current, element_id)
-            order += 1
-            if order > self.group_order:
-                raise GroupError("element order exceeds enumeration limit")
         self._order_cache[element_id] = order
         return order
 

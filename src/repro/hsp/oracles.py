@@ -149,23 +149,6 @@ def hidden_power_product_oracle(
     )
 
 
-def _power_ids(engine, element_id: int, count: int) -> np.ndarray:
-    """Ids of ``h^0, ..., h^{count-1}`` by shift doubling (uncounted)."""
-    powers = np.empty(count, dtype=np.int64)
-    powers[0] = engine.identity_id
-    filled = 1
-    pivot = int(element_id)  # h^filled
-    while filled < count:
-        take = min(filled, count - filled)
-        powers[filled : filled + take] = engine.mul_many(
-            powers[:take], np.full(take, pivot, dtype=np.int64)
-        )
-        filled += take
-        if filled < count:
-            pivot = engine.mul(pivot, pivot)
-    return powers
-
-
 def _power_charge(exponent: int) -> int:
     """Group multiplications the per-point loop spends on one factor ``h^a``.
 
@@ -191,7 +174,10 @@ def _bulk_power_product_labeller(
     array.
     """
     engine = dense.engine
-    tables = [_power_ids(engine, engine.intern(h), s) for h, s in zip(elements, orders)]
+    # h^a is the cycle [1, h, ..., h^(ord h - 1)] at a mod ord h: one batched
+    # chain walk cut at each factor's order, tiled up to it.
+    chains = engine.cyclic_ids([engine.intern(h) for h in elements], orders)
+    tables = [np.resize(np.append(engine.identity_id, chain), s) for chain, s in zip(chains, orders)]
     charges = [np.asarray([_power_charge(a) for a in range(s)], dtype=np.int64) for s in orders]
 
     def label_many(points: np.ndarray) -> np.ndarray:

@@ -445,6 +445,45 @@ def test_build_stays_within_its_kernel_call_budget(name):
     assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
 
 
+def _rotation_subgroup(group):
+    return [group.generators()[0]]
+
+
+def _heisenberg_maximal_subgroup(group):
+    """``<x, z>``: order p^2, one chain each and a single coset block."""
+    x, y = group.generators()[:2]
+    return [x, group.commutator(x, y)]
+
+
+#: Upper bounds on the ``compose_many`` calls of one fresh ``subgroup_ids``
+#: closure, with the order it must reach.  ``<r>`` in D_8192 is the first
+#: generator's chain alone (``ceil(log2 8192) + 1`` levels at most); the
+#: Heisenberg subgroup of order 29^2 is two chains of 5 levels and one
+#: bulk product of the block ``<x> z^j`` with its probes.
+CLOSURE_CALL_BUDGETS = {
+    "D_8192 <r>": (lambda: dihedral_semidirect(8192), _rotation_subgroup, 8192, 14),
+    "Heisenberg_29 order 841": (lambda: extraspecial_group(29), _heisenberg_maximal_subgroup, 841, 11),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_CALL_BUDGETS))
+def test_closure_stays_within_its_kernel_call_budget(name):
+    build, generators, order, budget = CLOSURE_CALL_BUDGETS[name]
+    group = build()
+    engine = CayleyBackend(group)
+    compose_many = engine.kernel.compose_many
+    calls = []
+
+    def counted(rows_a, rows_b):
+        calls.append(len(rows_a))
+        return compose_many(rows_a, rows_b)
+
+    engine.kernel.compose_many = counted
+    closure = engine.subgroup_ids(engine.intern_many(generators(group)))
+    assert closure.size == order
+    assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
+
+
 class TestRadicesContract:
     """Every row a kernel produces from group elements lies in ``[0, radices)``."""
 

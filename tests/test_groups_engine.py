@@ -11,14 +11,17 @@ Three families of invariants:
   ``HidingOracle`` report exactly the totals of the equivalent scalar loops.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import no_engine
 from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
+from repro.experiments.registry import build_instance, families
 from repro.groups.abelian import AbelianTupleGroup, cyclic_group
 from repro.groups.base import FiniteGroup, GroupError
 from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
@@ -37,6 +40,63 @@ def heisenberg_elements(p=3, n=1):
     coord = st.integers(min_value=0, max_value=p - 1)
     vec = st.tuples(*([coord] * n))
     return st.tuples(vec, vec, coord)
+
+
+def _family_group(family, params):
+    """The group of a registry family's instance (its hidden subgroup is irrelevant)."""
+    return build_instance(family, params, np.random.default_rng(0)).group.group
+
+
+_PRIMES = (3, 5, 7, 11, 13)
+
+#: Per registry family, a strategy drawing the parameters of a small instance.
+FAMILY_PARAMS = {
+    "abelian_random": st.lists(st.integers(2, 12), min_size=1, max_size=3).map(
+        lambda moduli: {"moduli": moduli}
+    ),
+    "diagnostic_fault": st.integers(3, 40).map(lambda n: {"n": n}),
+    "dihedral_bounded_quotient": st.integers(1, 6).map(lambda d: {"d": d}),
+    "dihedral_rotation": st.integers(3, 64).map(lambda n: {"n": n}),
+    "extraspecial_center": st.sampled_from(_PRIMES[:3]).map(lambda p: {"p": p}),
+    "extraspecial_random": st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]).map(
+        lambda pr: {"p": pr[0], "rank": pr[1]}
+    ),
+    "metacyclic_core": st.sampled_from(
+        [(p, q) for p in _PRIMES for q in range(2, p) if (p - 1) % q == 0]
+    ).map(lambda pq: {"pq": pq}),
+    "symmetric_alternating": st.integers(3, 5).map(lambda n: {"n": n}),
+    "wreath_random": st.integers(1, 3).map(lambda k: {"k": k}),
+}
+
+#: Closure cases: every registry family with drawn parameters, and one
+#: group per remaining key path (direct products and byte keys).
+CLOSURE_GROUPS = {
+    **{
+        family: params.map(functools.partial(_family_group, family))
+        for family, params in FAMILY_PARAMS.items()
+    },
+    "Z_6 x D_5": st.builds(lambda: DirectProduct([cyclic_group(6), dihedral_semidirect(5)])),
+    "C_20 (byte keys)": st.builds(lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))])),
+}
+
+
+def _closure_case(source, data):
+    group = data.draw(CLOSURE_GROUPS[source])
+    return group, CayleyBackend(group)
+
+
+def _draw_ids(engine, data, max_size):
+    ids = st.integers(min_value=0, max_value=engine.interned_count - 1)
+    return np.asarray(data.draw(st.lists(ids, min_size=1, max_size=max_size)), dtype=np.int64)
+
+
+def _bfs_ids(engine, group, gen_ids):
+    """Sorted ids of the scalar BFS closure of ``gen_ids``."""
+    return np.sort(engine.intern_many(generate_subgroup_elements(group, engine.elements_of(gen_ids))))
+
+
+def test_closure_cases_cover_the_registry():
+    assert set(FAMILY_PARAMS) == set(families())
 
 
 class TestInterning:
@@ -115,25 +175,65 @@ class TestArithmeticAgreement:
         got = set(engine.elements_of(engine.subgroup_ids(engine.intern_many(generators))))
         assert got == set(generate_subgroup_elements(group, generators))
 
-    @pytest.mark.parametrize(
-        "group_factory",
-        [
-            lambda: dihedral_semidirect(30),  # coordinate ids
-            lambda: DirectProduct([cyclic_group(6), dihedral_semidirect(5)]),
-            lambda: symmetric_group(4),  # enumerated, sorted keys
-            lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))]),  # byte keys
-        ],
-    )
+    @pytest.mark.parametrize("source", sorted(CLOSURE_GROUPS))
     @given(data=st.data())
-    def test_subgroup_closure_agrees_with_bfs_on_every_key_path(self, group_factory, data):
-        """Up to 40 generators: more than one batch of cyclic chains."""
-        group = group_factory()
+    def test_subgroup_closure_agrees_with_bfs_on_every_key_path(self, source, data):
+        """Every registry family and key path; up to 40 generators, memoized or not."""
+        group, engine = _closure_case(source, data)
+        gen_ids = _draw_ids(engine, data, max_size=40)
+        got = engine.subgroup_ids(gen_ids, memoize=data.draw(st.booleans()))
+        assert np.array_equal(got, _bfs_ids(engine, group, gen_ids))
+
+    @pytest.mark.parametrize("source", sorted(CLOSURE_GROUPS))
+    @given(data=st.data())
+    def test_closure_seeded_with_a_member_set(self, source, data):
+        """``subgroup_ids(append(H, g))``, the normal closure's incremental re-closure."""
+        group, engine = _closure_case(source, data)
+        gen_ids = _draw_ids(engine, data, max_size=4)
+        extra = _draw_ids(engine, data, max_size=1)
+        members = engine.subgroup_ids(gen_ids)
+        got = engine.subgroup_ids(np.append(members, extra), memoize=False)
+        assert np.array_equal(got, _bfs_ids(engine, group, np.append(gen_ids, extra)))
+
+    @pytest.mark.parametrize("source", sorted(CLOSURE_GROUPS))
+    @given(data=st.data())
+    def test_limit_raises_exactly_past_the_closure_order(self, source, data):
+        """``limit`` raises iff ``|H| > limit``, on a fresh closure and from the memo."""
+        group, engine = _closure_case(source, data)
+        gen_ids = _draw_ids(engine, data, max_size=4)
+        order = _bfs_ids(engine, group, gen_ids).size
+        assume(order > 1)
+        assert engine.subgroup_ids(gen_ids, limit=order, memoize=False).size == order
+        with pytest.raises(GroupError):
+            engine.subgroup_ids(gen_ids, limit=order - 1, memoize=False)
+        with pytest.raises(GroupError):
+            engine.subgroup_ids(gen_ids, limit=order - 1)
+        engine.subgroup_ids(gen_ids)  # memoized now
+        assert engine.subgroup_ids(gen_ids, limit=order).size == order
+        with pytest.raises(GroupError):
+            engine.subgroup_ids(gen_ids, limit=order - 1)
+
+    @pytest.mark.parametrize("source", sorted(CLOSURE_GROUPS))
+    @given(data=st.data())
+    def test_cyclic_ids_are_the_powers_up_to_the_order_or_the_cap(self, source, data):
+        """One batched chain walk: ``g^1 .. g^(min(ord g, cap) - 1)`` per id."""
+        group, engine = _closure_case(source, data)
+        ids = _draw_ids(engine, data, max_size=6)
+        caps = data.draw(st.lists(st.integers(1, 40), min_size=ids.size, max_size=ids.size))
+        for capped in (None, caps, caps):  # the second cut call hits the memo
+            chains = engine.cyclic_ids(ids, capped)
+            for i, (g, chain) in enumerate(zip(ids.tolist(), chains)):
+                order = FiniteGroup.element_order(group, engine.element_of(g))
+                length = order - 1 if capped is None else min(order, capped[i]) - 1
+                assert chain.tolist() == [engine.power(g, j) for j in range(1, length + 1)]
+
+    def test_element_order_without_an_exponent_bound_walks_the_chain(self):
+        group = DirectProduct([cyclic_group(6), dihedral_semidirect(5)])
         engine = CayleyBackend(group)
-        ids = st.integers(min_value=0, max_value=engine.interned_count - 1)
-        gen_ids = np.asarray(data.draw(st.lists(ids, min_size=1, max_size=40)), dtype=np.int64)
-        got = engine.subgroup_ids(gen_ids, memoize=False)
-        want = engine.intern_many(generate_subgroup_elements(group, engine.elements_of(gen_ids)))
-        assert np.array_equal(got, np.sort(want))
+        group.exponent_bound = lambda: None
+        reference = DirectProduct([cyclic_group(6), dihedral_semidirect(5)])
+        for g in range(engine.interned_count):
+            assert engine.element_order(g) == FiniteGroup.element_order(reference, engine.element_of(g))
 
     @pytest.mark.parametrize(
         "group_factory",
