@@ -414,7 +414,6 @@ class CayleyBackend:
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._chain_cache: Dict[Tuple[int, int], np.ndarray] = {}
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
             space = _RowKeys(self.kernel.radices, self.group_order, group.name)
             build_span.set(key_path=space.path)
@@ -606,21 +605,12 @@ class CayleyBackend:
         """``[g, g^2, ..., g^{ord g - 1}]`` for every id ``g``, cut after ``caps[i] - 1`` powers.
 
         One batched :func:`_cyclic_chains` walk and one resolve of all rows.
-        Cut chains are the power tables that every oracle over the group
-        asks for again, so they are memoized per ``(id, cap)``.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        keys = None if caps is None else list(zip(ids.tolist(), np.asarray(caps, dtype=np.int64).tolist()))
-        if keys is not None and all(key in self._chain_cache for key in keys):
-            return [self._chain_cache[key] for key in keys]
-        rows = np.take(self._kernel_rows, ids, axis=0)
+        rows = np.take(self._kernel_rows, np.asarray(ids, dtype=np.int64), axis=0)
         chains = _cyclic_chains(self.kernel, self._space, self._identity_row, self._identity_key, rows, caps)
         ends = np.cumsum([chain.shape[0] for chain in chains], dtype=np.int64).tolist()
         flat = self._row_ids(np.concatenate([rows[:0], *chains]))
-        chains = [flat[start:end] for start, end in zip([0] + ends, ends)]
-        if keys is not None:
-            self._chain_cache.update(zip(keys, chains))
-        return chains
+        return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
     def subgroup_ids(
         self, generator_ids: Sequence[int], limit: Optional[int] = None, memoize: bool = True
