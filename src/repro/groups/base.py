@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,10 +52,21 @@ class DenseKernel:
 
     Every kernel must also declare :attr:`radices`, one exclusive upper bound
     per column: every row it encodes or computes from group elements lies in
-    ``[0, radices[j])`` in column ``j``.  The engine keys rows by the
-    mixed-radix value over these bounds, so a kernel that emits a value
-    outside them is a bug, and the engine rejects it with a
+    ``[0, radices[j])`` in column ``j``.  A kernel that emits a value outside
+    them is a bug, and :meth:`ids_of` rejects it with a
     :class:`GroupError` naming the column.
+
+    The kernel owns the row <-> id bijection: :meth:`ids_of` maps the
+    row of every group element to its *rank* in ``[0, size)``, with the
+    identity at 0, and :meth:`row_table` lists the rows in rank order.  The
+    Cayley engine's ids are these ranks, so :attr:`size` must equal the
+    group order.  By default the rank is the mixed-radix key over
+    :attr:`radices` (the last column least significant), which is a
+    bijection exactly when every row inside the radices is a group element.
+    Kernels of other groups (the permutation kernel ranks through its
+    stabiliser chain, product kernels combine their factors' ranks)
+    override :attr:`size`, :meth:`_rank` (the ranks of a range-checked
+    block, rejecting rows outside the group) and :meth:`row_table`.
     """
 
     #: Number of int64 coordinates per element row.
@@ -63,6 +75,76 @@ class DenseKernel:
     #: Per-column exclusive upper bounds on row values (``len == width``).
     #: Required: there is deliberately no default.
     radices: Tuple[int, ...]
+
+    #: Whether :meth:`ids_of` is the mixed-radix key over :attr:`radices`.
+    mixed_radix: bool = True
+
+    @property
+    def size(self) -> int:
+        """The number of ranks: the product of the radices."""
+        return math.prod(int(radix) for radix in self.radices)
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """The rank of every row of an ``(n, width)`` block.
+
+        The block is range-checked first: a value outside its column's
+        radix would alias another row's key, so it raises
+        :class:`GroupError` naming the column (the message reads on from
+        "dense kernel of <group>").
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        radices, runs, strides = self._columns()
+        if rows.ndim != 2 or rows.shape[1] != len(radices):
+            raise GroupError(f"emitted rows of shape {rows.shape}, but declares {len(radices)} radices")
+        if rows.shape[0]:
+            # Negative values wrap to huge unsigned ones: one max covers both ends.
+            unsigned = rows.view(np.uint64)
+            for lo, hi, radix in runs:
+                if unsigned[:, lo:hi].max() >= radix:
+                    bad = unsigned[:, lo:hi] >= radix
+                    column = lo + int(np.argmax(bad.any(axis=0)))
+                    value = int(rows[bad[:, column - lo], column][0])
+                    raise GroupError(
+                        f"emitted {value} in column {column}, outside its declared radix range [0, {radix})"
+                    )
+        return rows @ strides if self.mixed_radix else self._rank(rows)
+
+    def row_table(self) -> np.ndarray:
+        """Every rank's row, in rank order: the inverse of :meth:`ids_of`.
+
+        The mixed-radix box fills one broadcast column at a time, with no
+        division.
+        """
+        return rank_table([np.arange(radix, dtype=np.int64)[:, None] for radix in self.radices])
+
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        """Ranks of a range-checked block: the mixed-radix key, one dot product."""
+        return rows @ self._columns()[2]
+
+    def _columns(self) -> Tuple[Tuple[int, ...], List[Tuple[int, int, int]], Optional[np.ndarray]]:
+        """``(radices, runs, strides)``, recomputed only when :attr:`radices` is replaced.
+
+        ``runs`` are the maximal column runs of one radix (the range check
+        takes one max per run); ``strides`` are the mixed-radix place values,
+        or ``None`` when the key range overflows int64 (kernels with such
+        radices rank otherwise).
+        """
+        cached = self.__dict__.get("_columns_of")
+        if cached is None or cached[0] is not self.radices:
+            radices = tuple(int(radix) for radix in self.radices)
+            runs: List[Tuple[int, int, int]] = []
+            for j, radix in enumerate(radices):
+                if runs and runs[-1][2] == radix:
+                    runs[-1] = (runs[-1][0], j + 1, radix)
+                else:
+                    runs.append((j, j + 1, radix))
+            strides = [1]
+            for radix in radices[:0:-1]:
+                strides.append(strides[-1] * radix)
+            fits = strides[-1] * radices[0] <= np.iinfo(np.int64).max
+            place = np.asarray(strides[::-1], dtype=np.int64) if fits else None
+            cached = self._columns_of = (self.radices, runs, place)
+        return cached
 
     def encode_many(self, elements: Sequence[Element]) -> np.ndarray:
         """Encode elements into an ``(n, width)`` int64 row array."""
@@ -79,6 +161,24 @@ class DenseKernel:
     def inverse_many(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise inverses of a row array."""
         raise NotImplementedError
+
+
+def rank_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Every rank's row in rank order, from the row tables of its parts.
+
+    Part ``i``'s table holds its rows in its own rank order, and the first
+    part is the most significant, so its column block is a broadcast fill
+    of the ``(before, own, after)`` view of the result: no division.
+    """
+    count = math.prod(table.shape[0] for table in tables)
+    rows = np.empty((count, sum(table.shape[1] for table in tables)), dtype=np.int64)
+    before, after, lo = 1, count, 0
+    for table in tables:
+        own, hi = table.shape[0], lo + table.shape[1]
+        after //= own
+        rows.reshape(before, own, after, -1)[..., lo:hi] = table[None, :, None, :]
+        before, lo = before * own, hi
+    return rows
 
 
 class FiniteGroup(abc.ABC):

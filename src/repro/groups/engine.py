@@ -6,14 +6,14 @@ in the Fourier-sampling and coset-enumeration hot paths.  This module provides
 a :class:`CayleyBackend` that
 
 * is *id-native*: it builds only for a group of known order at most
-  :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel.  Where the
-  kernel's radix product equals the order (the *exact box*: dihedral,
-  metacyclic, Heisenberg, Abelian and wreath groups) an element's id is its
-  mixed-radix coordinate key, so nothing is enumerated and a product row
-  resolves to its id by a range check and one dot product; any other group
-  is enumerated in row space and its ids are the enumeration's row indices,
-  resolved through an integer-keyed row index.  Elements are decoded only
-  on demand at the API edges,
+  :data:`DEFAULT_INTERN_LIMIT` that exposes a dense kernel, and an
+  element's id is its rank under the kernel's row <-> rank bijection
+  (:meth:`~repro.groups.base.DenseKernel.ids_of`), the identity 0.  On
+  the exact box (dihedral, metacyclic, Heisenberg, Abelian and wreath
+  groups) the rank is the row's mixed-radix coordinate key, so a product
+  row resolves by a range check and one dot product; a permutation row
+  ranks by sifting through its group's stabiliser chain.  Nothing is
+  enumerated, and elements are decoded only on demand at the API edges,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
   :meth:`conj_many`, :meth:`cyclic_ids` and the Dimino closure
   :meth:`subgroup_ids`, which multiplies only coset representatives by
@@ -55,131 +55,6 @@ __all__ = [
 #: get one; larger groups take the per-element route.
 DEFAULT_INTERN_LIMIT = 1 << 16
 
-class _RowKeys:
-    """Mixed-radix int64 keys of kernel rows over the kernel's declared radices.
-
-    One key function serves every row -> id resolution, the enumeration's
-    dedup and its cyclic chains: ``key(row) = row @ strides`` with strides
-    computed once from :attr:`DenseKernel.radices` (the last column least
-    significant), so every row in range has a distinct key in
-    ``[0, prod(radices))``.  :attr:`path` names how keys are used, and
-    follows from the radix product and the element count alone:
-
-    * ``"coordinates"`` — the product equals the count (the *exact box*:
-      dihedral, metacyclic, Heisenberg, Abelian and wreath groups, direct
-      products of them and the V4 semidirect): every row in range is a
-      group element, so the key *is* the id and :meth:`box_rows` decodes
-      every id to its row arithmetically;
-    * ``"sorted"`` — int64 keys over a sparse range (small symmetric groups:
-      S_5 has 5^5 keys for 120 elements): the group is enumerated, and
-      membership is a set of Python ints and the row index a
-      ``searchsorted`` over the sorted keys;
-    * ``"bytes"`` — the product overflows int64 (permutations of degree
-      >= 16): rows are keyed as opaque byte strings through a void view.
-    """
-
-    def __init__(self, radices: Sequence[int], count: int, name: str):
-        self.name = name
-        self.count = count
-        radices = [int(r) for r in radices]
-        self.width = len(radices)
-        strides = []
-        size = 1
-        for radix in reversed(radices):
-            strides.append(size)
-            size *= radix
-        self.size = size
-        self.strides: Optional[np.ndarray] = None
-        if size > np.iinfo(np.int64).max:
-            self.path = "bytes"
-            self._void = np.dtype((np.void, 8 * self.width))
-        else:
-            self.strides = np.asarray(strides[::-1], dtype=np.int64)
-            self._radices = np.asarray(radices, dtype=np.int64)
-            self.path = "coordinates" if size == count else "sorted"
-        # Maximal column runs of one radix: the range check is one max per run.
-        self._runs: List[Tuple[int, int, int]] = []
-        for j, radix in enumerate(radices):
-            if self._runs and self._runs[-1][2] == radix:
-                self._runs[-1] = (self._runs[-1][0], j + 1, radix)
-            else:
-                self._runs.append((j, j + 1, radix))
-
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        """Keys of a contiguous int64 row block; rows out of range may alias."""
-        if self.strides is None:
-            return rows.view(self._void).ravel()
-        return rows @ self.strides
-
-    def box_rows(self) -> np.ndarray:
-        """Every row in range, in key order: row ``k`` is the row with key ``k``.
-
-        Column ``j`` of the key-ordered box counts through its radix once per
-        ``strides[j]`` keys, so each column is one broadcast fill.
-        """
-        rows = np.empty((self.size, self.width), dtype=np.int64)
-        for j, (radix, stride) in enumerate(zip(self._radices, self.strides)):
-            rows.reshape(-1, radix, stride, self.width)[..., j] = np.arange(radix)[:, None]
-        return rows
-
-    def checked_keys(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, keys)`` for a kernel-computed block, range-checked first.
-
-        A value outside its column's radix would alias another row's key,
-        so it raises :class:`GroupError` naming the group and the column
-        instead.  On the ``"coordinates"`` path every row in range is a
-        group element, so the check is all that resolving a row takes.
-        """
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.width:
-            raise GroupError(
-                f"dense kernel of {self.name} emitted rows of shape {rows.shape}, "
-                f"but declares {self.width} radices"
-            )
-        if rows.shape[0]:
-            # Negative values wrap to huge unsigned ones: one max covers both ends.
-            unsigned = rows.view(np.uint64)
-            for lo, hi, radix in self._runs:
-                if unsigned[:, lo:hi].max() >= radix:
-                    bad = unsigned[:, lo:hi] >= radix
-                    column = lo + int(np.argmax(bad.any(axis=0)))
-                    value = int(rows[bad[:, column - lo], column][0])
-                    raise GroupError(
-                        f"dense kernel of {self.name} emitted {value} in column {column}, "
-                        f"outside its declared radix range [0, {radix})"
-                    )
-        return rows, self.keys(rows)
-
-
-class _RowIndex:
-    """Row -> id lookup over the ``(n, w)`` int64 rows of an enumeration.
-
-    Takes the rows' :class:`_RowKeys` keys as the enumeration computed them,
-    so a whole block of kernel-computed product rows resolves to ids with
-    one ``searchsorted`` over the sorted keys (int64 or byte keys).  A query
-    row outside the kernel's radices can alias the key of an indexed row,
-    so every lookup ends with a full row-equality check: unknown rows (a
-    kernel bug, or a foreign element) raise :class:`GroupError`.
-    """
-
-    def __init__(self, rows: np.ndarray, keys: np.ndarray, space: _RowKeys):
-        self._rows = rows
-        self._space = space
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
-
-    def lookup(self, query: np.ndarray) -> np.ndarray:
-        query = np.ascontiguousarray(query, dtype=np.int64)
-        if query.ndim != 2 or query.shape[1] != self._rows.shape[1]:
-            raise GroupError(f"row block of shape {query.shape} does not match the enumerated rows")
-        if query.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        pos = np.searchsorted(self._sorted, self._space.keys(query))
-        ids = self._order[np.minimum(pos, len(self._sorted) - 1)]
-        if not (self._rows[ids] == query).all():
-            raise GroupError("row outside the enumerated group")
-        return ids
-
 
 def _cheap_order(group: FiniteGroup) -> Optional[int]:
     """The group order if it is available without a fresh full enumeration.
@@ -216,61 +91,6 @@ def _kernel_and_order(group: FiniteGroup) -> Optional[Tuple[object, int]]:
     return None if kernel is None else (kernel, order)
 
 
-def _cyclic_chains(
-    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, reps: np.ndarray,
-    caps: Optional[Sequence[int]] = None,
-) -> List[np.ndarray]:
-    """``[r, r^2, ..., r^{ord r - 1}]`` for every row ``r`` of ``reps``.
-
-    Shift doubling over one ``(reps x powers)`` row stack, entirely in row
-    space (the enumeration runs it before any id exists): with ``powers =
-    [r^0 .. r^{k-1}]`` and ``pivot = r^k`` per rep, one kernel call per
-    level appends every unfinished rep's next ``k`` powers and squares its
-    pivot (the extra last row).  A chain ends at its first power equal to
-    the identity, or after ``caps[i] - 1`` powers when ``caps`` is given,
-    so the whole batch costs ``O(log max ord r)`` kernel calls, and a batch
-    of one costs what one chain costs.
-    """
-    count, width = reps.shape
-    chains: List[np.ndarray] = [reps[:0]] * count
-    if not count:
-        return chains
-    cut = np.full(count, np.iinfo(np.int64).max) if caps is None else np.asarray(caps, dtype=np.int64) - 1
-    # r^1 = r needs no product: the identity's chain is empty, and a cut of 1 keeps [r].
-    unit = space.keys(reps) == identity_key
-    settled = unit | (cut <= 1)
-    for i in settled.nonzero()[0].tolist():
-        chains[i] = reps[i : i + 1][: 0 if unit[i] else cut[i]]
-    active = (~settled).nonzero()[0]
-    if not active.size:
-        return chains
-    powers = identity_row[None, None, :].repeat(active.size, axis=0)
-    pivot = reps[active]
-    while True:
-        live, k = powers.shape[:2]
-        left = np.concatenate([powers, pivot[:, None, :]], axis=1).reshape(-1, width)
-        block, keys = space.checked_keys(kernel.compose_many(left, pivot.repeat(k + 1, axis=0)))
-        block = block.reshape(live, k + 1, width)
-        # block[:, j] = r^(k+j): the first of them equal to the identity is r^ord.
-        hit = keys.reshape(live, k + 1) == identity_key
-        closed = hit.any(axis=1)
-        ended = closed | (cut[active] <= 2 * k)
-        if ended.any():
-            lengths = np.minimum(np.where(closed, k - 1 + hit.argmax(axis=1), 2 * k), cut[active])
-            done = ended.nonzero()[0].tolist()
-            for i in done:
-                chains[active[i]] = np.concatenate([powers[i, 1:], block[i]])[: lengths[i]]
-            if len(done) == live:
-                return chains
-            keep = ~ended
-            active, powers, block = active[keep], powers[keep], block[keep]
-        if 2 * k > space.count:
-            # Distinct powers of a group element never outnumber the group.
-            raise GroupError(f"dense kernel of {space.name}: a cyclic chain outgrew the group order")
-        powers = np.concatenate([powers, block[:, :k]], axis=1)
-        pivot = block[:, k]
-
-
 def _distinct(ids: np.ndarray) -> np.ndarray:
     """The distinct values of an id array, sorted: one ``np.sort`` and a neighbour mask."""
     ids = np.sort(ids)
@@ -278,95 +98,6 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
-
-
-def _kernel_enumerate_rows(
-    kernel, space: _RowKeys, identity_row: np.ndarray, identity_key, gen_rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Enumerate the group generated by ``gen_rows`` entirely in row space.
-
-    Only groups off the exact box (:class:`_RowKeys` path ``"sorted"`` or
-    ``"bytes"``) are enumerated; the identity and generator rows come in
-    range-checked.
-
-    Dimino-style closure: every generator extends the current subgroup
-    ``K`` coset by coset — each new representative ``r`` contributes the
-    whole block ``K @ powers(r)`` in bulk, and its powers are probed with
-    every generator processed so far, breadth-first, so no coset of the
-    closure is missed.  The representative queue is drained a batch at a
-    time: the queue's still-unseen distinct representatives get their cyclic
-    chains together (:func:`_cyclic_chains`, one kernel call per doubling
-    level), then the batch is walked in queue order, skipping any rep an
-    earlier one absorbed, and each other rep's block and probes are one
-    combined kernel call.  ``seen`` only grows, so filtering a rep when its
-    batch forms is what filtering it when it is reached would do; the walk
-    is the same as popping reps one at a time.  No scalar ``multiply`` is
-    ever called; the output order is deterministic (identity first), which
-    fixes the dense id assignment.
-
-    Rows are deduplicated on a set of their ``space`` keys, keeping each
-    block's first occurrences in block order.  Returns ``(rows, keys)``; the
-    keys feed :class:`_RowIndex`.  Every kernel-computed block is
-    range-checked against the kernel's radices first
-    (:meth:`_RowKeys.checked_keys`).
-    """
-    row_blocks: List[np.ndarray] = []
-    key_blocks: List[np.ndarray] = []
-    seen: set = set()
-
-    def absorb(rows: np.ndarray, keys: np.ndarray) -> None:
-        fresh = []
-        for i, key in enumerate(keys.tolist()):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        if fresh:
-            row_blocks.append(rows[fresh])
-            key_blocks.append(keys[fresh])
-
-    absorb(identity_row[None, :], space.keys(identity_row[None, :]))
-    gen_keys = space.keys(gen_rows)
-    for g_idx, gen_key in enumerate(gen_keys.tolist()):
-        if gen_key in seen:
-            continue
-        base = np.concatenate(row_blocks)
-        gen_stack = gen_rows[: g_idx + 1]
-        pending_rows, pending_keys = gen_rows[g_idx : g_idx + 1], gen_keys[g_idx : g_idx + 1]
-        while True:
-            # The batch: distinct reps in queue order, none seen yet.
-            firsts: Dict = {}
-            for i, key in enumerate(pending_keys.tolist()):
-                if key not in firsts and key not in seen:
-                    firsts[key] = i
-            if not firsts:
-                break
-            batch = pending_rows[list(firsts.values())]
-            next_rows: List[np.ndarray] = []
-            next_keys: List[np.ndarray] = []
-            chains = _cyclic_chains(kernel, space, identity_row, identity_key, batch)
-            for rep_key, shifts in zip(firsts, chains):
-                if rep_key in seen:
-                    continue
-                # shifts = [r, r^2, ...]: the whole stack of cosets
-                # K r^j is one block, and every power is probed with every
-                # processed generator; block and probes are one kernel call.
-                count = shifts.shape[0]
-                split = base.shape[0] * count
-                products = kernel.compose_many(
-                    np.concatenate([base.repeat(count, axis=0), shifts.repeat(gen_stack.shape[0], axis=0)]),
-                    np.concatenate([np.tile(shifts, (base.shape[0], 1)), np.tile(gen_stack, (count, 1))]),
-                )
-                rows, keys = space.checked_keys(products)
-                absorb(rows[:split], keys[:split])
-                probes = keys[split:].tolist()
-                fresh = np.fromiter((k not in seen for k in probes), dtype=bool).nonzero()[0]
-                if fresh.size:
-                    next_rows.append(rows[split:][fresh])
-                    next_keys.append(keys[split:][fresh])
-            if not next_keys:
-                break
-            pending_rows, pending_keys = np.concatenate(next_rows), np.concatenate(next_keys)
-    return np.concatenate(row_blocks), np.concatenate(key_blocks)
 
 
 class CayleyBackend:
@@ -381,23 +112,26 @@ class CayleyBackend:
         group raises :class:`GroupError` (:func:`maybe_engine` returns
         ``None`` for it instead).
 
-    The engine holds no element objects, only one kernel row per id.  On
-    the exact box (radix product equal to the order, :class:`_RowKeys` path
-    ``"coordinates"``) id ``i`` is the element whose row has mixed-radix key
-    ``i``: the row table is decoded arithmetically, nothing is enumerated,
-    and a kernel-computed row resolves to its id by the range check of
-    :meth:`_RowKeys.checked_keys`.  Off the box the whole group is
-    enumerated in row space, id ``i`` is row ``i`` of the enumeration
-    (identity first) and rows resolve through the row index.  Either way
-    products are computed array-at-a-time by the kernel, every inverse is
-    filled at build, :meth:`element_of` and :meth:`elements_of` decode just
-    the requested rows, and :meth:`intern` and :meth:`intern_many` encode
-    their elements and resolve the rows (a foreign element raises
-    :class:`GroupError`).
+    The engine holds no element objects, only one kernel row per id, and
+    has one id rule: id ``i`` is the element of rank ``i`` under the
+    kernel's row <-> rank bijection (:meth:`DenseKernel.ids_of`, whose
+    size must equal the order), so the identity is id 0.  On the exact box
+    the rank is the row's mixed-radix key; a permutation row ranks through
+    its stabiliser chain.  The build takes the rank-ordered row table
+    (:meth:`DenseKernel.row_table`), fills every inverse with one bulk
+    kernel pass and walks the generators' cyclic chains; nothing is
+    enumerated.  Products are computed array-at-a-time by the kernel and
+    resolve to ids by ranking their rows, :meth:`element_of` and
+    :meth:`elements_of` decode just the requested rows, and :meth:`intern`
+    and :meth:`intern_many` encode their elements and rank the rows (a
+    foreign element raises :class:`GroupError`).
     """
 
     #: Every engine is id-native; the name stays for build reports.
     mode = "kernel"
+
+    #: The identity's id: every kernel ranks it 0.
+    identity_id = 0
 
     def __init__(self, group: FiniteGroup):
         basis = _kernel_and_order(group)
@@ -415,46 +149,27 @@ class CayleyBackend:
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
-            space = _RowKeys(self.kernel.radices, self.group_order, group.name)
-            build_span.set(key_path=space.path)
-            self._space = space
-            identity_rows, identity_keys = space.checked_keys(
-                self.kernel.encode_many([group.identity()])
-            )
-            self._identity_row, self._identity_key = identity_rows[0], identity_keys[0]
-            gen_rows, _ = space.checked_keys(self.kernel.encode_many(group.generators()))
-            self._row_index: Optional[_RowIndex] = None
-            if space.path == "coordinates":
-                # The box holds exactly |G| rows and the |G| elements encode
-                # to distinct rows inside it, so every row in range is an
-                # element and its key is its id.  The generators' cyclic
-                # chains must still close: a kernel that is not a group
-                # fails here instead of in some later product.
-                _cyclic_chains(self.kernel, space, self._identity_row, self._identity_key, gen_rows)
-                self._kernel_rows = space.box_rows()
-            else:
-                # Row-space enumeration by bulk kernel calls: the enumerated
-                # rows are the id space, id ``i`` is row ``i`` (identity first).
-                rows, keys = _kernel_enumerate_rows(
-                    self.kernel, space, self._identity_row, self._identity_key, gen_rows
+            size = self.kernel.size
+            if size != self.group_order:
+                raise GroupError(
+                    f"dense kernel of {group.name} ranks {size} rows, "
+                    f"but the group has order {self.group_order}"
                 )
-                if rows.shape[0] != self.group_order:
-                    raise GroupError(
-                        f"kernel enumeration found {rows.shape[0]} elements "
-                        f"of {group.name}, expected {self.group_order}"
-                    )
-                self._kernel_rows = rows
-                self._row_index = _RowIndex(rows, keys, space)
+            self._kernel_rows = self.kernel.row_table()
             # Every inverse in one bulk kernel pass.
             self._inv_table = self._row_ids(self.kernel.inverse_many(self._kernel_rows))
-            self.identity_id = self.intern(group.identity())
+            if self.intern(group.identity()) != self.identity_id:
+                raise GroupError(f"dense kernel of {group.name} does not rank the identity 0")
+            # The generators' cyclic chains must close: a kernel that is not
+            # a group fails here instead of in some later product.
+            self.cyclic_ids(self.intern_many(group.generators()))
             build_span.add("interned", self.interned_count)
 
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
-        """The id of ``element``: its coordinate key, or its enumeration row.
+        """The id of ``element``: the rank of its kernel row.
 
-        The element is encoded and its row resolved; the id is memoized per
+        The element is encoded and its row ranked; the id is memoized per
         element, so repeated scalar queries stay dict lookups.
         """
         found = self._ids.get(element)
@@ -476,7 +191,7 @@ class CayleyBackend:
         return self._lookup_elements(elements)
 
     def _lookup_elements(self, elements: List) -> np.ndarray:
-        """Ids of ``elements``: one bulk encode and row resolve."""
+        """Ids of ``elements``: one bulk encode and rank."""
         try:
             return self._row_ids(np.asarray(self.kernel.encode_many(elements), dtype=np.int64))
         except (GroupError, TypeError, ValueError, IndexError, OverflowError) as exc:
@@ -499,10 +214,11 @@ class CayleyBackend:
 
     # -- bulk kernel primitives ------------------------------------------------
     def _row_ids(self, rows: np.ndarray) -> np.ndarray:
-        """Ids of a block of kernel rows: their keys on the exact box, else a row-index lookup."""
-        if self._row_index is None:
-            return self._space.checked_keys(rows)[1]
-        return self._row_index.lookup(rows)
+        """Ids of a block of kernel rows: their ranks, range- and membership-checked."""
+        try:
+            return self.kernel.ids_of(rows)
+        except GroupError as exc:
+            raise GroupError(f"dense kernel of {self.group.name} {exc}") from None
 
     def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         """Products of id arrays through the dense kernel (no scalar multiply)."""
@@ -604,23 +320,64 @@ class CayleyBackend:
     def cyclic_ids(self, ids: Sequence[int], caps: Optional[Sequence[int]] = None) -> List[np.ndarray]:
         """``[g, g^2, ..., g^{ord g - 1}]`` for every id ``g``, cut after ``caps[i] - 1`` powers.
 
-        One batched :func:`_cyclic_chains` walk and one resolve of all rows.
+        Shift doubling over one ``(ids x powers)`` id stack: with ``powers =
+        [g^0 .. g^{k-1}]`` and ``pivot = g^k`` per id, one kernel call per
+        level appends every unfinished id's next ``k`` powers and squares
+        its pivot (the extra last column).  A chain ends at its first power
+        equal to the identity, or after ``caps[i] - 1`` powers when ``caps``
+        is given, so the whole batch costs ``O(log max ord g)`` kernel
+        calls, and a batch of one costs what one chain costs.
         """
-        rows = np.take(self._kernel_rows, np.asarray(ids, dtype=np.int64), axis=0)
-        chains = _cyclic_chains(self.kernel, self._space, self._identity_row, self._identity_key, rows, caps)
-        ends = np.cumsum([chain.shape[0] for chain in chains], dtype=np.int64).tolist()
-        flat = self._row_ids(np.concatenate([rows[:0], *chains]))
-        return [flat[start:end] for start, end in zip([0] + ends, ends)]
+        ids = np.asarray(ids, dtype=np.int64)
+        chains: List[np.ndarray] = [ids[:0]] * ids.size
+        if not ids.size:
+            return chains
+        if caps is None:
+            cut = np.full(ids.size, np.iinfo(np.int64).max)
+        else:
+            cut = np.asarray(caps, dtype=np.int64) - 1
+        # g^1 = g needs no product: the identity's chain is empty, and a cut of 1 keeps [g].
+        unit = ids == self.identity_id
+        settled = unit | (cut <= 1)
+        for i in settled.nonzero()[0].tolist():
+            chains[i] = ids[i : i + 1][: 0 if unit[i] else cut[i]]
+        active = (~settled).nonzero()[0]
+        if not active.size:
+            return chains
+        powers = np.full((active.size, 1), self.identity_id, dtype=np.int64)
+        pivot = ids[active]
+        while True:
+            live, k = powers.shape
+            left = np.concatenate([powers, pivot[:, None]], axis=1).ravel()
+            block = self._bulk_products(left, pivot.repeat(k + 1)).reshape(live, k + 1)
+            # block[:, j] = g^(k+j): the first of them equal to the identity is g^ord.
+            hit = block == self.identity_id
+            closed = hit.any(axis=1)
+            ended = closed | (cut[active] <= 2 * k)
+            if ended.any():
+                lengths = np.minimum(np.where(closed, k - 1 + hit.argmax(axis=1), 2 * k), cut[active])
+                done = ended.nonzero()[0].tolist()
+                for i in done:
+                    chains[active[i]] = np.concatenate([powers[i, 1:], block[i]])[: lengths[i]]
+                if len(done) == live:
+                    return chains
+                keep = ~ended
+                active, powers, block = active[keep], powers[keep], block[keep]
+            if 2 * k > self.group_order:
+                # Distinct powers of a group element never outnumber the group.
+                raise GroupError(f"dense kernel of {self.group.name}: a cyclic chain outgrew the group order")
+            powers = np.concatenate([powers, block[:, :k]], axis=1)
+            pivot = block[:, k]
 
     def subgroup_ids(
         self, generator_ids: Sequence[int], limit: Optional[int] = None, memoize: bool = True
     ) -> np.ndarray:
         """Sorted ids of the subgroup generated by ``generator_ids``.
 
-        Dimino closure over ids, walked like :func:`_kernel_enumerate_rows`:
-        the first generator's chain (:meth:`cyclic_ids`) is ``K = <g>``, and
-        each later generator outside ``K`` extends it by right cosets of
-        ``C``, the subgroup before it.  A queued representative ``r`` still
+        Dimino closure over ids: the first generator's chain
+        (:meth:`cyclic_ids`) is ``K = <g>``, and each later generator
+        outside ``K`` extends it by right cosets of ``C``, the subgroup
+        before it.  A queued representative ``r`` still
         outside ``K`` adds ``C r^j`` for every power whose coset is new and
         probes those powers with the generators used so far, in one bulk
         product; probes outside ``K`` are the next representatives, whose

@@ -13,7 +13,8 @@ p[q[i]]`` ("apply ``q`` first").
 
 from __future__ import annotations
 
-from math import gcd
+import ast
+from math import gcd, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,11 +136,64 @@ def permutation_sign(p: Perm) -> int:
 
 
 class _PermKernel(DenseKernel):
-    """Dense rows are the image vectors themselves: ``width == degree``."""
+    """Dense rows are the image vectors themselves: ``width == degree``.
 
-    def __init__(self, degree: int):
+    Ranks come from the group's stabiliser chain: a row sifts through it
+    with one column gather and one compose per base point, and its digits
+    are the positions of the images of the base points in the orbits
+    (mixed radix over the orbit sizes, the first base point most
+    significant).  Each orbit lists its base point first, so the identity
+    has rank 0.  A row whose sifted residue is not the identity is not a
+    group element and raises :class:`GroupError`.
+    """
+
+    mixed_radix = False
+
+    def __init__(self, chain: "SchreierSims"):
+        degree = chain.degree
         self.width = degree
         self.radices = (degree,) * degree
+        self._identity = np.arange(degree, dtype=np.int64)
+        # Per base point: (point, orbit position of each point, flat
+        # inverse transversal table, transversal rows).  Row j of the
+        # transversal maps the base point to orbit point j.  Both tables
+        # have a poison slot: a point outside the orbit gets digit
+        # len(orbit), whose inverse sends every point to ``degree``, and
+        # ``degree`` maps to itself, so a row outside the group sifts to a
+        # residue that is not the identity.
+        self._levels: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for point, transversal in zip(chain.base, chain.transversals):
+            orbit = list(transversal)
+            digit_of = np.full(degree + 1, len(orbit), dtype=np.int64)
+            digit_of[orbit] = np.arange(len(orbit))
+            reps = np.asarray([transversal[image] for image in orbit], dtype=np.int64)
+            inverses = np.full((len(orbit) + 1, degree + 1), degree, dtype=np.int64)
+            inverses[:-1, :-1] = _invert_images(reps)
+            self._levels.append((point, digit_of, inverses.ravel(), reps))
+
+    @property
+    def size(self) -> int:
+        return prod(reps.shape[0] for _, _, _, reps in self._levels)
+
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        ranks = np.zeros(rows.shape[0], dtype=np.int64)
+        stride = self.width + 1
+        for point, digit_of, inverses, reps in self._levels:
+            digits = digit_of[rows[:, point]]
+            # The residue u^-1 * row, with u the transversal row of the digit.
+            rows = inverses[(digits * stride)[:, None] + rows]
+            ranks = ranks * reps.shape[0] + digits
+        if not (rows == self._identity).all():
+            raise GroupError("emitted a row outside the group: its sifted residue is not the identity")
+        return ranks
+
+    def row_table(self) -> np.ndarray:
+        # Rank order composes the transversal rows, first base point outermost:
+        # rows[:, reps] is every row composed with every transversal row.
+        rows = self._identity[None, :]
+        for _, _, _, reps in self._levels:
+            rows = rows[:, reps].reshape(-1, self.width)
+        return rows
 
     def encode_many(self, elements: Sequence[Perm]) -> np.ndarray:
         if not elements:
@@ -323,10 +377,21 @@ class PermutationGroup(FiniteGroup):
     def decode(self, code: bytes) -> Perm:
         if self.degree < 256:
             return tuple(code)
-        return tuple(eval(code.decode()))  # noqa: S307 - diagnostics only
+        # A literal only, never evaluated code, and a permutation of the degree.
+        try:
+            images = ast.literal_eval(code.decode())
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+            raise GroupError(f"not an encoded permutation of degree {self.degree}") from exc
+        if not (
+            isinstance(images, tuple)
+            and all(type(image) is int for image in images)
+            and sorted(images) == list(range(self.degree))
+        ):
+            raise GroupError(f"not an encoded permutation of degree {self.degree}")
+        return images
 
     def dense_kernel(self) -> _PermKernel:
-        return _PermKernel(self.degree)
+        return _PermKernel(self.chain)
 
     # -- structure ---------------------------------------------------------------
     @property

@@ -16,12 +16,13 @@ factories for the families used in the experiments.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.groups.abelian import AbelianTupleGroup, cyclic_group, elementary_abelian_group
-from repro.groups.base import DenseKernel, FiniteGroup, GroupError
+from repro.groups.base import DenseKernel, FiniteGroup, GroupError, rank_table
 from repro.linalg.modular import lcm, multiplicative_order
 
 __all__ = [
@@ -35,7 +36,13 @@ __all__ = [
 
 
 class _ConcatKernel(DenseKernel):
-    """Shared row layout for product kernels: factor rows concatenated."""
+    """Shared row layout for product kernels: factor rows concatenated.
+
+    A row's rank combines its factors' ranks, the first factor most
+    significant (``rank_a * |B| + rank_b`` for two).  Over factors that
+    all rank by their mixed-radix keys this is the mixed-radix key over the
+    concatenated radices, so such a product ranks with one dot product.
+    """
 
     def __init__(self, kernels: Sequence[DenseKernel]):
         self.kernels = list(kernels)
@@ -46,9 +53,23 @@ class _ConcatKernel(DenseKernel):
             start += kernel.width
         self.width = start
         self.radices = tuple(r for kernel in self.kernels for r in kernel.radices)
+        self.mixed_radix = all(kernel.mixed_radix for kernel in self.kernels)
 
     def _slices(self, rows: np.ndarray) -> List[np.ndarray]:
         return [rows[:, lo:hi] for lo, hi in self.offsets]
+
+    @property
+    def size(self) -> int:
+        return math.prod(kernel.size for kernel in self.kernels)
+
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        ranks = np.zeros(rows.shape[0], dtype=np.int64)
+        for kernel, part in zip(self.kernels, self._slices(rows)):
+            ranks = ranks * kernel.size + kernel._rank(part)
+        return ranks
+
+    def row_table(self) -> np.ndarray:
+        return rank_table([kernel.row_table() for kernel in self.kernels])
 
 
 class _DirectProductKernel(_ConcatKernel):

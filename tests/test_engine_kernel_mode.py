@@ -1,22 +1,23 @@
-"""Kernel-mode engine edges, coordinate ids and the row index.
+"""Kernel-mode engine edges and the one id rule.
 
 A :class:`~repro.groups.engine.CayleyBackend` keeps no element list: it
-builds only for a group with a dense kernel and keys rows by one int64
-mixed-radix value over the kernel's declared ``radices`` (or by raw bytes
-when their product overflows int64).  On the exact box — radix product
-equal to the order — an element's id is its key and a row resolves by a
-range check; any other group is enumerated, its ids are enumeration
-positions and rows resolve through
-:class:`~repro.groups.engine._RowIndex`.  Elements are encoded or decoded
-only when a caller crosses the id/element edge.  A query row outside the
-radices can alias a valid key; these tests pin that such rows — and foreign
-elements generally — raise :class:`~repro.groups.base.GroupError` on both
-resolves.  They also pin the id assignment (key order on the box, the
-enumeration's row order off it) and the ``radices`` contract.
+builds only for a group with a dense kernel, and an element's id is the
+rank of its kernel row under the kernel's own bijection
+(:meth:`~repro.groups.base.DenseKernel.ids_of`, whose inverse is
+:meth:`~repro.groups.base.DenseKernel.row_table`), with the identity at 0.
+On the exact box the rank is the row's mixed-radix key over the kernel's
+declared ``radices``; a permutation row ranks by sifting through its
+group's stabiliser chain, and a product row combines its factors' ranks.
+Nothing is enumerated, and elements are encoded or decoded only when a
+caller crosses the id/element edge.  A query row outside the radices can
+alias a valid key, and a permutation row can lie outside the group; these
+tests pin that such rows — and foreign elements generally — raise
+:class:`~repro.groups.base.GroupError`.  They also pin the id assignment
+(rank pins on every engine group), each build's kernel-call budget and the
+``radices`` contract.
 """
 
 import functools
-import hashlib
 import re
 
 import numpy as np
@@ -29,8 +30,6 @@ from repro.groups.base import GroupError
 from repro.groups.engine import (
     DEFAULT_INTERN_LIMIT,
     CayleyBackend,
-    _RowIndex,
-    _RowKeys,
     get_engine,
     maybe_engine,
 )
@@ -38,7 +37,7 @@ from repro.groups.extraspecial import extraspecial_group
 from repro.groups.matrix import heisenberg_matrix_group
 from repro.groups.abelian import cyclic_group
 from repro.groups.catalog import elementary_abelian_semidirect_instance
-from repro.groups.perm import PermutationGroup, symmetric_group
+from repro.groups.perm import PermutationGroup, alternating_group, compose, invert, symmetric_group
 from repro.groups.abelian import AbelianTupleGroup
 from repro.groups.products import (
     DirectProduct,
@@ -173,12 +172,13 @@ class TestModeRule:
         assert inverses == [group.inverse(x) for x in elements]
 
 
-class TestRowIndexAliasing:
-    """On D_n, rows are ``[a, k]`` over ranges ``(n, 2)``: key ``2 a + k``.
+class TestAliasingRows:
+    """On D_n, rows are ``[a, k]`` over ranges ``(n, 2)``: id ``2 a + k``.
 
-    Two resolves serve row -> id: the engine's keyed resolve on the exact
-    box (reached through ``intern_many``, which encodes D_n elements to
-    rows), and the row index's sorted-key search off it.
+    A row outside the radices can alias a valid key (``[a - 1, 2]`` has the
+    key of ``[a, 0]``), so the range check is all that stands between such
+    a row and a wrong id.  ``intern_many`` encodes D_n elements to rows and
+    ranks them.
     """
 
     N = 16
@@ -187,48 +187,32 @@ class TestRowIndexAliasing:
     def engine(self):
         return _kernel_engine(dihedral_semidirect(self.N))
 
-    @pytest.fixture(scope="class", params=["coordinates", "sorted"])
-    def index(self, request, engine):
+    @staticmethod
+    def _lookup(engine, block):
+        return engine.intern_many([((int(a),), (int(k),)) for a, k in block])
+
+    def test_valid_rows_resolve_to_their_positions(self, engine):
         rows = engine._kernel_rows
-        if request.param == "coordinates":
-            assert engine._space.path == "coordinates" and engine._row_index is None
-
-            def lookup(block):
-                return engine.intern_many([((int(a),), (int(k),)) for a, k in block])
-
-            return lookup, rows
-        # Rotations by multiples of 8 only: key range 2n over 4 rows, so the
-        # sorted-key search serves the lookup.
-        kept = rows[rows[:, 0] % 8 == 0]
-        space = _RowKeys((self.N, 2), kept.shape[0], f"D_{self.N}")
-        assert space.path == "sorted"
-        return _RowIndex(kept, space.keys(kept), space).lookup, kept
-
-    def test_valid_rows_resolve_to_their_positions(self, index):
-        lookup, rows = index
-        ids = lookup(rows[::-1])
+        ids = self._lookup(engine, rows[::-1])
         assert np.array_equal(ids, np.arange(rows.shape[0])[::-1])
 
-    def test_aliasing_row_is_rejected(self, index):
-        lookup, rows = index
+    def test_aliasing_row_is_rejected(self, engine):
         a = 8
-        assert (rows == [a, 0]).all(axis=1).any()
+        assert engine.intern(((a,), (0,))) == 2 * a
         # [a - 1, 2] has key 2 (a - 1) + 2 == 2 a, the key of [a, 0].
         with pytest.raises(GroupError):
-            lookup(np.asarray([[a - 1, 2]], dtype=np.int64))
+            self._lookup(engine, [[a - 1, 2]])
 
-    def test_negative_coordinates_are_rejected(self, index):
-        lookup, _ = index
+    def test_negative_coordinates_are_rejected(self, engine):
         for row in ([8, -1], [-1, 1], [-8, 0]):
             # [8, -1] aliases [7, 1]; the others fall below the key range.
             with pytest.raises(GroupError):
-                lookup(np.asarray([row], dtype=np.int64))
+                self._lookup(engine, [row])
 
-    def test_one_bad_row_fails_the_whole_block(self, index):
-        lookup, rows = index
-        block = np.concatenate([rows, np.asarray([[7, 2]], dtype=np.int64)])
+    def test_one_bad_row_fails_the_whole_block(self, engine):
+        block = np.concatenate([engine._kernel_rows, np.asarray([[7, 2]], dtype=np.int64)])
         with pytest.raises(GroupError):
-            lookup(block)
+            self._lookup(engine, block)
 
     def test_engine_edge_rejects_the_aliasing_element(self, engine):
         assert engine.intern(((8,), (0,))) >= 0
@@ -242,42 +226,6 @@ class TestRowIndexAliasing:
             engine._row_ids(np.asarray([[3, 1], [16, 0]], dtype=np.int64))
 
 
-class TestByteKeyRows:
-    """Degree-20 permutations: the key range 20^20 overflows int64."""
-
-    DEGREE = 20
-
-    def _group(self):
-        cycle = tuple((i + 1) % self.DEGREE for i in range(self.DEGREE))
-        return PermutationGroup([cycle], name="C20")
-
-    @pytest.fixture
-    def engine(self):
-        engine = get_engine(self._group())
-        assert engine.mode == "kernel"
-        assert engine._space.path == "bytes", "expected the byte-key branch"
-        return engine
-
-    def test_bulk_products_match_scalar_arithmetic(self, engine):
-        group = engine.group
-        n = engine.interned_count
-        assert n == self.DEGREE
-        ids = np.arange(n, dtype=np.int64)
-        a, b = np.repeat(ids, n), np.tile(ids, n)
-        products = engine.elements_of(engine.mul_many(a, b))
-        elements = engine.elements_of(ids)
-        assert products == [group.multiply(elements[i], elements[j]) for i, j in zip(a, b)]
-        inverses = engine.elements_of(engine.inv_many(ids))
-        assert inverses == [group.inverse(x) for x in elements]
-
-    def test_foreign_permutation_is_rejected(self, engine):
-        transposition = (1, 0) + tuple(range(2, self.DEGREE))
-        with pytest.raises(GroupError):
-            engine.intern(transposition)
-        with pytest.raises(GroupError):
-            engine.intern_many([engine.group.identity(), transposition])
-
-
 def _family_group(family, **params):
     """The group of a registry family's instance (its hidden subgroup is irrelevant)."""
     return lambda: build_instance(family, params, np.random.default_rng(0)).group.group
@@ -287,8 +235,31 @@ def _cycle_group(degree):
     return PermutationGroup([tuple((i + 1) % degree for i in range(degree))], name=f"C{degree}")
 
 
+def _chain_rank(chain, perm):
+    """The scalar stabiliser-chain rank of ``perm``: its sift digits, base point first."""
+    rank = 0
+    for point, transversal in zip(chain.base, chain.transversals):
+        orbit = list(transversal)
+        image = perm[point]
+        rank = rank * len(orbit) + orbit.index(image)
+        perm = compose(invert(transversal[image]), perm)
+    assert perm == chain.identity
+    return rank
+
+
+def _perm_rank(group, element):
+    return _chain_rank(group.chain, element)
+
+
+def _s3_semidirect_rank(group, element):
+    """``Z_2^k : S_3``: the normal part's key times |S_3| plus the top's chain rank."""
+    vector, top = element
+    key = int(np.ravel_multi_index(vector, group.normal.moduli))
+    return key * group.quotient.order() + _chain_rank(group.quotient.chain, top)
+
+
 #: Groups on the exact box (radix product equal to the order): ids are the
-#: rows' mixed-radix keys, and nothing is enumerated.
+#: rows' mixed-radix keys.
 COORDINATE_GROUPS = {
     "abelian_random": _family_group("abelian_random", moduli=(16, 9, 5)),
     "dihedral_rotation": _family_group("dihedral_rotation", n=128),
@@ -307,28 +278,19 @@ COORDINATE_GROUPS = {
     "Z_2^4 : V4": lambda: elementary_abelian_semidirect_instance(4, "V4")[0],
 }
 
-#: sha256 of ``engine._kernel_rows.tobytes()`` per group off the exact box.
-#: Their ids are enumeration positions, so these digests pin every id
-#: assignment: any change to the enumeration order shows up here before it
-#: reaches a golden.
-ENUMERATION_DIGESTS = {
-    "symmetric_alternating": (
-        _family_group("symmetric_alternating", n=4),
-        "62c12a748c826b323472c63703059805dbcffee12dd0fa3847aed429ef2dfecf",
-    ),
-    # The sorted-key path: 5^5 keys for 120 elements.
-    "S_5": (
-        lambda: symmetric_group(5),
-        "ad24a7c3b8e2aae5b180cbbcad3edeb6145bc00356a3c9ed6bb8dcf6b3f604a2",
-    ),
-    # The byte-key path: 20^20 overflows int64.
-    "C20": (
-        lambda: _cycle_group(TestByteKeyRows.DEGREE),
-        "0c4758ca1608075269cb94646c049c0529276cedba4a612a36a420466a916e1b",
-    ),
+#: Groups whose ids are stabiliser-chain ranks, with the scalar rank of an
+#: element: permutation groups (S_5's radices hold 5^5 rows for 120
+#: elements, C20's 20^20 overflow int64) and the S_3 semidirect, whose
+#: rank combines its Abelian key with its top's chain rank.
+RANK_GROUPS = {
+    "symmetric_alternating": (_family_group("symmetric_alternating", n=4), _perm_rank),
+    "S_5": (lambda: symmetric_group(5), _perm_rank),
+    "A_5": (lambda: alternating_group(5), _perm_rank),
+    "C20": (lambda: _cycle_group(20), _perm_rank),
+    "Z_2^3 : S_3": (lambda: elementary_abelian_semidirect_instance(3, "S3")[0], _s3_semidirect_rank),
 }
 
-GROUPS = {**COORDINATE_GROUPS, **{name: build for name, (build, _) in ENUMERATION_DIGESTS.items()}}
+GROUPS = {**COORDINATE_GROUPS, **{name: build for name, (build, _) in RANK_GROUPS.items()}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,43 +299,101 @@ def _cached_engine(name):
     return _kernel_engine(GROUPS[name]())
 
 
-def _assert_ids_cover_the_scalar_closure(name):
-    engine = _cached_engine(name)
-    scalar_group = GROUPS[name]()  # a fresh group, closed by scalar BFS
-    elements = generate_subgroup_elements(scalar_group, scalar_group.generators())
-    enumerated = engine.elements_of(np.arange(engine.interned_count))
-    assert len(set(enumerated)) == engine.interned_count
-    assert set(enumerated) == set(elements)
-
-
 def test_engine_groups_cover_registry():
     assert set(families()) <= set(GROUPS)
 
 
-class TestCoordinateIds:
-    @pytest.mark.parametrize("name", list(COORDINATE_GROUPS))
-    def test_ids_are_keys_of_the_closed_box(self, name):
+class TestRankIds:
+    """Every engine group: id = rank, identity 0, and the ids cover the group."""
+
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_rows_and_ids_round_trip_over_every_rank(self, name):
         engine = _cached_engine(name)
-        assert engine._space.path == "coordinates" and engine._row_index is None
-        ids = np.arange(engine.interned_count)
-        assert np.array_equal(engine._kernel_rows @ engine._space.strides, ids)
-        assert engine.identity_id == 0
-        _assert_ids_cover_the_scalar_closure(name)
+        kernel, ids = engine.kernel, np.arange(engine.interned_count)
+        assert kernel.size == engine.group_order == ids.size
+        assert np.array_equal(kernel.row_table(), engine._kernel_rows)
+        assert np.array_equal(kernel.ids_of(engine._kernel_rows), ids)
+        assert np.array_equal(kernel.ids_of(engine._kernel_rows[::-1]), ids[::-1])
+        assert engine.identity_id == 0 and engine.intern(engine.group.identity()) == 0
+        scalar_group = GROUPS[name]()  # a fresh group, closed by scalar BFS
+        elements = generate_subgroup_elements(scalar_group, scalar_group.generators())
+        enumerated = engine.elements_of(ids)
+        assert len(set(enumerated)) == ids.size
+        assert set(enumerated) == set(elements)
+
+    @pytest.mark.parametrize("name", list(COORDINATE_GROUPS))
+    def test_ids_are_the_mixed_radix_keys_on_the_exact_box(self, name):
+        engine = _cached_engine(name)
+        keys = np.ravel_multi_index(engine._kernel_rows.T, engine.kernel.radices)
+        assert np.array_equal(keys, np.arange(engine.interned_count))
+
+    @pytest.mark.parametrize("name", list(RANK_GROUPS))
+    def test_ids_are_the_scalar_chain_ranks(self, name):
+        engine = _cached_engine(name)
+        rank = RANK_GROUPS[name][1]
+        elements = engine.elements_of(np.arange(engine.interned_count))
+        assert [rank(engine.group, x) for x in elements] == list(range(len(elements)))
 
     def test_the_trivial_group_without_generators_builds(self):
         engine = _kernel_engine(PermutationGroup([], degree=1))
-        assert engine._space.path == "coordinates"
         assert engine.interned_count == 1 and engine.identity_id == 0
+        assert engine.elements_of([0]) == [(0,)]
 
 
-class TestEnumerationOrder:
-    @pytest.mark.parametrize("name", list(ENUMERATION_DIGESTS))
-    def test_rows_match_the_pinned_enumeration(self, name):
-        engine = _cached_engine(name)
-        assert engine._space.path != "coordinates"
-        digest = hashlib.sha256(engine._kernel_rows.tobytes()).hexdigest()
-        assert digest == ENUMERATION_DIGESTS[name][1]
-        _assert_ids_cover_the_scalar_closure(name)
+#: Generating sets drawn in S_n (n <= 7): one to three random permutations.
+RANDOM_PERMUTATION_GROUPS = st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3).map(
+        lambda gens: PermutationGroup([tuple(g) for g in gens], degree=n, name=f"<{len(gens)} in S_{n}>")
+    )
+)
+
+
+class TestPermutationRanks:
+    """Chain-ranked ids against the scalar ``compose``/``invert``."""
+
+    @staticmethod
+    def _check_arithmetic(group, data):
+        engine = CayleyBackend(group)
+        ids = st.integers(min_value=0, max_value=engine.interned_count - 1)
+        a = np.asarray(data.draw(st.lists(ids, min_size=1, max_size=40)), dtype=np.int64)
+        b = np.asarray(data.draw(st.lists(ids, min_size=a.size, max_size=a.size)), dtype=np.int64)
+        left, right = engine.elements_of(a), engine.elements_of(b)
+        assert engine.elements_of(engine.mul_many(a, b)) == [compose(x, y) for x, y in zip(left, right)]
+        assert engine.elements_of(engine.inv_many(a)) == [invert(x) for x in left]
+        assert np.array_equal(engine.intern_many(left), a)
+        return engine
+
+    @staticmethod
+    def _assert_rejected(engine, rows):
+        for row in rows:
+            with pytest.raises(GroupError):
+                engine._row_ids(np.asarray([row], dtype=np.int64))
+            with pytest.raises(GroupError):
+                engine.intern(tuple(row))
+
+    @settings(deadline=None, max_examples=40)
+    @given(group=RANDOM_PERMUTATION_GROUPS, data=st.data())
+    def test_random_generating_sets(self, group, data):
+        engine = self._check_arithmetic(group, data)
+        n = group.degree
+        foreign = data.draw(st.permutations(range(n)))
+        if not group.contains_permutation(tuple(foreign)):
+            self._assert_rejected(engine, [foreign])
+        row = list(engine.element_of(data.draw(st.integers(0, engine.interned_count - 1))))
+        column = data.draw(st.integers(0, n - 1))
+        negative, too_large = list(row), list(row)
+        negative[column], too_large[column] = -1, n
+        self._assert_rejected(engine, [negative, too_large])
+
+    @settings(deadline=None, max_examples=10)
+    @given(n=st.integers(3, 7), data=st.data())
+    def test_alternating_groups(self, n, data):
+        engine = self._check_arithmetic(alternating_group(n), data)
+        odd = list(engine.element_of(data.draw(st.integers(0, engine.interned_count - 1))))
+        odd[0], odd[1] = odd[1], odd[0]  # one transposition more: an odd permutation
+        repeated = list(range(n))
+        repeated[-1] = 0  # in range, but not a permutation
+        self._assert_rejected(engine, [odd, repeated])
 
 
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -402,18 +422,17 @@ EXACT_BOX_GROUPS = st.one_of(
 def test_generators_fill_the_exact_box(group):
     """The scalar closure of the generators is every row inside the radices."""
     kernel = group.dense_kernel()
-    space = _RowKeys(kernel.radices, group.order(), group.name)
-    assert space.path == "coordinates"
+    assert kernel.mixed_radix and kernel.size == group.order()
     closure = generate_subgroup_elements(group, group.generators())
-    keys = space.checked_keys(kernel.encode_many(closure))[1]
-    assert np.array_equal(np.sort(keys), np.arange(space.size))
-    assert space.keys(np.asarray(kernel.encode_many([group.identity()])))[0] == 0
+    ids = kernel.ids_of(kernel.encode_many(closure))
+    assert np.array_equal(np.sort(ids), np.arange(kernel.size))
+    assert kernel.ids_of(kernel.encode_many([group.identity()]))[0] == 0
 
 
-#: Upper bounds on the ``compose_many`` calls of one build.  On the exact
-#: box the only products are the generators' cyclic chains, one call per
-#: doubling level of the longest chain (``ceil(log2 ord) + 1`` at most);
-#: S_5 is enumerated.
+#: Upper bounds on the ``compose_many`` calls of one build.  The only
+#: products are the generators' cyclic chains, one call per doubling level
+#: of the longest chain (``ceil(log2 ord) + 1`` at most): S_5's generators
+#: have orders 2 and 5.
 KERNEL_CALL_BUDGETS = {
     "Heisenberg_29": (lambda: extraspecial_group(29), 5),
     "D_8192": (lambda: dihedral_semidirect(8192), 13),
@@ -422,7 +441,7 @@ KERNEL_CALL_BUDGETS = {
     "D_64": (lambda: dihedral_semidirect(64), 6),
     "D_96": (lambda: dihedral_semidirect(96), 7),
     "D_128": (lambda: dihedral_semidirect(128), 7),
-    "S_5": (lambda: symmetric_group(5), 42),
+    "S_5": (lambda: symmetric_group(5), 3),
 }
 
 
@@ -540,9 +559,26 @@ class TestBrokenKernels:
             CayleyBackend(group)
 
     def test_negative_values_are_out_of_range(self):
-        space = _RowKeys((16, 2), 32, "D_16")
+        kernel = dihedral_semidirect(16).dense_kernel()
         with pytest.raises(GroupError, match=r"emitted -1 in column 1"):
-            space.checked_keys(np.asarray([[3, 1], [4, -1]], dtype=np.int64))
+            kernel.ids_of(np.asarray([[3, 1], [4, -1]], dtype=np.int64))
+
+    def test_a_kernel_ranking_the_wrong_number_of_rows_fails(self):
+        group = cyclic_group(16)
+        kernel = group.dense_kernel()
+        kernel.radices = (15,)
+        group.dense_kernel = lambda: kernel
+        with pytest.raises(GroupError, match=r"ranks 15 rows, but the group has order 16"):
+            CayleyBackend(group)
+
+    def test_an_identity_off_rank_zero_fails(self):
+        group = dihedral_semidirect(16)
+        kernel = group.dense_kernel()
+        encode_many = kernel.encode_many
+        kernel.encode_many = lambda elements: (encode_many(elements) + [1, 0]) % [16, 2]
+        group.dense_kernel = lambda: kernel
+        with pytest.raises(GroupError, match=r"does not rank the identity 0"):
+            CayleyBackend(group)
 
     def test_a_product_that_never_returns_to_the_identity_fails(self):
         # In range, but not a group: g * g = g, so g's powers never cycle.

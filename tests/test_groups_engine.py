@@ -24,6 +24,7 @@ from repro.blackbox.oracle import BlackBoxGroup, HidingOracle, QueryCounter
 from repro.experiments.registry import build_instance, families
 from repro.groups.abelian import AbelianTupleGroup, cyclic_group
 from repro.groups.base import FiniteGroup, GroupError
+from repro.groups.catalog import elementary_abelian_semidirect_instance
 from repro.groups.engine import CayleyBackend, get_engine, maybe_engine
 from repro.groups.extraspecial import extraspecial_group
 from repro.groups.products import DirectProduct, dihedral_semidirect
@@ -68,15 +69,17 @@ FAMILY_PARAMS = {
     "wreath_random": st.integers(1, 3).map(lambda k: {"k": k}),
 }
 
-#: Closure cases: every registry family with drawn parameters, and one
-#: group per remaining key path (direct products and byte keys).
+#: Closure cases: every registry family with drawn parameters, plus a
+#: direct product, a permutation group of degree 20 and the S_3 semidirect
+#: (a product with a stabiliser-chain factor).
 CLOSURE_GROUPS = {
     **{
         family: params.map(functools.partial(_family_group, family))
         for family, params in FAMILY_PARAMS.items()
     },
     "Z_6 x D_5": st.builds(lambda: DirectProduct([cyclic_group(6), dihedral_semidirect(5)])),
-    "C_20 (byte keys)": st.builds(lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))])),
+    "C_20 (degree 20)": st.builds(lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))])),
+    "Z_2^3 : S_3": st.builds(lambda: elementary_abelian_semidirect_instance(3, "S3")[0]),
 }
 
 
@@ -177,8 +180,8 @@ class TestArithmeticAgreement:
 
     @pytest.mark.parametrize("source", sorted(CLOSURE_GROUPS))
     @given(data=st.data())
-    def test_subgroup_closure_agrees_with_bfs_on_every_key_path(self, source, data):
-        """Every registry family and key path; up to 40 generators, memoized or not."""
+    def test_subgroup_closure_agrees_with_bfs_on_every_engine_family(self, source, data):
+        """Every registry family and product shape; up to 40 generators, memoized or not."""
         group, engine = _closure_case(source, data)
         gen_ids = _draw_ids(engine, data, max_size=40)
         got = engine.subgroup_ids(gen_ids, memoize=data.draw(st.booleans()))

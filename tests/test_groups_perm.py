@@ -128,6 +128,35 @@ class TestPermutationGroupInterface:
         p = permutation_from_cycles(5, [(0, 3, 2)])
         assert group.decode(group.encode(p)) == p
 
+    def test_encode_decode_roundtrip_past_degree_255(self):
+        group = cyclic_permutation_group(300)
+        p = group.generators()[0]
+        q = compose(p, p)
+        assert group.decode(group.encode(p)) == p
+        assert group.decode(group.encode(q)) == q
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Code, not a literal: it must never run.
+            b"(__import__('builtins').__setattr__('PERMUTATION_PAYLOAD_RAN', 1),)",
+            b"tuple(range(300))",
+            repr(tuple(range(299))).encode(),  # a literal of the wrong degree
+            repr((1, 1) + tuple(range(2, 300))).encode(),  # a repeated point
+            repr(tuple(float(i) for i in range(300))).encode(),  # not integers
+            repr(list(range(300))).encode(),  # not a tuple
+            b"\xff",
+        ],
+        ids=["code", "call", "degree", "repeat", "floats", "list", "bytes"],
+    )
+    def test_decode_past_degree_255_rejects_what_is_not_a_permutation(self, payload):
+        import builtins
+
+        group = cyclic_permutation_group(300)
+        with pytest.raises(GroupError, match="degree 300"):
+            group.decode(payload)
+        assert not hasattr(builtins, "PERMUTATION_PAYLOAD_RAN")
+
     def test_is_transitive(self):
         assert symmetric_group(4).is_transitive()
         intransitive = PermutationGroup([permutation_from_cycles(4, [(0, 1)])], degree=4)

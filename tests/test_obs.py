@@ -160,22 +160,24 @@ class TestTracer:
         assert by_name["inner"]["parent"] == by_name["run"]["span"]
 
     @pytest.mark.parametrize(
-        "build, key_path",
+        "build, order",
         [
-            (lambda: dihedral_semidirect(64), "coordinates"),
-            (lambda: symmetric_group(5), "sorted"),
-            (lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))]), "bytes"),
+            (lambda: dihedral_semidirect(64), 128),
+            (lambda: symmetric_group(5), 120),
+            (lambda: PermutationGroup([tuple((i + 1) % 20 for i in range(20))], name="C20"), 20),
         ],
-        ids=["coordinates", "sorted", "bytes"],
+        ids=["D_64", "S_5", "C20"],
     )
-    def test_engine_build_span_records_the_key_path(self, tmp_path, build, key_path):
+    def test_engine_build_span_records_group_mode_and_size(self, tmp_path, build, order):
+        # One id rule for every group: the span names no key path.
         path = str(tmp_path / "trace.jsonl")
+        group = build()
         with trace_mod.tracing(path):
-            CayleyBackend(build())
+            CayleyBackend(group)
         (entry,) = [json.loads(line) for line in open(path)]
         assert entry["name"] == "engine.build"
-        assert entry["attrs"]["mode"] == "kernel"
-        assert entry["attrs"]["key_path"] == key_path
+        assert entry["attrs"] == {"group": group.name, "mode": "kernel"}
+        assert entry["counters"] == {"interned": order}
 
 
 class TestSidecarInvariant:
