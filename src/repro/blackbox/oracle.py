@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.groups.base import FiniteGroup
+from repro.linalg.modular import order_trial_exponents
 
 __all__ = ["QueryCounter", "BlackBoxGroup", "DenseBlackBoxGroup", "HidingOracle", "shared_dense_view"]
 
@@ -189,6 +190,43 @@ class BlackBoxGroup(FiniteGroup):
 
     def exponent_bound(self) -> Optional[int]:
         return self.group.exponent_bound()
+
+    def element_order(self, a, exponent: Optional[int] = None) -> int:
+        """Order of ``a``, charged what the scalar counted route spends.
+
+        Without an engine for the wrapped group this is
+        :meth:`FiniteGroup.element_order` over the counted operations.  With
+        one (:func:`~repro.groups.engine.maybe_engine`) the order is the
+        engine's, and the counter is charged the scalar route's totals
+        without running it: one identity test up front, then, for every
+        trial exponent ``k`` of
+        :func:`~repro.linalg.modular.order_trial_exponents`, the
+        ``popcount(k) + bit_length(k)`` multiplications of a binary power
+        and one identity test; with no exponent bound, the ``order - 1``
+        multiplications and ``order`` identity tests of the power walk.
+        """
+        from repro.groups.engine import maybe_engine
+
+        engine = maybe_engine(self.group)
+        if engine is None:
+            return super().element_order(a, exponent)
+        order = engine.element_order(engine.intern(a))
+        bound = exponent if exponent is not None else self.exponent_bound()
+        if bound is not None and bound % order:
+            # Not a multiple of the order: only the scalar route knows its answer.
+            return super().element_order(a, exponent)
+        counter = self.counter
+        counter.identity_tests += 1
+        if order == 1:
+            return 1
+        if bound is None:
+            counter.group_multiplications += order - 1
+            counter.identity_tests += order
+        else:
+            trials = order_trial_exponents(order, bound)
+            counter.group_multiplications += sum(bin(k).count("1") + k.bit_length() for k in trials)
+            counter.identity_tests += len(trials)
+        return order
 
     def order(self) -> int:
         # Order queries are structural information; concrete groups may know

@@ -298,10 +298,12 @@ class FiniteGroup(abc.ABC):
     def element_order(self, a: Element, exponent: Optional[int] = None) -> int:
         """Order of ``a``.
 
-        If a multiple of the order is available (argument or
-        :meth:`exponent_bound`), the order is computed by dividing out primes
-        — the classical post-processing of Shor order finding.  Otherwise the
-        element is iterated until the identity is reached.
+        With a Cayley engine installed it is the engine's order (the length
+        of the element's cyclic chain).  Otherwise, if a multiple of the
+        order is available (argument or :meth:`exponent_bound`), the order
+        is computed by dividing out primes — the classical post-processing
+        of Shor order finding — and failing that the element is iterated
+        until the identity is reached.
         """
         if self.is_identity(a):
             return 1

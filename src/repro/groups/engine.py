@@ -21,6 +21,11 @@ a :class:`CayleyBackend` that
 * memoizes structure queries (:meth:`is_abelian`, the commutator subgroup,
   element orders) that the solvers ask for repeatedly.
 
+A build holds the rank-ordered row table, range-checked whole, and the
+generators' cyclic chains, which it walks as its guard and keeps: generator
+chains and orders cost no kernel call afterwards.  It holds no inverse
+table; inverses are one kernel pass over the rows asked for.
+
 The engine is *mathematically transparent*: every operation agrees with the
 scalar :class:`~repro.groups.base.FiniteGroup` interface of the wrapped group
 (the test-suite checks this property-based).  Query accounting is **not**
@@ -50,9 +55,9 @@ __all__ = [
     "maybe_engine",
 ]
 
-#: The single size ceiling: an engine holds a row and an inverse for every
-#: element, so only groups of known order up to this (with a dense kernel)
-#: get one; larger groups take the per-element route.
+#: The single size ceiling: an engine holds a row for every element, so
+#: only groups of known order up to this (with a dense kernel) get one;
+#: larger groups take the per-element route.
 DEFAULT_INTERN_LIMIT = 1 << 16
 
 
@@ -118,10 +123,12 @@ class CayleyBackend:
     size must equal the order), so the identity is id 0.  On the exact box
     the rank is the row's mixed-radix key; a permutation row ranks through
     its stabiliser chain.  The build takes the rank-ordered row table
-    (:meth:`DenseKernel.row_table`), fills every inverse with one bulk
-    kernel pass and walks the generators' cyclic chains; nothing is
-    enumerated.  Products are computed array-at-a-time by the kernel and
-    resolve to ids by ranking their rows, :meth:`element_of` and
+    (:meth:`DenseKernel.row_table`), range-checks it whole and walks the
+    generators' cyclic chains, keeping them read-only for
+    :meth:`cyclic_ids` and :meth:`element_order`; nothing is enumerated
+    and there is no inverse table.  Products and inverses are computed
+    array-at-a-time by the kernel and resolve to ids by ranking their
+    rows, :meth:`element_of` and
     :meth:`elements_of` decode just the requested rows, and :meth:`intern`
     and :meth:`intern_many` encode their elements and rank the rows (a
     foreign element raises :class:`GroupError`).
@@ -145,6 +152,7 @@ class CayleyBackend:
         self._ids: Dict = {}
         self._mul_cache: Dict[Tuple[int, int], int] = {}
         self._order_cache: Dict[int, int] = {}
+        self._generator_chains: Dict[int, np.ndarray] = {}
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
@@ -156,13 +164,19 @@ class CayleyBackend:
                     f"but the group has order {self.group_order}"
                 )
             self._kernel_rows = self.kernel.row_table()
-            # Every inverse in one bulk kernel pass.
-            self._inv_table = self._row_ids(self.kernel.inverse_many(self._kernel_rows))
+            # Range-check every row: a kernel whose radices miss its own
+            # rows fails here, naming the column.
+            self._row_ids(self._kernel_rows)
             if self.intern(group.identity()) != self.identity_id:
                 raise GroupError(f"dense kernel of {group.name} does not rank the identity 0")
             # The generators' cyclic chains must close: a kernel that is not
-            # a group fails here instead of in some later product.
-            self.cyclic_ids(self.intern_many(group.generators()))
+            # a group fails here instead of in some later product.  The
+            # chains are kept: cyclic_ids and element_order read them.
+            gen_ids = self.intern_many(group.generators())
+            for g, chain in zip(gen_ids.tolist(), self.cyclic_ids(gen_ids)):
+                chain.flags.writeable = False
+                self._generator_chains[g] = chain
+                self._order_cache[g] = chain.size + 1
             build_span.add("interned", self.interned_count)
 
     # -- interning ------------------------------------------------------------
@@ -242,7 +256,7 @@ class CayleyBackend:
         return value
 
     def inv(self, a: int) -> int:
-        return int(self._inv_table[int(a)])
+        return int(self.inv_many([a])[0])
 
     def power(self, a: int, k: int) -> int:
         """``a**k`` by binary exponentiation over ids."""
@@ -273,8 +287,12 @@ class CayleyBackend:
         )
 
     def inv_many(self, ids: Sequence[int]) -> np.ndarray:
-        """Componentwise inverses of an id array."""
-        return self._inv_table[np.asarray(ids, dtype=np.int64)]
+        """Componentwise inverses of an id array: one kernel pass over their rows."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not ids.size:
+            return ids.copy()
+        rows = np.take(self._kernel_rows, ids, axis=0)
+        return self._row_ids(self.kernel.inverse_many(rows))
 
     def conj_many(self, ids_g: Sequence[int], ids_h: Sequence[int]) -> np.ndarray:
         """Componentwise conjugates ``g_i h_i g_i^{-1}``."""
@@ -326,7 +344,8 @@ class CayleyBackend:
         its pivot (the extra last column).  A chain ends at its first power
         equal to the identity, or after ``caps[i] - 1`` powers when ``caps``
         is given, so the whole batch costs ``O(log max ord g)`` kernel
-        calls, and a batch of one costs what one chain costs.
+        calls, and a batch of one costs what one chain costs.  A generator's
+        chain is the one the build walked, cut and read-only, at no call.
         """
         ids = np.asarray(ids, dtype=np.int64)
         chains: List[np.ndarray] = [ids[:0]] * ids.size
@@ -341,6 +360,11 @@ class CayleyBackend:
         settled = unit | (cut <= 1)
         for i in settled.nonzero()[0].tolist():
             chains[i] = ids[i : i + 1][: 0 if unit[i] else cut[i]]
+        # A generator's chain was walked by the build: cut it, walk nothing.
+        for i, g in enumerate(ids.tolist()):
+            chain = self._generator_chains.get(g)
+            if chain is not None:
+                chains[i], settled[i] = chain[: max(int(cut[i]), 0)], True
         active = (~settled).nonzero()[0]
         if not active.size:
             return chains
@@ -465,11 +489,12 @@ class CayleyBackend:
         if self._commutator_ids is not None:
             return self._commutator_ids
         gen_ids = self.intern_many(self.group.generators())
+        inverses = self.inv_many(gen_ids).tolist()
         commutators = []
         for i in range(gen_ids.size):
             for j in range(i + 1, gen_ids.size):
                 a, b = int(gen_ids[i]), int(gen_ids[j])
-                c = self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+                c = self.mul(self.mul(a, b), self.mul(inverses[i], inverses[j]))
                 if c != self.identity_id:
                     commutators.append(c)
         closure = self.subgroup_ids(np.asarray(commutators, dtype=np.int64), limit=limit)
@@ -492,25 +517,16 @@ class CayleyBackend:
         return self.elements_of(self.commutator_subgroup_ids(limit=limit))
 
     def element_order(self, element_id: int) -> int:
-        """Multiplicative order of an element id (memoized)."""
+        """Multiplicative order of an element id: its chain's length plus one (memoized).
+
+        A generator's order is known from the build; any other element's
+        chain is walked once (``O(log ord)`` kernel calls).
+        """
         element_id = int(element_id)
         cached = self._order_cache.get(element_id)
         if cached is not None:
             return cached
-        bound = self.group.exponent_bound()
-        if bound is None:
-            # The element's chain: O(log ord) kernel calls.
-            order = self.cyclic_ids([element_id])[0].size + 1
-        else:
-            # Divide primes out of the exponent bound instead of walking the
-            # powers (O(log) muls).
-            from repro.linalg.modular import element_order_from_exponent
-
-            order = element_order_from_exponent(
-                lambda k: self.power(element_id, k),
-                lambda i: int(i) == self.identity_id,
-                bound,
-            )
+        order = self.cyclic_ids([element_id])[0].size + 1
         self._order_cache[element_id] = order
         return order
 
@@ -539,7 +555,6 @@ class CayleyBackend:
         return {
             "interned": self.interned_count,
             "cached_products": len(self._mul_cache),
-            "cached_inverses": self._inv_table.size,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

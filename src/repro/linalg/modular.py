@@ -31,6 +31,7 @@ __all__ = [
     "euler_phi",
     "multiplicative_order",
     "element_order_from_exponent",
+    "order_trial_exponents",
     "primitive_root",
     "discrete_log",
 ]
@@ -252,6 +253,26 @@ def element_order_from_exponent(power, identity_check, exponent: int) -> int:
             else:
                 break
     return order
+
+
+def order_trial_exponents(order: int, exponent: int) -> List[int]:
+    """The exponents :func:`element_order_from_exponent` raises an element to.
+
+    For an element of known ``order`` dividing ``exponent``: its prime loop
+    replayed with the identity check answered by divisibility (``g^k`` is
+    the identity exactly when ``order`` divides ``k``), so no power is
+    computed.
+    """
+    trials: List[int] = []
+    current = exponent
+    for p, e in factorint(exponent).items():
+        for _ in range(e):
+            k = current // p
+            trials.append(k)
+            if k % order:
+                break
+            current = k
+    return trials
 
 
 def primitive_root(p: int) -> int:

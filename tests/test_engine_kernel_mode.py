@@ -117,12 +117,18 @@ class TestModeRule:
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_small_group_with_a_kernel_builds_kernel_mode(self, build):
-        engine = build(dihedral_semidirect(64))
+        group = dihedral_semidirect(64)
+        engine = build(group)
         assert engine.mode == "kernel" and engine.interned_count == 128
         stats = engine.stats()
         assert "table_mode" not in stats and "kernel_mode" not in stats
-        # The inverse table is complete at build; products are not memoized.
-        assert stats["cached_inverses"] == 128 and stats["cached_products"] == 0
+        # Neither inverses nor products are tabled: inverses are one kernel
+        # pass on demand.
+        assert not hasattr(engine, "_inv_table") and "cached_inverses" not in stats
+        assert stats["cached_products"] == 0
+        ids = np.arange(engine.interned_count)
+        inverses = engine.elements_of(engine.inv_many(ids))
+        assert inverses == [group.inverse(x) for x in engine.elements_of(ids)]
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_group_past_the_old_table_limit_builds_kernel_mode(self, build):
@@ -303,6 +309,34 @@ def test_engine_groups_cover_registry():
     assert set(families()) <= set(GROUPS)
 
 
+def _scalar_chain(group, g):
+    """``[g, g^2, ..., g^(ord g - 1)]`` by scalar multiplication."""
+    powers, power = [], g
+    while not group.equal(power, group.identity()):
+        powers.append(power)
+        power = group.multiply(power, g)
+    return powers
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_kept_generator_chains_are_the_scalar_powers(name):
+    """The build keeps each generator's chain; ``cyclic_ids`` cuts it, read-only."""
+    engine = _cached_engine(name)
+    generators = engine.group.generators()
+    gen_ids = engine.intern_many(generators)
+    walked = [engine.intern_many(_scalar_chain(engine.group, g)).tolist() for g in generators]
+    orders = [len(chain) + 1 for chain in walked]
+    below = [max(order // 2, 1) for order in orders]
+    above = [order + 3 for order in orders]
+    for caps in (None, below, orders, above):
+        chains = engine.cyclic_ids(gen_ids, caps)
+        for i, chain in enumerate(chains):
+            length = orders[i] - 1 if caps is None else min(orders[i], caps[i]) - 1
+            assert chain.tolist() == walked[i][:length]
+            assert not chain.flags.writeable
+    assert [engine.element_order(g) for g in gen_ids.tolist()] == orders
+
+
 class TestRankIds:
     """Every engine group: id = rank, identity 0, and the ids cover the group."""
 
@@ -474,13 +508,21 @@ def _heisenberg_maximal_subgroup(group):
     return [x, group.commutator(x, y)]
 
 
+def _rotation_cube_subgroup(group):
+    """``<r^3>``: all of ``<r>`` again, but from an element that is no generator."""
+    return [group.power(group.generators()[0], 3)]
+
+
 #: Upper bounds on the ``compose_many`` calls of one fresh ``subgroup_ids``
 #: closure, with the order it must reach.  ``<r>`` in D_8192 is the first
-#: generator's chain alone (``ceil(log2 8192) + 1`` levels at most); the
-#: Heisenberg subgroup of order 29^2 is two chains of 5 levels and one
-#: bulk product of the block ``<x> z^j`` with its probes.
+#: generator's chain, which the build walked and kept, so it costs no call;
+#: ``<r^3>`` is the same subgroup from a non-generator, whose chain is
+#: walked (``ceil(log2 8192) + 1`` levels at most).  The Heisenberg
+#: subgroup of order 29^2 is two chains of 5 levels and one bulk product of
+#: the block ``<x> z^j`` with its probes.
 CLOSURE_CALL_BUDGETS = {
-    "D_8192 <r>": (lambda: dihedral_semidirect(8192), _rotation_subgroup, 8192, 14),
+    "D_8192 <r>": (lambda: dihedral_semidirect(8192), _rotation_subgroup, 8192, 0),
+    "D_8192 <r^3>": (lambda: dihedral_semidirect(8192), _rotation_cube_subgroup, 8192, 14),
     "Heisenberg_29 order 841": (lambda: extraspecial_group(29), _heisenberg_maximal_subgroup, 841, 11),
 }
 
@@ -500,7 +542,10 @@ def test_closure_stays_within_its_kernel_call_budget(name):
     engine.kernel.compose_many = counted
     closure = engine.subgroup_ids(engine.intern_many(generators(group)))
     assert closure.size == order
-    assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
+    if budget == 0:
+        assert not calls, f"{name}: {len(calls)} kernel calls, expected none"
+    else:
+        assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
 
 
 class TestRadicesContract:
