@@ -44,11 +44,14 @@ def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> C
     built (polynomial time per query, no Hermite form per query).  For other
     groups with a Cayley engine the label is the minimum engine id over the
     coset ``x H``: the engine computes that minimum for every element at
-    once on the first query, ``k |G|`` products for ``k`` generators of
-    ``H``, and then answers each query by a table lookup.  The engine-less
-    fallback is the minimum encoding over the enumerated subgroup.  Either
-    way this is instance-construction cost, not solver cost: the hiding
-    oracle counts its queries, not the simulation's group operations.
+    once on the first query and then answers each query by a table lookup.
+    A cyclic ``H`` of index at most 3 costs at most one product of ``|H|``
+    rows (a coset sweep); any other ``H`` costs ``|G|`` products per
+    generator and pointer doubling (:func:`_whole_group_coset_labels`).
+    The engine-less fallback is the minimum encoding over the enumerated
+    subgroup.  Either way this is instance-construction cost, not solver
+    cost: the hiding oracle counts its queries, not the simulation's group
+    operations.
     """
     label, _engine, _label_ids = _coset_label_parts(group, subgroup_generators)
     return label
@@ -57,20 +60,40 @@ def subgroup_coset_label(group: FiniteGroup, subgroup_generators: Sequence) -> C
 def _whole_group_coset_labels(engine, generator_ids: np.ndarray) -> np.ndarray:
     """The minimum id of ``x H`` for every id ``x`` of an engine.
 
-    The left cosets of ``H = <h_1, ..., h_k>`` are the components of the
-    graph with edges ``x -> x h_j``.  Each generator's edges form a
-    permutation ``P`` of the ids, and pointer doubling
-    (``L = min(L, L[P]); P = P[P]``) spreads the running minimum ``L`` over
-    every cycle of ``P`` in ``O(log ord h_j)`` rounds; a round that changes
-    nothing means ``L`` is already constant on those cycles.  Passes over
-    the generators repeat until one changes nothing, which makes ``L``
-    constant on components, i.e. the coset minimum, for any ``H``.
+    A cyclic ``H = <h>`` of index at most 3 is labelled by a coset sweep:
+    its members (``h``'s chain, the memoized closure that membership tests
+    read too) are labelled 0; at index 3 the smallest unlabelled id ``x`` is
+    the minimum of its coset, and one product of ``|H|`` rows labels ``x H``
+    with it; the ids left are the last coset, labelled by their smallest.
+
+    Any other ``H = <h_1, ..., h_k>`` is labelled by pointer doubling.  Its
+    left cosets are the components of the graph with edges ``x -> x h_j``.
+    Each generator's edges form a permutation ``P`` of the ids, one product
+    of ``|G|`` rows, and ``L = min(L, L[P]); P = P[P]`` spreads the running
+    minimum ``L`` over every cycle of ``P`` in ``O(log ord h_j)`` rounds; a
+    round that changes nothing means ``L`` is already constant on those
+    cycles.  Passes over the generators repeat until one changes nothing,
+    which makes ``L`` constant on components, i.e. the coset minimum.
     """
+    generators = np.unique(generator_ids)
+    generators = generators[generators != engine.identity_id]
+    if generators.size == 1:
+        members = engine.subgroup_ids(generators)
+        # Up to index 3 the sweep makes at most one kernel call, of |H| rows:
+        # never more work than doubling's |G|-row product and its rounds.
+        if engine.interned_count <= 3 * members.size:
+            labels = np.full(engine.interned_count, -1, dtype=np.int64)
+            labels[members] = engine.identity_id
+            if engine.interned_count == 3 * members.size:
+                x = int(np.argmax(labels < 0))
+                labels[engine.mul_many(np.full(members.size, x, dtype=np.int64), members)] = x
+            rest = labels < 0
+            labels[rest] = np.argmax(rest)
+            return labels
     everything = np.arange(engine.interned_count, dtype=np.int64)
     steps = [
         engine.mul_many(everything, np.full(everything.size, h, dtype=np.int64))
-        for h in np.unique(generator_ids).tolist()
-        if h != engine.identity_id
+        for h in generators.tolist()
     ]
     labels = everything
     changed = True

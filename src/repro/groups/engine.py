@@ -484,9 +484,12 @@ class CayleyBackend:
 
         ``G'`` is the normal closure of the generator commutators: the
         computation alternates subgroup closure with conjugation by the group
-        generators until stable, entirely over id arrays.
+        generators until stable, entirely over id arrays.  ``limit`` raises
+        :class:`GroupError` once ``G'`` has more elements, from the memo too.
         """
         if self._commutator_ids is not None:
+            if limit is not None and self._commutator_ids.size > limit:
+                raise GroupError(f"subgroup closure exceeded limit {limit}")
             return self._commutator_ids
         gen_ids = self.intern_many(self.group.generators())
         inverses = self.inv_many(gen_ids).tolist()

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blackbox.instances import hiding_oracle_from_subgroup
 from repro.experiments.registry import build_instance, families
 from repro.groups.base import GroupError
 from repro.groups.engine import (
@@ -546,6 +547,63 @@ def test_closure_stays_within_its_kernel_call_budget(name):
         assert not calls, f"{name}: {len(calls)} kernel calls, expected none"
     else:
         assert 0 < len(calls) <= budget, f"{name}: {len(calls)} kernel calls, budget {budget}"
+
+
+def _normal_generator_subgroup(group):
+    return [group.embed_normal((1,))]
+
+
+def _random_element_subgroup(group):
+    """One random element: of order p in a Heisenberg group, so of index p^2."""
+    return [group.uniform_random_element(np.random.default_rng(20010202))]
+
+
+#: The ``compose_many`` row counts of a fresh engine's whole-group coset
+#: labels, on top of the closure's own calls (its chain walk), with the
+#: index they must find.  A cyclic ``H`` of index 2 is a sweep with no
+#: product: ``<r>`` in D_8192 costs nothing, ``<r^3>`` only its chain walk.
+#: Index 3 adds one product of ``|H|`` rows; the Heisenberg p = 29 subgroup
+#: of index 841 keeps pointer doubling's one product of ``|G|`` rows.
+LABEL_CALL_BUDGETS = {
+    "D_8192 <r>": (lambda: dihedral_semidirect(8192), _rotation_subgroup, 2, []),
+    "metacyclic_1999_3 <a>": (lambda: metacyclic_group(1999, 3), _normal_generator_subgroup, 3, [1999]),
+    "D_8192 <r^3>": (lambda: dihedral_semidirect(8192), _rotation_cube_subgroup, 2, []),
+    "Heisenberg_29 <random>": (lambda: extraspecial_group(29), _random_element_subgroup, 841, [29**3]),
+}
+
+
+def _counted_kernel_calls(build, generators, action):
+    """``action(engine, elements)`` on a fresh engine, and the rows of each ``compose_many`` call."""
+    group = build()
+    engine = get_engine(group)
+    elements = generators(group)
+    compose_many = engine.kernel.compose_many
+    calls = []
+
+    def counted(rows_a, rows_b):
+        calls.append(len(rows_a))
+        return compose_many(rows_a, rows_b)
+
+    engine.kernel.compose_many = counted
+    return action(engine, elements), calls
+
+
+def _closure(engine, elements):
+    return engine.subgroup_ids(engine.intern_many(elements))
+
+
+def _coset_labels(engine, elements):
+    oracle = hiding_oracle_from_subgroup(engine.group, elements)
+    return oracle.evaluate_ids(np.arange(engine.interned_count, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", list(LABEL_CALL_BUDGETS))
+def test_coset_labels_stay_within_their_kernel_call_budget(name):
+    build, generators, index, label_rows = LABEL_CALL_BUDGETS[name]
+    _, closure = _counted_kernel_calls(build, generators, _closure)
+    labels, calls = _counted_kernel_calls(build, generators, _coset_labels)
+    assert len(set(labels)) == index
+    assert calls == closure + label_rows, f"{name}: kernel calls of {calls} rows"
 
 
 class TestRadicesContract:

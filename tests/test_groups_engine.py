@@ -251,6 +251,20 @@ class TestArithmeticAgreement:
         want = set(generate_subgroup_elements(group, commutator_subgroup_generators(group)))
         assert set(engine.commutator_subgroup_elements()) == want
 
+    @pytest.mark.parametrize("memoized", [False, True], ids=["fresh", "memoized"])
+    def test_commutator_limit_raises_past_the_order(self, memoized):
+        """``limit`` raises iff ``|G'| > limit``, on a fresh engine and from the memo."""
+        engine = CayleyBackend(extraspecial_group(5))
+        if memoized:
+            assert engine.commutator_subgroup_ids().size == 5
+        with pytest.raises(GroupError):
+            engine.commutator_subgroup_ids(limit=3)
+        with pytest.raises(GroupError):
+            engine.commutator_subgroup_elements(limit=4)
+        assert engine.commutator_subgroup_ids(limit=5).size == 5
+        with pytest.raises(GroupError):
+            engine.commutator_subgroup_ids(limit=4)
+
     def test_engine_batch_ops_agree_with_the_engine_less_group(self):
         """The group's batch methods give the same answers with and without an engine."""
         group = extraspecial_group(3)

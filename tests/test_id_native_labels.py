@@ -4,7 +4,8 @@ Three pieces keep the Theorem 11 solver's simulation in engine ids, and each
 must be invisible in the results and the query report:
 
 * whole-group coset labels — the engine labels every element by the
-  minimum id of its left coset ``x H`` in one pass;
+  minimum id of its left coset ``x H`` at once: a coset sweep for a cyclic
+  ``H`` of index at most 3, pointer doubling for any other ``H``;
 * the bulk exponent-map scan — ``hidden_power_product_oracle`` labels a
   batch of exponent tuples with one product per factor and one batched
   evaluation of the hiding function, charging the per-point loop's cost;
@@ -63,6 +64,18 @@ def _enumerated_instance(family, params, rng):
     return instance, group, engine
 
 
+#: A cyclic subgroup of index 2 or 3 on each family that has one, as
+#: ``(case name, step)`` for ``<embed_normal((step,))>``: the coset sweep's
+#: index-2 branch (from a generator, and from a non-generator power whose
+#: chain is walked) and its index-3 branch with its one product.
+SMALL_INDEX_CYCLIC = {
+    "dihedral_rotation": ("index-2 <r^5>", 5),
+    "dihedral_bounded_quotient": ("index-2 <r>", 1),
+    "metacyclic_core": ("index-3 <a>", 1),
+    "diagnostic_fault": ("index-2 <r>", 1),
+}
+
+
 def _subgroup_cases(family, group, rng):
     """``(name, generators)`` of the hidden subgroups checked per family."""
     cases = [
@@ -74,6 +87,9 @@ def _subgroup_cases(family, group, rng):
         cases.append(("alternating", list(alternating_group(4).generators())))
     else:
         cases.append(("two-generator", [group.uniform_random_element(rng) for _ in range(2)]))
+    if family in SMALL_INDEX_CYCLIC:
+        name, step = SMALL_INDEX_CYCLIC[family]
+        cases.append((name, [group.embed_normal((step,))]))
     return cases
 
 
