@@ -1,1 +1,1 @@
-"""Benchmark harness package (one module per experiment of EXPERIMENTS.md)."""
+"""Standalone benchmark scripts; ``bench_scaling.py`` times the engine against the engine-less route."""

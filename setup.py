@@ -27,7 +27,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "hsp-experiments=repro.experiments.cli:main",

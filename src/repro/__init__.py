@@ -24,6 +24,10 @@ Public API layout
     groups (Theorems 7 and 10), hidden normal subgroups (Theorem 8), small
     commutator subgroups (Theorem 11, Corollary 12), elementary Abelian
     normal 2-subgroups (Theorem 13), and the ``solve_hsp`` dispatcher.
+``repro.experiments``
+    Declared, reproducible sweeps of ``solve_hsp`` runs (the committed
+    ``BENCH_<sweep>.json`` files), their statistics, and the ``claims``
+    table that checks committed rows against the paper's query bounds.
 
 Performance engine
 ------------------

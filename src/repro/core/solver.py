@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,33 +97,36 @@ def _base_group(instance: HSPInstance) -> FiniteGroup:
     return group.group if isinstance(group, BlackBoxGroup) else group
 
 
-def _choose_strategy(instance: HSPInstance) -> str:
+def _choose_strategy(instance: HSPInstance) -> Tuple[str, str]:
+    """The auto strategy and the input that decided it: a promise key,
+    ``abelian_base`` or ``fallback``."""
     promises = instance.promises
     if "normal_generators" in promises:
-        return "elementary_abelian_two"
+        return "elementary_abelian_two", "normal_generators"
     base = _base_group(instance)
     if base.is_abelian():
-        return "abelian"
-    if "commutator_elements" in promises or "commutator_bound" in promises:
-        return "small_commutator"
+        return "abelian", "abelian_base"
+    for key in ("commutator_elements", "commutator_bound"):
+        if key in promises:
+            return "small_commutator", key
     if promises.get("hidden_is_normal"):
-        return "hidden_normal"
+        return "hidden_normal", "hidden_is_normal"
     # Default attempt: Theorem 11 with a moderate bound on |G'| — this is the
     # broadest of the paper's unconditional results for unique encodings.
-    return "small_commutator"
+    return "small_commutator", "fallback"
 
 
-#: Every strategy :func:`solve_hsp` can dispatch to.
-KNOWN_STRATEGIES = frozenset(
-    {
-        "abelian",
-        "elementary_abelian_two",
-        "small_commutator",
-        "hidden_normal",
-        "classical",
-        "classical_adaptive",
-    }
-)
+#: Every strategy :func:`solve_hsp` can dispatch to, with the paper's
+#: theorem it implements (``None`` for the classical baselines).
+STRATEGY_THEOREMS: Dict[str, Optional[str]] = {
+    "abelian": "Theorem 3",
+    "elementary_abelian_two": "Theorem 13",
+    "small_commutator": "Theorem 11",
+    "hidden_normal": "Theorem 8",
+    "classical": None,
+    "classical_adaptive": None,
+}
+KNOWN_STRATEGIES = frozenset(STRATEGY_THEOREMS)
 
 #: Strategies that consume the ``confidence`` stopping override — directly
 #: (``abelian``) or through their Abelian-presentation subroutine
@@ -174,8 +177,8 @@ def solve_hsp(
     """
     sampler = sampler if sampler is not None else FourierSampler(rng=rng)
     with obs_span("solver.choose_strategy", requested=strategy) as choice_span:
-        chosen = strategy if strategy != "auto" else _choose_strategy(instance)
-        choice_span.set(strategy=chosen)
+        chosen, decided_by = (strategy, "requested") if strategy != "auto" else _choose_strategy(instance)
+        choice_span.set(strategy=chosen, decided_by=decided_by, theorem=STRATEGY_THEOREMS.get(chosen))
     if chosen not in KNOWN_STRATEGIES:
         raise GroupError(f"unknown strategy {chosen!r}")
     if confidence is not None and chosen not in CONFIDENCE_STRATEGIES:

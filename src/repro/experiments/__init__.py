@@ -38,9 +38,13 @@ persistent experiment layer:
     :class:`SqliteTransport`, the queue database behind ``distributed``
     (enqueue/claim/heartbeat/release/reclaim/append/enumerate/status);
 ``workloads``
-    the declared sweeps (including the migrated ``benchmarks/bench_*``
-    workloads) and the per-workload analysis directives (which grid axes
-    are statistical vs structural, which model to fit);
+    the declared sweeps and the per-workload analysis directives (which
+    grid axes are statistical vs structural, which model to fit);
+``claims``
+    the paper's cost claims as one table: each entry names its theorem,
+    claim and code path, with a query-count predicate over committed BENCH
+    rows or ``untested``; ``tests/test_claims.py`` audits every committed
+    sweep against it;
 ``analysis``
     statistics post-processing over BENCH rows — Wilson-interval cell
     tables, ``1-(1-p)^r`` saturation fits, strategy-crossover location —

@@ -81,35 +81,7 @@ from repro.experiments.results import (
 from repro.experiments.runner import SweepAborted, run_sweep
 from repro.experiments.workloads import WORKLOADS, get_workload
 
-__all__ = ["main", "run_sweeps"]
-
-
-def run_sweeps(names: List[str], argv: Optional[List[str]] = None, description: str = "") -> int:
-    """Run a fixed list of declared sweeps with shared ``--workers``/``--out`` flags.
-
-    The entry point behind the ``benchmarks/bench_*.py`` script wrappers:
-    parses the common options once and executes *every* named sweep through
-    the ``run`` subcommand — a failing sweep (wrong subgroups, errored runs)
-    no longer aborts the remaining sweeps; the combined status is non-zero
-    if any sweep failed.
-    """
-    parser = argparse.ArgumentParser(description=description or f"run sweeps: {', '.join(names)}")
-    parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default 1)")
-    parser.add_argument("--out", default=".", help="output directory for the BENCH files")
-    parser.add_argument("--resume", action="store_true", help="resume each sweep from its journal")
-    parser.add_argument(
-        "--max-failures", type=int, default=None, help="abort a sweep after this many errored runs"
-    )
-    args = parser.parse_args(argv)
-    combined = 0
-    for name in names:
-        forwarded = ["run", name, "--workers", str(args.workers), "--out", args.out]
-        if args.resume:
-            forwarded.append("--resume")
-        if args.max_failures is not None:
-            forwarded.extend(["--max-failures", str(args.max_failures)])
-        combined = max(combined, main(forwarded))
-    return combined
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,10 +5,9 @@ oracles hold closures and are deliberately never pickled.  Builders must be
 deterministic functions of their parameters and the supplied generator: the
 ``workers=1`` / ``workers=N`` byte-identity of sweep results rests on that.
 
-Families mirror the group catalogue (:mod:`repro.groups.catalog`) and the
-workloads of the ``benchmarks/`` suite; each returns a fully promised
-:class:`~repro.blackbox.instances.HSPInstance` ready for
-:func:`~repro.core.solver.solve_hsp`.
+Families mirror the group catalogue (:mod:`repro.groups.catalog`); each
+returns a fully promised :class:`~repro.blackbox.instances.HSPInstance`
+ready for :func:`~repro.core.solver.solve_hsp`.
 """
 
 from __future__ import annotations

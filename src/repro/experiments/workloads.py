@@ -1,11 +1,12 @@
 """The declared sweeps of the experiment suite.
 
-These are the migrated workloads of ``benchmarks/bench_hidden_normal.py``
-(E4) and ``benchmarks/bench_extraspecial.py`` (E6), the scaling axes of
-``benchmarks/bench_scaling.py``, plus a fast ``smoke`` sweep for CI.  The
-benchmark scripts are thin wrappers over these specs; ``python -m
+The Theorem 8 (``hidden-normal-*``), Theorem 11 / Corollary 12
+(``extraspecial-*``) and Theorem 13 (``claims``) sweeps, the statistics
+and noise sweeps, the scaling axes of ``benchmarks/bench_scaling.py``, and
+the CI drills (``smoke``, ``fault-smoke``, ``queue-smoke``).  ``python -m
 repro.experiments list`` prints the catalogue and ``run <name>`` executes a
-sweep reproducibly from the command line.
+sweep reproducibly from the command line; committed ``BENCH_<name>.json``
+rows are judged against the paper's claims by :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ declare_analysis(
 )
 declare_analysis(AnalysisDirective("success-vs-noise-abelian", "table", x_axis="noise"))
 
-# -- E4: hidden normal subgroups (Theorem 8) ---------------------------------
+# -- hidden normal subgroups (Theorem 8) -------------------------------------
 
 declare(
     SweepSpec.from_grid(
@@ -278,7 +279,7 @@ declare(
     )
 )
 
-# -- E6: extraspecial p-groups (Theorem 11 / Corollary 12) -------------------
+# -- extraspecial p-groups (Theorem 11 / Corollary 12) -----------------------
 
 declare(
     SweepSpec.from_grid(
@@ -354,3 +355,15 @@ for _axis in SCALING_AXES:
             "(dense-kernel engine; timed against the engine-less route by bench_scaling.py)",
         )
     )
+
+# -- claims audit rows (repro.experiments.claims) -----------------------------
+
+declare(
+    SweepSpec.from_grid(
+        "claims",
+        "wreath_random",
+        {"k": [3, 4, 5, 6]},
+        description="Theorem 13 on Z_2^k wr Z_2 (cyclic quotient): the committed "
+        "rows behind the claims table's Theorem 13 entry",
+    )
+)

@@ -46,7 +46,7 @@ __all__ = [
 
 
 def abelian_instance(moduli: Sequence[int]) -> AbelianTupleGroup:
-    """An Abelian tuple group (Theorem 3 / E1 instances)."""
+    """An Abelian tuple group (Theorem 3 instances)."""
     return AbelianTupleGroup(moduli)
 
 

@@ -44,7 +44,8 @@ def classical_exhaustive_hsp(instance: HSPInstance, max_elements: int = 1 << 22)
 
     The whole group is enumerated from its generators, and the oracle is
     evaluated on every element — ``Theta(|G|)`` oracle queries, exponential
-    in the encoding length.  This is the contrast baseline of experiment E9.
+    in the encoding length.  This is the contrast baseline of the
+    ``strategy-crossover`` sweep.
     """
     group = instance.group
     oracle = instance.oracle

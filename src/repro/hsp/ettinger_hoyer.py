@@ -5,7 +5,7 @@ groups before its own results: their procedure determines a hidden reflection
 subgroup of ``D_n`` with only ``O(log |G|)`` quantum queries, but the
 classical post-processing of the measurement outcomes takes time exponential
 in ``log |G|`` (it maximises a likelihood over all ``n`` candidate slopes).
-Experiment E12 reproduces exactly that trade-off.
+``tests/test_hsp_baselines.py`` checks exactly that trade-off.
 
 The hidden subgroups considered are the order-2 subgroups ``H_d = {1, r^d s}``
 (a reflection); the rotation subgroups are Abelian and already covered by

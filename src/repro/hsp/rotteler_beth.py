@@ -4,8 +4,8 @@ Rötteler and Beth [24] gave the first polynomial-time quantum HSP algorithm
 for a family of non-Abelian groups: the wreath products
 ``Z_2^k wr Z_2 = (Z_2^k x Z_2^k) : Z_2``.  The paper's Theorem 13 strictly
 generalises that result (any elementary Abelian normal 2-subgroup with
-cyclic factor group); experiment E10 runs both solvers on the same wreath
-instances to confirm they agree and to compare their costs.
+cyclic factor group); ``tests/test_integration_end_to_end.py`` runs both
+solvers on the same wreath instances to confirm they agree.
 
 The implementation below is the wreath-specialised algorithm: the hidden
 subgroup is determined by (a) a Simon-style run over the Abelian base group

@@ -243,8 +243,7 @@ class SubgroupStructureOracle(AbelianHSPOracle):
     Evaluation labels cosets through the canonical lattice representative,
     reduced against the Hermite form of a :class:`CosetReducer` built once
     per oracle (polynomial time per point), so instances scale to groups of
-    order ``2^60`` and beyond; this is the oracle used for the large-scale
-    Abelian HSP scaling benchmarks (experiment E1).
+    order ``2^60`` and beyond.
     """
 
     def __init__(

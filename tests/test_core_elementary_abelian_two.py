@@ -32,7 +32,7 @@ def solve_and_verify(group, normal_gens, hidden_generators, rng, **kwargs):
 class TestWreathProducts:
     """The Rötteler--Beth family, now as a special case of Theorem 13."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_random_hidden_subgroups(self, k, rng):
         group, normal_gens = wreath_instance(k)
         for _ in range(3):
@@ -40,9 +40,14 @@ class TestWreathProducts:
             result = solve_and_verify(group, normal_gens, hidden, rng, cyclic_quotient=True)
             assert result.cyclic_path
 
-    def test_subgroup_inside_base(self, rng):
-        group, normal_gens = wreath_instance(2)
-        hidden = [group.embed_normal((1, 0, 1, 0)), group.embed_normal((0, 1, 0, 1))]
+    @pytest.mark.parametrize(
+        "k,vectors",
+        [(2, [(1, 0, 1, 0), (0, 1, 0, 1)]), (3, [(1, 0, 1, 1, 0, 0)])],
+    )
+    def test_subgroup_inside_base(self, k, vectors, rng):
+        """H <= N: pure Simon structure."""
+        group, normal_gens = wreath_instance(k)
+        hidden = [group.embed_normal(vector) for vector in vectors]
         result = solve_and_verify(group, normal_gens, hidden, rng, cyclic_quotient=True)
         assert result.coset_generators == []
 
@@ -67,7 +72,7 @@ class TestWreathProducts:
 class TestAffineMatrixGroups:
     """The Section 6 matrix groups over GF(2) with cyclic factor group."""
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_cyclic_hidden_subgroups(self, k, rng):
         group, normal_gens = affine_gf2_instance(k)
         for _ in range(2):
@@ -88,9 +93,10 @@ class TestAffineMatrixGroups:
 class TestGeneralCase:
     """Non-cyclic factor groups: running time polynomial in |G/N|."""
 
-    @pytest.mark.parametrize("top", ["S3", "V4"])
-    def test_semidirect_products(self, top, rng):
-        group, normal_gens = elementary_abelian_semidirect_instance(4, top)
+    @pytest.mark.parametrize("top,k", [("S3", 4), ("V4", 4), ("S3", 3), ("S3", 5)])
+    def test_semidirect_products(self, top, k, rng):
+        """|G/N| = 4 or 6 against |N| = 2^k."""
+        group, normal_gens = elementary_abelian_semidirect_instance(k, top)
         for _ in range(2):
             hidden = [group.random_element(rng), group.random_element(rng)]
             result = solve_and_verify(
@@ -99,12 +105,13 @@ class TestGeneralCase:
             assert not result.cyclic_path
             assert result.representatives_used <= 16
 
-    def test_generalized_dihedral_over_elementary_abelian(self, rng):
-        # Dih(Z_2^3) = Z_2^3 : Z_2 with inversion action (trivial on an
+    @pytest.mark.parametrize("rank,generators", [(3, 1), (4, 2)])
+    def test_generalized_dihedral_over_elementary_abelian(self, rank, generators, rng):
+        # Dih(Z_2^k) = Z_2^k : Z_2 with inversion action (trivial on an
         # elementary Abelian group, so this is just the direct product).
-        group = generalized_dihedral([2, 2, 2])
+        group = generalized_dihedral([2] * rank)
         normal_gens = group.normal_part_generators()
-        hidden = [group.random_element(rng)]
+        hidden = [group.random_element(rng) for _ in range(generators)]
         solve_and_verify(group, normal_gens, hidden, rng, cyclic_quotient=True)
 
     def test_bound_violation_raises(self, rng):

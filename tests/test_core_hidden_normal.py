@@ -24,27 +24,29 @@ def solve_and_verify(group, hidden_generators, rng, **kwargs):
 
 
 class TestAbelianQuotientPath:
-    def test_alternating_inside_symmetric(self, rng):
-        for n in [3, 4, 5]:
-            result = solve_and_verify(symmetric_group(n), alternating_group(n).generators(), rng)
-            assert result.method == "abelian-quotient"
-            assert result.quotient_order == 2
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_alternating_inside_symmetric(self, n, rng):
+        result = solve_and_verify(symmetric_group(n), alternating_group(n).generators(), rng)
+        assert result.method == "abelian-quotient"
+        assert result.quotient_order == 2
 
-    def test_rotation_subgroup_of_dihedral(self, rng):
-        group = dihedral_semidirect(15)
+    @pytest.mark.parametrize("n", [15, 8, 32, 128, 512])
+    def test_rotation_subgroup_of_dihedral(self, n, rng):
+        group = dihedral_semidirect(n)
         result = solve_and_verify(group, [group.embed_normal((1,))], rng)
         assert result.method == "abelian-quotient"
 
-    def test_center_of_extraspecial_group(self, rng):
-        for p in [3, 5]:
-            group = extraspecial_group(p)
-            result = solve_and_verify(group, group.center_generators(), rng)
-            assert result.quotient_order == p * p
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_center_of_extraspecial_group(self, p, rng):
+        group = extraspecial_group(p)
+        result = solve_and_verify(group, group.center_generators(), rng)
+        assert result.quotient_order == p * p
 
-    def test_normal_subgroup_of_metacyclic_group(self, rng):
-        group = metacyclic_group(13, 3)
+    @pytest.mark.parametrize("p,q", [(13, 3), (7, 3), (31, 5), (127, 7)])
+    def test_normal_subgroup_of_metacyclic_group(self, p, q, rng):
+        group = metacyclic_group(p, q)
         result = solve_and_verify(group, [group.embed_normal((1,))], rng)
-        assert result.quotient_order == 3
+        assert result.quotient_order == q
 
     def test_whole_group_as_hidden_subgroup(self, rng):
         group = dihedral_semidirect(5)
@@ -67,11 +69,13 @@ class TestAbelianQuotientPath:
 
 
 class TestBoundedQuotientPath:
-    def test_dihedral_with_dihedral_quotient(self, rng):
-        group = dihedral_semidirect(15)
-        result = solve_and_verify(group, [group.embed_normal((5,))], rng, quotient_bound=32)
+    @pytest.mark.parametrize("n,d,bound", [(15, 5, 32), (33, 3, 24), (55, 5, 40), (77, 7, 56)])
+    def test_dihedral_with_dihedral_quotient(self, n, d, bound, rng):
+        """<r^d> in D_n with dihedral quotient of order 2d."""
+        group = dihedral_semidirect(n)
+        result = solve_and_verify(group, [group.embed_normal((d,))], rng, quotient_bound=bound)
         assert result.method == "bounded-quotient-schreier"
-        assert result.quotient_order == 10
+        assert result.quotient_order == 2 * d
 
     def test_permutation_group_with_nonabelian_quotient(self, rng):
         # V_4 (the Klein four group) is normal in S_4 with quotient S_3.

@@ -30,10 +30,11 @@ class TestConstructiveMembership:
         assert exponents is not None
         assert rebuild(group, h, exponents) == target
 
-    def test_rejects_non_member(self, sampler):
-        group = AbelianTupleGroup([8, 9])
-        assert constructive_membership(group, [(2, 0), (0, 3)], (1, 0), sampler=sampler) is None
-        assert not abelian_subgroup_membership(group, [(2, 0)], (1, 0), sampler=sampler)
+    @pytest.mark.parametrize("moduli,target", [([8, 9], (1, 0)), ([2**10, 3**6], (1, 1))])
+    def test_rejects_non_member(self, moduli, target, sampler):
+        group = AbelianTupleGroup(moduli)
+        assert constructive_membership(group, [(2, 0), (0, 3)], target, sampler=sampler) is None
+        assert not abelian_subgroup_membership(group, [(2, 0)], target, sampler=sampler)
 
     def test_identity_target(self, sampler):
         group = AbelianTupleGroup([8])
@@ -46,14 +47,20 @@ class TestConstructiveMembership:
         assert constructive_membership(group, [], (0,), sampler=sampler) == []
         assert constructive_membership(group, [], (2,), sampler=sampler) is None
 
-    def test_commuting_elements_of_nonabelian_group(self, sampler):
-        group = extraspecial_group(5)
-        x = ((1,), (0,), 0)
-        z = ((0,), (0,), 1)
-        target = group.multiply(group.power(x, 2), group.power(z, 3))
-        exponents = constructive_membership(group, [x, z], target, sampler=sampler)
-        assert exponents is not None
-        assert group.equal(rebuild(group, [x, z], exponents), target)
+    @pytest.mark.parametrize(
+        "p,elements,exponents",
+        [
+            (5, [((1,), (0,), 0), ((0,), (0,), 1)], [2, 3]),
+            (7, [((0,), (0,), 1)], [4]),  # a power of the central generator
+        ],
+        ids=["xz-p5", "center-p7"],
+    )
+    def test_commuting_elements_of_nonabelian_group(self, p, elements, exponents, sampler):
+        group = extraspecial_group(p)
+        target = rebuild(group, elements, exponents)
+        found = constructive_membership(group, elements, target, sampler=sampler)
+        assert found is not None
+        assert group.equal(rebuild(group, elements, found), target)
 
     def test_non_member_in_nonabelian_group(self, sampler):
         group = extraspecial_group(5)
@@ -61,19 +68,25 @@ class TestConstructiveMembership:
         y = ((0,), (1,), 0)
         assert constructive_membership(group, [x], y, sampler=sampler) is None
 
-    def test_permutation_group_cyclic_subgroup(self, sampler):
-        group = symmetric_group(6)
-        cycle = (1, 2, 3, 4, 5, 0)
-        target = group.power(cycle, 4)
+    @pytest.mark.parametrize("n,power", [(6, 4), (12, 7)])
+    def test_permutation_group_cyclic_subgroup(self, n, power, sampler):
+        group = symmetric_group(n)
+        cycle = tuple(list(range(1, n)) + [0])
+        target = group.power(cycle, power)
         exponents = constructive_membership(group, [cycle], target, sampler=sampler)
         assert exponents is not None
         assert group.equal(rebuild(group, [cycle], exponents), target)
+        assert exponents[0] % n == power
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_abelian_instances(self, seed):
+    @pytest.mark.parametrize(
+        "seed,moduli",
+        [(seed, [16, 9, 5]) for seed in range(5)]
+        + [(5, [2**6, 3**4]), (6, [2**12, 3**8]), (7, [2**20, 3**12, 5**8])],
+    )
+    def test_random_abelian_instances(self, seed, moduli):
         rng = np.random.default_rng(seed)
         sampler = FourierSampler(rng=rng)
-        group = AbelianTupleGroup([16, 9, 5])
+        group = AbelianTupleGroup(moduli)
         h = [group.module.random_element(rng) for _ in range(2)]
         coefficients = [int(rng.integers(0, 20)) for _ in range(2)]
         target = rebuild(group, h, coefficients)

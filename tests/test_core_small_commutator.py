@@ -5,11 +5,21 @@ import pytest
 
 from repro.blackbox.instances import HSPInstance
 from repro.core.small_commutator import solve_hsp_small_commutator
-from repro.groups.abelian import AbelianTupleGroup
+from repro.groups.abelian import AbelianTupleGroup, cyclic_group
 from repro.groups.extraspecial import extraspecial_group
-from repro.groups.products import dihedral_semidirect, metacyclic_group
+from repro.groups.products import DirectProduct, dihedral_semidirect, metacyclic_group
 from repro.groups.subgroup import generate_subgroup_elements
 from repro.quantum.sampling import FourierSampler
+
+
+def _heisenberg(rank, rng):
+    group = extraspecial_group(3, n=rank)  # order 3^(2·rank + 1)
+    return group, [group.uniform_random_element(rng)]
+
+
+def _cyclic_times_heisenberg(k, rng):
+    group = DirectProduct([cyclic_group(2**k), extraspecial_group(3)])
+    return group, [((1,), group.factors[1].uniform_random_element(rng))]
 
 
 def solve_and_verify(group, hidden_generators, rng, **kwargs):
@@ -24,7 +34,7 @@ def solve_and_verify(group, hidden_generators, rng, **kwargs):
 class TestExtraspecialGroups:
     """Corollary 12: extraspecial p-groups, |G'| = p."""
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_cyclic_hidden_subgroups(self, p, rng):
         group = extraspecial_group(p)
         hidden = [group.uniform_random_element(rng)]
@@ -58,16 +68,30 @@ class TestExtraspecialGroups:
         result = solve_and_verify(group, hidden, rng)
         assert result.commutator_order == 3
 
-    def test_generalised_heisenberg(self, rng):
-        group = extraspecial_group(3, n=2)  # order 3^5
-        hidden = [group.uniform_random_element(rng)]
-        solve_and_verify(group, hidden, rng)
+    @pytest.mark.parametrize(
+        "build,size",
+        [
+            (_heisenberg, 2),
+            (_heisenberg, 1),
+            (_heisenberg, 3),
+            (_cyclic_times_heisenberg, 2),
+            (_cyclic_times_heisenberg, 4),
+            (_cyclic_times_heisenberg, 6),
+        ],
+        ids=["H3(2)", "H3(1)", "H3(3)", "Z4xH3", "Z16xH3", "Z64xH3"],
+    )
+    def test_generalised_heisenberg(self, build, size, rng):
+        """|G'| = 3 fixed while log |G| grows."""
+        group, hidden = build(size, rng)
+        result = solve_and_verify(group, hidden, rng)
+        assert result.commutator_order == 3
 
 
 class TestOtherSmallCommutatorGroups:
-    def test_dihedral_group(self, rng):
-        # D_6: G' = <r^2> of order 3.
-        group = dihedral_semidirect(6)
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_dihedral_group(self, n, rng):
+        # D_n, n even: G' = <r^2> of order n/2; the reflection subgroups are not normal.
+        group = dihedral_semidirect(n)
         for hidden in [
             [group.embed_quotient((1,))],
             [group.embed_normal((2,))],
@@ -75,7 +99,7 @@ class TestOtherSmallCommutatorGroups:
             [group.multiply(group.embed_normal((1,)), group.embed_quotient((1,)))],
         ]:
             result = solve_and_verify(group, hidden, rng)
-            assert result.commutator_order == 3
+            assert result.commutator_order == n // 2
 
     def test_metacyclic_group(self, rng):
         # Z_7 : Z_3 has G' = Z_7.

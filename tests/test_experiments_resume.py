@@ -27,7 +27,7 @@ from repro.experiments import (
     write_bench,
 )
 import repro.experiments.runner as runner_module
-from repro.experiments.cli import main as cli_main, run_sweeps
+from repro.experiments.cli import main as cli_main
 from repro.experiments.results import (
     aggregate_records,
     journal_path,
@@ -386,19 +386,3 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "ERR" in output
         assert "errors=2" in output
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_run_sweeps_rejects_a_worker_count_below_one(self, tmp_path, capsys, value):
-        with pytest.raises(SystemExit):
-            run_sweeps(["smoke"], ["--workers", value, "--out", str(tmp_path)])
-        assert "positive integer" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_run_sweeps_runs_every_sweep_and_combines_status(self, tmp_path, capsys):
-        status = run_sweeps(["fault-smoke", "smoke"], ["--out", str(tmp_path)])
-        assert status == 1  # fault-smoke fails ...
-        assert (tmp_path / "BENCH_fault-smoke.json").exists()
-        # ... but smoke still ran and succeeded
-        assert (tmp_path / "BENCH_smoke.json").exists()
-        payload = load_bench(str(tmp_path / "BENCH_smoke.json"))
-        assert payload["aggregate"]["successes"] == payload["aggregate"]["runs"]

@@ -16,6 +16,11 @@ from repro.linalg.zmodule import subgroup_order
 from repro.quantum.sampling import FourierSampler, SubgroupStructureOracle, TupleFunctionOracle
 
 
+def simon(rank):
+    """Simon's problem on Z_2^(2·rank): H pairs coordinate j with j + rank."""
+    return [2] * (2 * rank), [tuple(int(i in (j, j + rank)) for i in range(2 * rank)) for j in range(rank)]
+
+
 class TestSolveAbelianHSP:
     @pytest.mark.parametrize(
         "moduli,hidden",
@@ -27,6 +32,10 @@ class TestSolveAbelianHSP:
             ([8, 9], [(2, 3)]),
             ([4, 6, 5], [(2, 0, 0), (0, 3, 0)]),
             ([16, 27], [(4, 9)]),
+            ([16, 9], [(4, 3)]),   # 144 points: the auto backend is the statevector
+            simon(2),
+            simon(4),
+            simon(8),
         ],
     )
     def test_known_hidden_subgroups(self, moduli, hidden, rng):
@@ -53,11 +62,19 @@ class TestSolveAbelianHSP:
         result = solve_hsp_in_abelian_group(instance.group.group, instance.oracle, FourierSampler(rng=rng))
         assert instance.verify(result.generators or [instance.group.identity()])
 
-    def test_large_group_with_declared_structure(self, rng):
+    @pytest.mark.parametrize(
+        "moduli,hidden",
+        [
+            ([2**12, 3**7, 5**5], [(2**5, 3**2, 5), (0, 3**4, 0)]),
+            ([2**8, 2**8], [(6, 40), (0, 128)]),                                  # log2|G| = 16
+            ([2**8, 3**5, 5**3], [(12, 9, 25), (64, 0, 5)]),                      # 24
+            ([2**16, 3**10], [(3, 7), (2**10, 3**4)]),                            # 32
+            ([2**16, 3**10, 5**7, 7**5], [(2**4, 3, 5**2, 7), (0, 3**6, 0, 7**3)]),  # 48
+        ],
+    )
+    def test_large_group_with_declared_structure(self, moduli, hidden, rng):
         """The analytic backend scales to groups far beyond enumeration."""
-        moduli = [2**12, 3**7, 5**5]
         group = AbelianTupleGroup(moduli)
-        hidden = [(2**5, 3**2, 5), (0, 3**4, 0)]
         instance = HSPInstance.from_subgroup(group, hidden)
         result = solve_hsp_in_abelian_group(group, instance.oracle, FourierSampler("analytic", rng=rng))
         assert instance.verify(result.generators)
@@ -122,6 +139,10 @@ class TestCheungMoscaDecomposition:
             ([4, 6, 5], [2, 60]),
             ([2, 2, 2], [2, 2, 2]),
             ([9, 27], [9, 27]),
+            ([4, 25], [100]),
+            ([16, 81, 25], [32400]),
+            ([2**10, 3**6, 5**4], [2**10 * 3**6 * 5**4]),
+            ([2**16, 3**10, 5**8, 7**4], [2**16 * 3**10 * 5**8 * 7**4]),
         ],
     )
     def test_invariant_factors(self, moduli, expected_invariants, rng):
@@ -136,10 +157,20 @@ class TestCheungMoscaDecomposition:
         for factor in decomposition.factors:
             assert group.element_order(factor.element) == factor.order
 
-    def test_decomposition_of_subgroup(self, rng):
-        group = AbelianTupleGroup([16, 9])
-        decomposition = decompose_abelian_group(group, generators=[(4, 3)], sampler=FourierSampler(rng=rng))
-        assert decomposition.group_order == group.element_order((4, 3))
+    @pytest.mark.parametrize(
+        "moduli,generators",
+        [
+            ([16, 9], [(4, 3)]),
+            # redundant generators grow the relation lattice, not the group
+            ([2**8, 3**5], [(6, 9), (12, 18)]),
+            ([2**8, 3**5], [(6, 9), (12, 18), (4, 0), (0, 27)]),
+            ([2**8, 3**5], [(6, 9), (12, 18), (4, 0), (0, 27), (2, 3), (8, 81), (64, 1), (128, 0)]),
+        ],
+    )
+    def test_decomposition_of_subgroup(self, moduli, generators, rng):
+        group = AbelianTupleGroup(moduli)
+        decomposition = decompose_abelian_group(group, generators=generators, sampler=FourierSampler(rng=rng))
+        assert decomposition.group_order == subgroup_order(generators, moduli)
 
     def test_decomposition_of_abelian_subgroup_of_nonabelian_group(self, rng):
         group = extraspecial_group(5)

@@ -15,19 +15,23 @@ from repro.quantum.sampling import FourierSampler
 
 
 class TestClassicalBaselines:
-    def test_exhaustive_solves_abelian_instance(self, rng):
-        instance = random_abelian_hsp_instance([6, 4], rng)
+    @pytest.mark.parametrize(
+        "moduli,generators", [([6, 4], 2), ([16, 16], 1), ([32, 32], 1), ([64, 64], 1)]
+    )
+    def test_exhaustive_solves_abelian_instance(self, moduli, generators, rng):
+        instance = random_abelian_hsp_instance(moduli, rng, max_generators=generators)
         result = classical_exhaustive_hsp(instance)
         assert instance.verify(result.generators)
-        assert result.oracle_queries == 24
+        assert result.oracle_queries == moduli[0] * moduli[1]
         assert result.method == "exhaustive"
 
-    def test_exhaustive_solves_nonabelian_instance(self, rng):
-        group = extraspecial_group(3)
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_exhaustive_solves_nonabelian_instance(self, p, rng):
+        group = extraspecial_group(p)
         instance = HSPInstance.from_subgroup(group, [((1,), (1,), 0)])
         result = classical_exhaustive_hsp(instance)
         assert instance.verify(result.generators)
-        assert result.oracle_queries == 27
+        assert result.oracle_queries == p**3
 
     def test_exhaustive_query_count_scales_with_group_order(self, rng):
         small = classical_exhaustive_hsp(random_abelian_hsp_instance([8], rng))
@@ -58,7 +62,9 @@ class TestEttingerHoyer:
         dist = dihedral_sample_distribution(16, 0)
         assert np.allclose(dist, 1 / 16)
 
-    @pytest.mark.parametrize("n,slope", [(32, 7), (64, 13), (64, 40), (128, 1)])
+    @pytest.mark.parametrize(
+        "n,slope", [(32, 7), (64, 13), (64, 40), (128, 1), (256, 77), (1024, 500), (4096, 3001)]
+    )
     def test_recovers_slope(self, n, slope, rng):
         result = ettinger_hoyer_dihedral(n, slope, rng)
         assert result.success

@@ -27,14 +27,18 @@ from repro.quantum.sampling import FourierSampler
 
 
 class TestEndToEndFamilies:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_abelian_scaling_instances(self, seed):
+    @pytest.mark.parametrize(
+        "seed,moduli",
+        [(seed, [2**6, 3**4, 5**3]) for seed in range(4)]
+        + [(4, [16, 16]), (5, [32, 32]), (6, [64, 64])],
+    )
+    def test_abelian_scaling_instances(self, seed, moduli):
         rng = np.random.default_rng(seed)
-        instance = random_abelian_hsp_instance([2**6, 3**4, 5**3], rng)
+        instance = random_abelian_hsp_instance(moduli, rng)
         solution = solve_hsp(instance, rng=rng)
         assert instance.verify(solution.generators or [instance.group.identity()])
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_extraspecial_families(self, p, rng):
         group = extraspecial_group(p)
         for _ in range(2):
@@ -101,8 +105,9 @@ class TestCrossSolverConsistency:
         base = group
         assert subgroup_order(base, quantum.generators) == subgroup_order(base, classical.generators) == 2
 
-    def test_theorem13_matches_rotteler_beth(self, rng):
-        group, normal_gens = wreath_instance(2)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_theorem13_matches_rotteler_beth(self, k, rng):
+        group, normal_gens = wreath_instance(k)
         hidden = [group.uniform_random_element(rng), group.uniform_random_element(rng)]
         instance_a = HSPInstance.from_subgroup(
             group, hidden, promises={"normal_generators": normal_gens, "cyclic_quotient": True}

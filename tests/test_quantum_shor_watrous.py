@@ -72,6 +72,10 @@ class TestOrderFinding:
             (AbelianTupleGroup([8, 9]), (2, 3), 12),
             (extraspecial_group(5), ((1,), (0,), 0), 5),
             (dihedral_semidirect(9), ((0,), (1,)), 2),
+            # order finding as an Abelian HSP over Z_E, E = 2^b - 1 (3 divides E)
+            (AbelianTupleGroup([2**8 - 1]), (3,), (2**8 - 1) // 3),
+            (AbelianTupleGroup([2**16 - 1]), (3,), (2**16 - 1) // 3),
+            (AbelianTupleGroup([2**24 - 1]), (3,), (2**24 - 1) // 3),
         ],
     )
     def test_order_via_period_sampling(self, group, element, expected, rng):
@@ -115,6 +119,9 @@ class TestWatrousPrimitives:
             (9, lambda g: g.embed_quotient((1,)), 2),
             (9, lambda g: g.embed_normal((3,)), 1),
             (9, lambda g: g.multiply(g.embed_normal((1,)), g.embed_quotient((1,))), 2),
+            (32, lambda g: g.multiply(g.embed_normal((3,)), g.embed_quotient((1,))), 2),
+            (128, lambda g: g.multiply(g.embed_normal((3,)), g.embed_quotient((1,))), 2),
+            (512, lambda g: g.multiply(g.embed_normal((3,)), g.embed_quotient((1,))), 2),
         ],
     )
     def test_order_modulo_subgroup_dihedral(self, n, element_builder, expected):

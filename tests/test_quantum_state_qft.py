@@ -36,14 +36,15 @@ class TestQftMatrix:
 
 
 class TestCosetDistribution:
-    def test_subgroup_state_supported_on_annihilator(self):
-        # H = <2> in Z_8; H^perp = {0, 4}.
-        indicator = np.zeros(8)
-        indicator[[0, 2, 4, 6]] = 1
+    @pytest.mark.parametrize("dim,step", [(8, 2), (1 << 8, 16), (1 << 12, 16), (1 << 16, 16)])
+    def test_subgroup_state_supported_on_annihilator(self, dim, step):
+        # H = <step> in Z_dim; H^perp = <dim / step>, e.g. {0, 4} for <2> in Z_8.
+        indicator = np.zeros(dim)
+        indicator[::step] = 1
         probs = qft_probabilities_of_coset(indicator)
         support = np.nonzero(probs > 1e-12)[0]
-        assert set(support) == {0, 4}
-        assert np.allclose(probs[support], 0.5)
+        assert set(support) == set(range(0, dim, dim // step))
+        assert np.allclose(probs[support], 1 / step)
 
     def test_coset_offset_does_not_change_distribution(self):
         base = np.zeros(12)

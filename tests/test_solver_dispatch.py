@@ -8,6 +8,7 @@ strategy overrides, and the error paths (unknown strategy, missing promise).
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.blackbox.instances import HSPInstance
 from repro.blackbox.oracle import BlackBoxGroup
 from repro.core.solver import _choose_strategy, solve_hsp
@@ -37,7 +38,7 @@ class TestChooseStrategy:
             [group.identity()],
             promises={"normal_generators": normal_gens, "cyclic_quotient": True},
         )
-        assert _choose_strategy(instance) == "elementary_abelian_two"
+        assert _choose_strategy(instance) == ("elementary_abelian_two", "normal_generators")
 
     def test_normal_generators_wins_over_other_promises(self):
         group, normal_gens = wreath_instance(2)
@@ -50,51 +51,98 @@ class TestChooseStrategy:
                 "hidden_is_normal": True,
             },
         )
-        assert _choose_strategy(instance) == "elementary_abelian_two"
+        assert _choose_strategy(instance) == ("elementary_abelian_two", "normal_generators")
 
     def test_abelian_group_detected(self):
-        assert _choose_strategy(abelian_instance()) == "abelian"
+        assert _choose_strategy(abelian_instance()) == ("abelian", "abelian_base")
 
     def test_abelian_detection_unwraps_black_box(self):
         group = AbelianTupleGroup([12])
         instance = HSPInstance.from_subgroup(BlackBoxGroup(group), [(3,)])
         assert isinstance(instance.group, BlackBoxGroup)
-        assert _choose_strategy(instance) == "abelian"
+        assert _choose_strategy(instance) == ("abelian", "abelian_base")
 
     def test_abelian_wins_over_commutator_promise(self):
         # An Abelian ambient group dispatches to Theorem 3 even when a
         # (vacuous) commutator promise is attached.
         group = AbelianTupleGroup([8])
         instance = HSPInstance.from_subgroup(group, [(2,)], promises={"commutator_bound": 1})
-        assert _choose_strategy(instance) == "abelian"
+        assert _choose_strategy(instance) == ("abelian", "abelian_base")
 
     def test_commutator_elements_promise_selects_small_commutator(self):
         instance, group = extraspecial_instance(
             promises={"commutator_elements": extraspecial_group(3).commutator_subgroup_elements()}
         )
-        assert _choose_strategy(instance) == "small_commutator"
+        assert _choose_strategy(instance) == ("small_commutator", "commutator_elements")
 
     def test_commutator_bound_promise_selects_small_commutator(self):
         instance, _ = extraspecial_instance(promises={"commutator_bound": 3})
-        assert _choose_strategy(instance) == "small_commutator"
+        assert _choose_strategy(instance) == ("small_commutator", "commutator_bound")
 
     def test_hidden_is_normal_promise_selects_hidden_normal(self):
         group = dihedral_semidirect(6)
         instance = HSPInstance.from_subgroup(
             group, [group.embed_normal((1,))], promises={"hidden_is_normal": True}
         )
-        assert _choose_strategy(instance) == "hidden_normal"
+        assert _choose_strategy(instance) == ("hidden_normal", "hidden_is_normal")
 
     def test_falsy_hidden_is_normal_falls_through_to_default(self):
         group = dihedral_semidirect(6)
         instance = HSPInstance.from_subgroup(
             group, [group.embed_normal((1,))], promises={"hidden_is_normal": False}
         )
-        assert _choose_strategy(instance) == "small_commutator"
+        assert _choose_strategy(instance) == ("small_commutator", "fallback")
 
     def test_default_for_promise_free_nonabelian_group(self):
         instance, _ = extraspecial_instance()
-        assert _choose_strategy(instance) == "small_commutator"
+        assert _choose_strategy(instance) == ("small_commutator", "fallback")
+
+
+def wreath_promised_instance():
+    group, normal_gens = wreath_instance(2)
+    return HSPInstance.from_subgroup(
+        group, [group.identity()], promises={"normal_generators": normal_gens, "cyclic_quotient": True}
+    )
+
+
+def extraspecial_promised(**promises):
+    return lambda: extraspecial_instance(promises)[0]
+
+
+def dihedral_normal_instance():
+    group = dihedral_semidirect(6)
+    return HSPInstance.from_subgroup(group, [group.embed_normal((1,))], promises={"hidden_is_normal": True})
+
+
+class TestStrategySpan:
+    """The ``solver.choose_strategy`` span names the deciding input and the theorem."""
+
+    @pytest.mark.parametrize(
+        "build,strategy,expected",
+        [
+            (wreath_promised_instance, "auto", ("elementary_abelian_two", "normal_generators", "Theorem 13")),
+            (abelian_instance, "auto", ("abelian", "abelian_base", "Theorem 3")),
+            (
+                extraspecial_promised(commutator_elements=extraspecial_group(3).commutator_subgroup_elements()),
+                "auto",
+                ("small_commutator", "commutator_elements", "Theorem 11"),
+            ),
+            (extraspecial_promised(commutator_bound=3), "auto", ("small_commutator", "commutator_bound", "Theorem 11")),
+            (dihedral_normal_instance, "auto", ("hidden_normal", "hidden_is_normal", "Theorem 8")),
+            (extraspecial_promised(), "auto", ("small_commutator", "fallback", "Theorem 11")),
+            (abelian_instance, "classical", ("classical", "requested", None)),
+        ],
+        ids=["normal_generators", "abelian_base", "commutator_elements", "commutator_bound",
+             "hidden_is_normal", "fallback", "requested"],
+    )
+    def test_the_span_records_the_deciding_input_and_theorem(self, tmp_path, build, strategy, expected, rng):
+        trace = str(tmp_path / "trace.jsonl")
+        with obs.tracing(trace):
+            solution = solve_hsp(build(), strategy=strategy, rng=rng)
+        (span,) = [e for e in obs.load_trace_events([trace]) if e["name"] == "solver.choose_strategy"]
+        attrs = span["attrs"]
+        assert (attrs["strategy"], attrs["decided_by"], attrs["theorem"]) == expected
+        assert solution.strategy == expected[0]
 
 
 class TestSolveDispatch:
